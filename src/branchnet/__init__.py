@@ -18,12 +18,11 @@ from .evaluation import (EvalReport, ensemble_probs, evaluate,
 from .gradcheck import FiniteDiffReport, finite_diff_check
 from .model import (BlockTopology, BranchedNetConfig, BranchedNetwork,
                     LayerCounts, ParamReport, block_topology,
-                    build_branched_net, count_parameters,
-                    forward_all_branches, layer_counts, mini_config,
-                    paper_scale_config)
-from .tensor import (ShapeError, Tape, Tensor, batch_norm2d, conv2d,
-                     global_avg_pool, linear, pool2d, relu, residual_add,
-                     reverse_pass, softmax, sum_all, weighted_sum)
+                    build_branched_net, count_parameters, layer_counts,
+                    mini_config, paper_scale_config)
+from .tensor import (NonFiniteError, ShapeError, Tape, Tensor, batch_norm2d,
+                     conv2d, global_avg_pool, linear, pool2d, relu,
+                     residual_add, reverse_pass, softmax, sum_all, weighted_sum)
 from .training import (OptimizerState, TrainConfig, TrainHistory,
                        TrainingDivergedError, combined_branch_loss,
                        history_csv, lr_at_epoch, restore_network,
@@ -44,8 +43,8 @@ __all__ = [
     "FiniteDiffReport", "finite_diff_check",
     "BlockTopology", "BranchedNetConfig", "BranchedNetwork", "LayerCounts",
     "ParamReport", "block_topology", "build_branched_net", "count_parameters",
-    "forward_all_branches", "layer_counts", "mini_config", "paper_scale_config",
-    "ShapeError", "Tape", "Tensor", "batch_norm2d", "conv2d",
+    "layer_counts", "mini_config", "paper_scale_config",
+    "NonFiniteError", "ShapeError", "Tape", "Tensor", "batch_norm2d", "conv2d",
     "global_avg_pool", "linear", "pool2d", "relu", "residual_add",
     "reverse_pass", "softmax", "sum_all", "weighted_sum",
     "OptimizerState", "TrainConfig", "TrainHistory", "TrainingDivergedError",

@@ -3,7 +3,7 @@
 Images are (H, W, 3) RGB arrays: uint8 at ingestion, float in [0, 255]
 inside the pipeline, clamped back into range after every noise stage.
 Every random draw is keyed by (global_seed, epoch, sample_index, technique),
-so results are independent of worker count and iteration order.
+so results are independent of batch composition and order.
 
 Pipeline stage order is fixed: random_crop -> horizontal_flip ->
 color_jitter -> pca_noise -> normalize; each stage has its own enable flag

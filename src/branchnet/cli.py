@@ -235,8 +235,7 @@ def cmd_train(args) -> int:
     run_dir = make_run_dir(args.out or cfg.output_dir, cfg.fingerprint())
     print(f"run directory: {run_dir}")
     checkpoint, history = train(net, train_set, cfg.train, augment,
-                                eval_dataset=test_set, workers=args.workers,
-                                log=print)
+                                eval_dataset=test_set, log=print)
     (run_dir / "history.csv").write_text(history_csv(history, cfg.model.num_branches))
     (run_dir / "timings.csv").write_text(timings_csv(history))
     data_io.save_checkpoint(run_dir / "final.ckpt", checkpoint)
@@ -354,8 +353,6 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -
     parser.add_argument("--config", required=config_required, help="experiment JSON file")
     parser.add_argument("--set", action="append", default=[], metavar="K=V",
                         help="override a config value, e.g. train.total_epochs=1")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="augmentation fan-out; never affects results")
     parser.add_argument("--precision", choices=("ref", "fast"), default="ref",
                         help="ref = float64 (bit-reproducible), fast = float32")
     parser.add_argument("--out", default=None, help="output directory")

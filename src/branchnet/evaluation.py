@@ -131,7 +131,7 @@ def evaluate(net: BranchedNetwork, dataset, batch_size: int = 256,
     # (mirrors the training-time crop size without any randomness)
     oy, ox = (src_h - in_h) // 2, (src_w - in_w) // 2
 
-    dtype = next(iter(net.named_parameters().values())).dtype
+    dtype = next(iter(net.params.values())).dtype
     branch_probs = [np.empty((n, net.config.num_classes)) for _ in range(kb)]
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)

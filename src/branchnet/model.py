@@ -18,8 +18,10 @@ the classifier. The default big preset reports 199 convs / 200 weighted.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -74,10 +76,6 @@ class BranchedNetConfig:
     def total_blocks(self) -> int:
         return sum(self.stage_blocks)
 
-    @property
-    def convs_per_block(self) -> int:
-        return 3 if self.bottleneck else 2
-
 
 def mini_config(num_classes: int = 10, num_branches: int = 2,
                 branch_after_block: int = 4, input_size: int = 32,
@@ -128,323 +126,190 @@ class LayerCounts:
 
 def layer_counts(config: BranchedNetConfig) -> LayerCounts:
     """Depth along one root-to-head path (projection convs excluded)."""
-    convs = 1 + config.convs_per_block * config.total_blocks
+    convs = sum(len(unit.convs) for unit in layer_table(config) if unit.branch in (None, 0))
     return LayerCounts(conv_layers=convs, weighted_layers=convs + 1)
 
 
+# ---------------------------------------------------------------------------
+# the layer table: one source for building, counting and running the net
+
 @dataclass(frozen=True)
-class _BlockPlan:
-    index: int          # 1-based position in the base network
-    in_channels: int
-    width: int
-    out_channels: int
+class ConvSpec:
+    """One conv + BN pair: registry tags, weight shape and geometry."""
+
+    tag: str            # weight name within the unit, e.g. "conv1" or "proj"
+    bn: str             # name of its batch norm, e.g. "bn1" or "proj_bn"
+    cout: int
+    cin: int
+    k: int
     stride: int
-    has_projection: bool
+    pad: int
 
 
-def _block_plans(config: BranchedNetConfig) -> list[_BlockPlan]:
-    plans = []
-    in_ch = config.stage_widths[0]
-    index = 0
+@dataclass(frozen=True)
+class Unit:
+    """One entry of the layer table: a stem, a residual block or a head.
+    ``branch`` is None for the shared stem and trunk, else the branch index.
+
+    A block computes F(x) + shortcut(x), post-activation style: basic is
+    3x3 conv -> BN -> relu -> 3x3 conv -> BN; bottleneck is 1x1 -> 3x3
+    (carries the stride) -> 1x1 with 4x expansion. The shortcut is the
+    identity unless channels or stride change, in which case ``proj``
+    (1x1 conv + BN) is used.
+    """
+
+    kind: str                           # "stem", "block" or "head"
+    scope: str                          # registry prefix, e.g. "trunk.block03"
+    branch: Optional[int]
+    convs: tuple[ConvSpec, ...] = ()    # main path, in forward order
+    proj: Optional[ConvSpec] = None
+    pool: bool = False                  # 2x2 max pool after the stem
+    head_shape: tuple[int, int] = (0, 0)  # (classes, features)
+
+
+def layer_table(config: BranchedNetConfig) -> list[Unit]:
+    """Every unit of the network, in registry and seed-stream draw order:
+    the shared stem and trunk blocks, then per branch its own stem (B = 0
+    only), its blocks and its head."""
+    plans = []  # (1-based index, main-path convs, projection) per base block
+    channels = config.stage_widths[0]  # into the next block; at the end, the head
     for stage, (count, width) in enumerate(zip(config.stage_blocks, config.stage_widths)):
         out_ch = width * BOTTLENECK_EXPANSION if config.bottleneck else width
-        for b in range(count):
-            index += 1
-            stride = 2 if (b == 0 and stage > 0) else 1
-            plans.append(_BlockPlan(
-                index=index, in_channels=in_ch, width=width, out_channels=out_ch,
-                stride=stride, has_projection=(stride != 1 or in_ch != out_ch)))
-            in_ch = out_ch
-    return plans
+        for i in range(count):
+            s = 2 if (i == 0 and stage > 0) else 1
+            if config.bottleneck:
+                shapes = ((width, channels, 1, 1), (width, width, 3, s), (out_ch, width, 1, 1))
+            else:
+                shapes = ((width, channels, 3, s), (out_ch, width, 3, 1))
+            convs = tuple(ConvSpec(f"conv{j}", f"bn{j}", cout, cin, k, stride, k // 2)
+                          for j, (cout, cin, k, stride) in enumerate(shapes, 1))
+            proj = (ConvSpec("proj", "proj_bn", out_ch, channels, 1, s, 0)
+                    if (s != 1 or channels != out_ch) else None)
+            plans.append((len(plans) + 1, convs, proj))
+            channels = out_ch
 
+    k = config.stem_kernel
+    stem_conv = ConvSpec("conv", "bn", config.stage_widths[0], config.input_channels,
+                         k, config.stem_stride, k // 2)
 
-def _iter_param_shapes(config: BranchedNetConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """(name, shape) for every learnable parameter, in registry order."""
-    def stem(scope: str):
-        k, cin, cout = config.stem_kernel, config.input_channels, config.stage_widths[0]
-        yield f"{scope}.conv.weight", (cout, cin, k, k)
-        yield f"{scope}.bn.gamma", (cout,)
-        yield f"{scope}.bn.beta", (cout,)
+    def stem(scope: str, br: Optional[int]) -> Unit:
+        return Unit("stem", scope, br, (stem_conv,), pool=config.stem_pool)
 
-    def block(scope: str, plan: _BlockPlan):
-        if config.bottleneck:
-            convs = [("conv1", plan.width, plan.in_channels, 1),
-                     ("conv2", plan.width, plan.width, 3),
-                     ("conv3", plan.out_channels, plan.width, 1)]
-        else:
-            convs = [("conv1", plan.width, plan.in_channels, 3),
-                     ("conv2", plan.out_channels, plan.width, 3)]
-        for tag, cout, cin, k in convs:
-            yield f"{scope}.{tag}.weight", (cout, cin, k, k)
-            yield f"{scope}.{tag.replace('conv', 'bn')}.gamma", (cout,)
-            yield f"{scope}.{tag.replace('conv', 'bn')}.beta", (cout,)
-        if plan.has_projection:
-            yield f"{scope}.proj.weight", (plan.out_channels, plan.in_channels, 1, 1)
-            yield f"{scope}.proj_bn.gamma", (plan.out_channels,)
-            yield f"{scope}.proj_bn.beta", (plan.out_channels,)
+    def blocks(scope: str, br: Optional[int], plans) -> list[Unit]:
+        return [Unit("block", f"{scope}.block{index:02d}", br, convs, proj)
+                for index, convs, proj in plans]
 
-    def head(scope: str, in_features: int):
-        yield f"{scope}.head.weight", (config.num_classes, in_features)
-        yield f"{scope}.head.bias", (config.num_classes,)
-
-    plans = _block_plans(config)
     b = config.branch_after_block
-    final_features = plans[-1].out_channels
+    units = []
     if b >= 1:
-        yield from stem("stem")
-        for plan in plans[:b]:
-            yield from block(f"trunk.block{plan.index:02d}", plan)
+        units += [stem("stem", None)] + blocks("trunk", None, plans[:b])
     for br in range(config.num_branches):
         scope = f"branch{br}"
         if b == 0:
-            yield from stem(f"{scope}.stem")
-        for plan in plans[b:]:
-            yield from block(f"{scope}.block{plan.index:02d}", plan)
-        yield from head(scope, final_features)
+            units.append(stem(f"{scope}.stem", br))
+        units += blocks(scope, br, plans[b:])
+        units.append(Unit("head", scope, br, head_shape=(config.num_classes, channels)))
+    return units
+
+
+_BN_TENSORS = {"gamma": 1.0, "beta": 0.0, "running_mean": 0.0, "running_var": 1.0}
+_BUFFER_SUFFIXES = (".running_mean", ".running_var")
+
+
+def _unit_tensors(unit: Unit) -> list[tuple[str, tuple[int, ...], Optional[float]]]:
+    """(name, shape, fill) for every tensor of a unit, in registry order.
+    ``fill`` is None for a He-initialized weight, else the constant value;
+    names ending in ``_BUFFER_SUFFIXES`` are buffers, the rest parameters.
+    """
+    if unit.kind == "head":
+        classes, features = unit.head_shape
+        return [(f"{unit.scope}.head.weight", (classes, features), None),
+                (f"{unit.scope}.head.bias", (classes,), 0.0)]
+    tensors = []
+    for conv in unit.convs + ((unit.proj,) if unit.proj is not None else ()):
+        tensors.append((f"{unit.scope}.{conv.tag}.weight",
+                        (conv.cout, conv.cin, conv.k, conv.k), None))
+        tensors += [(f"{unit.scope}.{conv.bn}.{field}", (conv.cout,), fill)
+                    for field, fill in _BN_TENSORS.items()]
+    return tensors
+
+
+def _unit_param_count(unit: Unit) -> int:
+    return sum(math.prod(shape) for name, shape, _ in _unit_tensors(unit)
+               if not name.endswith(_BUFFER_SUFFIXES))
 
 
 # ---------------------------------------------------------------------------
 # parameterized network
 
-class _BatchNorm:
-    def __init__(self, channels: int, dtype):
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.running_mean = Tensor(np.zeros(channels, dtype=dtype))
-        self.running_var = Tensor(np.ones(channels, dtype=dtype))
-
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
-        return batch_norm2d(x, self.gamma, self.beta,
-                            self.running_mean, self.running_var, mode=mode)
-
-
-def _he_conv(rng: np.random.Generator, cout: int, cin: int, k: int, dtype) -> Tensor:
-    fan_in = cin * k * k
-    std = np.sqrt(2.0 / fan_in)
-    return Tensor((rng.standard_normal((cout, cin, k, k)) * std).astype(dtype),
-                  requires_grad=True)
-
-
-class _Stem:
-    def __init__(self, config: BranchedNetConfig, rng: np.random.Generator, dtype):
-        k = config.stem_kernel
-        self.weight = _he_conv(rng, config.stage_widths[0], config.input_channels, k, dtype)
-        self.bn = _BatchNorm(config.stage_widths[0], dtype)
-        self.stride = config.stem_stride
-        self.pad = k // 2
-        self.pool = config.stem_pool
-
-    def forward(self, x: Tensor, mode: str) -> Tensor:
-        out = relu(self.bn(conv2d(x, self.weight, stride=self.stride, pad=self.pad), mode))
-        if self.pool:
-            out = pool2d(out, "max", window=2, stride=2)
-        return out
-
-    def named_params(self):
-        yield "conv.weight", self.weight
-        yield "bn.gamma", self.bn.gamma
-        yield "bn.beta", self.bn.beta
-
-    def named_buffers(self):
-        yield "bn.running_mean", self.bn.running_mean
-        yield "bn.running_var", self.bn.running_var
-
-
-class ResidualBlock:
-    """Pre-classifier unit computing F(x) + shortcut(x), post-activation style.
-
-    Basic: 3x3 conv -> BN -> relu -> 3x3 conv -> BN. Bottleneck: 1x1 -> 3x3
-    (carries the stride) -> 1x1 with 4x expansion. The shortcut is the
-    identity unless channels or stride change, in which case a 1x1
-    projection conv + BN is used.
-    """
-
-    def __init__(self, plan: _BlockPlan, bottleneck: bool,
-                 rng: np.random.Generator, dtype):
-        self.plan = plan
-        self.bottleneck = bottleneck
-        self.eval_count = 0  # forward invocations, for trunk-reuse instrumentation
-        if bottleneck:
-            self.conv1 = _he_conv(rng, plan.width, plan.in_channels, 1, dtype)
-            self.conv2 = _he_conv(rng, plan.width, plan.width, 3, dtype)
-            self.conv3 = _he_conv(rng, plan.out_channels, plan.width, 1, dtype)
-            self.bn1 = _BatchNorm(plan.width, dtype)
-            self.bn2 = _BatchNorm(plan.width, dtype)
-            self.bn3 = _BatchNorm(plan.out_channels, dtype)
-        else:
-            self.conv1 = _he_conv(rng, plan.width, plan.in_channels, 3, dtype)
-            self.conv2 = _he_conv(rng, plan.out_channels, plan.width, 3, dtype)
-            self.bn1 = _BatchNorm(plan.width, dtype)
-            self.bn2 = _BatchNorm(plan.out_channels, dtype)
-        if plan.has_projection:
-            self.proj = _he_conv(rng, plan.out_channels, plan.in_channels, 1, dtype)
-            self.proj_bn = _BatchNorm(plan.out_channels, dtype)
-        else:
-            self.proj = None
-            self.proj_bn = None
-
-    def forward(self, x: Tensor, mode: str) -> Tensor:
-        self.eval_count += 1
-        s = self.plan.stride
-        if self.bottleneck:
-            out = relu(self.bn1(conv2d(x, self.conv1, stride=1, pad=0), mode))
-            out = relu(self.bn2(conv2d(out, self.conv2, stride=s, pad=1), mode))
-            out = self.bn3(conv2d(out, self.conv3, stride=1, pad=0), mode)
-        else:
-            out = relu(self.bn1(conv2d(x, self.conv1, stride=s, pad=1), mode))
-            out = self.bn2(conv2d(out, self.conv2, stride=1, pad=1), mode)
-        if self.proj is not None:
-            shortcut = self.proj_bn(conv2d(x, self.proj, stride=s, pad=0), mode)
-        else:
-            shortcut = x
-        return relu(residual_add(out, shortcut))
-
-    def named_params(self):
-        convs = ("conv1", "conv2", "conv3") if self.bottleneck else ("conv1", "conv2")
-        for tag in convs:
-            yield f"{tag}.weight", getattr(self, tag)
-            bn = getattr(self, tag.replace("conv", "bn"))
-            yield f"{tag.replace('conv', 'bn')}.gamma", bn.gamma
-            yield f"{tag.replace('conv', 'bn')}.beta", bn.beta
-        if self.proj is not None:
-            yield "proj.weight", self.proj
-            yield "proj_bn.gamma", self.proj_bn.gamma
-            yield "proj_bn.beta", self.proj_bn.beta
-
-    def named_buffers(self):
-        bns = ("bn1", "bn2", "bn3") if self.bottleneck else ("bn1", "bn2")
-        for tag in bns:
-            bn = getattr(self, tag)
-            yield f"{tag}.running_mean", bn.running_mean
-            yield f"{tag}.running_var", bn.running_var
-        if self.proj_bn is not None:
-            yield "proj_bn.running_mean", self.proj_bn.running_mean
-            yield "proj_bn.running_var", self.proj_bn.running_var
-
-
-class _Head:
-    def __init__(self, in_features: int, num_classes: int,
-                 rng: np.random.Generator, dtype):
-        std = np.sqrt(2.0 / in_features)
-        self.weight = Tensor((rng.standard_normal((num_classes, in_features)) * std).astype(dtype),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(num_classes, dtype=dtype), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return linear(global_avg_pool(x), self.weight, self.bias)
-
-    def named_params(self):
-        yield "head.weight", self.weight
-        yield "head.bias", self.bias
-
-
+@dataclass(eq=False, repr=False)
 class BranchedNetwork:
     """Instantiated parameters plus the forward plumbing.
 
-    The parameter registry maps stable dotted names to tensors; trunk
-    parameters appear exactly once, branch parameters under branch-scoped
-    names. All branches share one architecture with independent values.
+    ``params`` and ``buffers`` map stable dotted names to tensors in layer
+    table order; trunk parameters appear exactly once, branch parameters
+    under branch-scoped names. All branches share one architecture with
+    independent values. Build with ``build_branched_net``.
     """
 
-    def __init__(self, config: BranchedNetConfig, seed: int, dtype=np.float64):
-        self.config = config
-        self.seed = seed
-        plans = _block_plans(config)
-        b = config.branch_after_block
-        root = np.random.SeedSequence(seed)
-        streams = root.spawn(1 + config.num_branches)
-
-        self.stem: Optional[_Stem] = None
-        self.trunk: list[ResidualBlock] = []
-        if b >= 1:
-            trunk_rng = np.random.default_rng(streams[0])
-            self.stem = _Stem(config, trunk_rng, dtype)
-            self.trunk = [ResidualBlock(p, config.bottleneck, trunk_rng, dtype)
-                          for p in plans[:b]]
-
-        self.branch_stems: list[Optional[_Stem]] = []
-        self.branches: list[list[ResidualBlock]] = []
-        self.heads: list[_Head] = []
-        final_features = plans[-1].out_channels
-        for br in range(config.num_branches):
-            rng = np.random.default_rng(streams[1 + br])
-            self.branch_stems.append(_Stem(config, rng, dtype) if b == 0 else None)
-            self.branches.append([ResidualBlock(p, config.bottleneck, rng, dtype)
-                                  for p in plans[b:]])
-            self.heads.append(_Head(final_features, config.num_classes, rng, dtype))
-
-    # -- registries --------------------------------------------------------
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        if self.stem is not None:
-            for name, t in self.stem.named_params():
-                out[f"stem.{name}"] = t
-            for blk in self.trunk:
-                for name, t in blk.named_params():
-                    out[f"trunk.block{blk.plan.index:02d}.{name}"] = t
-        for br, (bstem, blocks, head) in enumerate(
-                zip(self.branch_stems, self.branches, self.heads)):
-            scope = f"branch{br}"
-            if bstem is not None:
-                for name, t in bstem.named_params():
-                    out[f"{scope}.stem.{name}"] = t
-            for blk in blocks:
-                for name, t in blk.named_params():
-                    out[f"{scope}.block{blk.plan.index:02d}.{name}"] = t
-            for name, t in head.named_params():
-                out[f"{scope}.{name}"] = t
-        return out
-
-    def named_buffers(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        if self.stem is not None:
-            for name, t in self.stem.named_buffers():
-                out[f"stem.{name}"] = t
-            for blk in self.trunk:
-                for name, t in blk.named_buffers():
-                    out[f"trunk.block{blk.plan.index:02d}.{name}"] = t
-        for br, (bstem, blocks) in enumerate(zip(self.branch_stems, self.branches)):
-            scope = f"branch{br}"
-            if bstem is not None:
-                for name, t in bstem.named_buffers():
-                    out[f"{scope}.stem.{name}"] = t
-            for blk in blocks:
-                for name, t in blk.named_buffers():
-                    out[f"{scope}.block{blk.plan.index:02d}.{name}"] = t
-        return out
+    config: BranchedNetConfig
+    units: list[Unit]
+    params: dict[str, Tensor]
+    buffers: dict[str, Tensor]
 
     def state(self) -> dict[str, Tensor]:
-        merged = dict(self.named_parameters())
-        merged.update(self.named_buffers())
-        return merged
+        return {**self.params, **self.buffers}
 
     def zero_grad(self) -> None:
-        for t in self.named_parameters().values():
+        for t in self.params.values():
             t.grad = None
 
     # -- forward -----------------------------------------------------------
 
-    def forward_trunk(self, batch: Tensor, mode: str) -> Tensor:
-        x = batch
-        if self.stem is not None:
-            x = self.stem.forward(x, mode)
-            for blk in self.trunk:
-                x = blk.forward(x, mode)
+    def _conv_bn(self, scope: str, conv: ConvSpec, x: Tensor, mode: str) -> Tensor:
+        bn = f"{scope}.{conv.bn}"
+        out = conv2d(x, self.params[f"{scope}.{conv.tag}.weight"],
+                     stride=conv.stride, pad=conv.pad)
+        return batch_norm2d(out, self.params[f"{bn}.gamma"], self.params[f"{bn}.beta"],
+                            self.buffers[f"{bn}.running_mean"],
+                            self.buffers[f"{bn}.running_var"], mode=mode)
+
+    def _run_unit(self, unit: Unit, x: Tensor, mode: str) -> Tensor:
+        if unit.kind == "head":
+            return linear(global_avg_pool(x), self.params[f"{unit.scope}.head.weight"],
+                          self.params[f"{unit.scope}.head.bias"])
+        out = x
+        for conv in unit.convs[:-1]:
+            out = relu(self._conv_bn(unit.scope, conv, out, mode))
+        out = self._conv_bn(unit.scope, unit.convs[-1], out, mode)
+        if unit.kind == "stem":
+            out = relu(out)
+            return pool2d(out, "max", window=2, stride=2) if unit.pool else out
+        shortcut = x if unit.proj is None else self._conv_bn(unit.scope, unit.proj, x, mode)
+        return relu(residual_add(out, shortcut))
+
+    def _run_path(self, branch: Optional[int], x: Tensor, mode: str) -> Tensor:
+        for unit in self.units:
+            if unit.branch == branch:
+                x = self._run_unit(unit, x, mode)
         return x
 
+    def forward_trunk(self, batch: Tensor, mode: str) -> Tensor:
+        return self._run_path(None, batch, mode)
+
     def forward_branch(self, br: int, trunk_out: Tensor, mode: str) -> Tensor:
-        x = trunk_out
-        if self.branch_stems[br] is not None:
-            x = self.branch_stems[br].forward(x, mode)
-        for blk in self.branches[br]:
-            x = blk.forward(x, mode)
-        return self.heads[br].forward(x)
+        return self._run_path(br, trunk_out, mode)
 
     def forward_all_branches(self, batch: Tensor, mode: str = "eval") -> list[Tensor]:
+        """Evaluate the trunk once and every branch on the shared trunk output."""
+        cfg = self.config
+        want = (cfg.input_channels, cfg.input_height, cfg.input_width)
+        if batch.shape[1:] != want:
+            raise ValueError(f"batch shape {batch.shape} does not match configured "
+                             f"input [N, C, H, W] = [N, {', '.join(map(str, want))}]")
         trunk_out = self.forward_trunk(batch, mode)
         return [self.forward_branch(br, trunk_out, mode)
-                for br in range(self.config.num_branches)]
+                for br in range(cfg.num_branches)]
 
 
 def build_branched_net(config: BranchedNetConfig, seed: int,
@@ -452,20 +317,22 @@ def build_branched_net(config: BranchedNetConfig, seed: int,
     """He-initialized network; each branch drawn from an independent
     sub-stream of the seed, so same-seed builds are bitwise identical and
     branches are decorrelated by construction."""
-    return BranchedNetwork(config, seed, dtype=dtype)
-
-
-def forward_all_branches(net: BranchedNetwork, batch: Tensor,
-                         mode: str = "eval") -> list[Tensor]:
-    """Evaluate the trunk once and every branch on the shared trunk output."""
-    if batch.data.ndim != 4:
-        raise ValueError(f"batch must be 4-D [N,C,H,W], got {batch.shape}")
-    cfg = net.config
-    if batch.shape[1:] != (cfg.input_channels, cfg.input_height, cfg.input_width):
-        raise ValueError(
-            f"batch shape {batch.shape[1:]} does not match configured input "
-            f"({cfg.input_channels}, {cfg.input_height}, {cfg.input_width})")
-    return net.forward_all_branches(batch, mode=mode)
+    streams = [np.random.default_rng(s)
+               for s in np.random.SeedSequence(seed).spawn(1 + config.num_branches)]
+    units = layer_table(config)
+    params: dict[str, Tensor] = {}
+    buffers: dict[str, Tensor] = {}
+    for unit in units:
+        rng = streams[0 if unit.branch is None else 1 + unit.branch]
+        for name, shape, fill in _unit_tensors(unit):
+            if fill is None:
+                std = np.sqrt(2.0 / math.prod(shape[1:]))
+                data = (rng.standard_normal(shape) * std).astype(dtype)
+            else:
+                data = np.full(shape, fill, dtype=dtype)
+            is_buffer = name.endswith(_BUFFER_SUFFIXES)
+            (buffers if is_buffer else params)[name] = Tensor(data, requires_grad=not is_buffer)
+    return BranchedNetwork(config, units, params, buffers)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +350,8 @@ class ParamReport:
 
 
 def count_parameters(net_or_config: Union[BranchedNetwork, BranchedNetConfig]) -> ParamReport:
-    """Exact learnable-parameter counts per registry scope.
+    """Exact learnable-parameter counts per registry scope, from the layer
+    table's shapes alone (nothing is allocated, so paper scale is cheap).
 
     ``equivalent_independent_ensemble_params`` is num_branches times the
     size of one full single-head network; ``sharing_ratio`` = total over
@@ -491,37 +359,22 @@ def count_parameters(net_or_config: Union[BranchedNetwork, BranchedNetConfig]) -
     """
     config = net_or_config if isinstance(net_or_config, BranchedNetConfig) \
         else net_or_config.config
-    if isinstance(net_or_config, BranchedNetwork):
-        sizes = {name: t.size for name, t in net_or_config.named_parameters().items()}
-    else:
-        sizes = {name: int(np.prod(shape)) for name, shape in _iter_param_shapes(config)}
-
     kb = config.num_branches
-    stem = sum(v for k, v in sizes.items() if k.startswith("stem."))
-    shared = sum(v for k, v in sizes.items() if k.startswith("trunk."))
-    per_branch = []
-    heads = []
-    for br in range(kb):
-        scope = f"branch{br}."
-        head = sizes[f"branch{br}.head.weight"] + sizes[f"branch{br}.head.bias"]
-        branch_total = sum(v for k, v in sizes.items() if k.startswith(scope))
-        per_branch.append(branch_total - head)
-        heads.append(head)
-    total = sum(sizes.values())
+    sizes = [(unit, _unit_param_count(unit)) for unit in layer_table(config)]
 
-    single = BranchedNetConfig(
-        stage_blocks=config.stage_blocks, stage_widths=config.stage_widths,
-        bottleneck=config.bottleneck, branch_after_block=config.total_blocks,
-        num_branches=1, num_classes=config.num_classes,
-        input_channels=config.input_channels, input_height=config.input_height,
-        input_width=config.input_width, stem_kernel=config.stem_kernel,
-        stem_stride=config.stem_stride, stem_pool=config.stem_pool)
-    single_total = sum(int(np.prod(shape)) for _, shape in _iter_param_shapes(single))
-    equivalent = kb * single_total
+    def scope_total(branch: Optional[int], kinds: tuple[str, ...]) -> int:
+        return sum(n for unit, n in sizes if unit.branch == branch and unit.kind in kinds)
+
+    single = dataclasses.replace(config, branch_after_block=config.total_blocks,
+                                 num_branches=1)
+    total = sum(n for _, n in sizes)
+    equivalent = kb * sum(_unit_param_count(unit) for unit in layer_table(single))
 
     return ParamReport(
-        stem_params=stem, shared_params=shared,
-        per_branch_params=tuple(per_branch), head_params=tuple(heads),
+        stem_params=scope_total(None, ("stem",)),
+        shared_params=scope_total(None, ("block",)),
+        per_branch_params=tuple(scope_total(br, ("stem", "block")) for br in range(kb)),
+        head_params=tuple(scope_total(br, ("head",)) for br in range(kb)),
         total_params=total,
         equivalent_independent_ensemble_params=equivalent,
         sharing_ratio=total / equivalent)

@@ -28,6 +28,10 @@ class ShapeError(ValueError):
     """Raised when operand shapes disagree; names the offending dimension."""
 
 
+class NonFiniteError(ValueError):
+    """Raised when an op that needs finite inputs receives NaN or inf."""
+
+
 class Tensor:
     """Dense N-dimensional float array with optional gradient.
 
@@ -376,7 +380,7 @@ def softmax(logits: Tensor) -> Tensor:
     if logits.data.ndim != 2:
         raise ShapeError(f"softmax input must be 2-D [N,K], got {logits.shape}")
     if not np.all(np.isfinite(logits.data)):
-        raise ValueError("softmax rejects non-finite logits")
+        raise NonFiniteError("softmax rejects non-finite logits")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=1, keepdims=True)
@@ -454,7 +458,7 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ShapeError(
             f"softmax_cross_entropy targets shape {p.shape} != logits {logits.shape}")
     if not np.all(np.isfinite(logits.data)):
-        raise ValueError("softmax_cross_entropy rejects non-finite logits")
+        raise NonFiniteError("softmax_cross_entropy rejects non-finite logits")
     n = logits.shape[0]
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     log_q = z - np.log(np.exp(z).sum(axis=1, keepdims=True))

@@ -11,7 +11,6 @@ biases are exempt from decay.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Mapping, Optional, Sequence
@@ -21,7 +20,8 @@ import numpy as np
 from . import data as data_io
 from .augment import AugmentConfig, RngStream, augment_pipeline, epoch_shuffle
 from .model import BranchedNetConfig, BranchedNetwork, build_branched_net
-from .tensor import Tape, Tensor, residual_add, reverse_pass, scale, softmax_cross_entropy
+from .tensor import (NonFiniteError, Tape, Tensor, residual_add, reverse_pass, scale,
+                     softmax_cross_entropy)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -192,26 +192,22 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 # the epoch loop
 
 def _augment_batch(dataset, indices: np.ndarray, epoch: int,
-                   augment_config: AugmentConfig, seed: int, dtype,
-                   workers: int) -> np.ndarray:
+                   augment_config: AugmentConfig, seed: int, dtype) -> np.ndarray:
+    """Augmented [N,C,H,W] batch; each row depends only on its own
+    (seed, epoch, dataset index) stream, not on the rest of the batch."""
     def one(i: int) -> np.ndarray:
-        stream = RngStream(global_seed=seed, epoch=epoch, sample_index=int(i))
+        stream = RngStream(global_seed=seed, epoch=epoch, sample_index=i)
         return augment_pipeline(dataset.images[i], augment_config, stream,
                                 dtype=dtype).data
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tensors = list(pool.map(one, [int(i) for i in indices]))
-    else:
-        tensors = [one(int(i)) for i in indices]
-    return np.stack(tensors)
+    return np.stack([one(int(i)) for i in indices])
 
 
 def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
           augment_config: AugmentConfig, *,
           eval_dataset=None, eval_batch_size: int = 256,
           start_epoch: int = 0, optimizer_state: Optional[OptimizerState] = None,
-          workers: int = 1, log=None):
+          log=None):
     """Run the epoch loop and return (Checkpoint, TrainHistory).
 
     Each epoch: fresh permutation, per-sample augmentation keyed by
@@ -227,7 +223,7 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
         raise ValueError(
             f"train num_classes {train_config.num_classes} != model "
             f"num_classes {net.config.num_classes}")
-    params = net.named_parameters()
+    params = net.params
     state = optimizer_state if optimizer_state is not None else OptimizerState(params)
     history = TrainHistory()
     dtype = next(iter(params.values())).dtype if params else np.float64
@@ -243,7 +239,7 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
         for lo in range(0, n, train_config.batch_size):
             batch_idx = order[lo:lo + train_config.batch_size]
             batch = Tensor(_augment_batch(dataset, batch_idx, epoch, augment_config,
-                                          train_config.seed, dtype, workers))
+                                          train_config.seed, dtype))
             targets = smooth_label_matrix(dataset.labels[batch_idx],
                                           train_config.num_classes,
                                           train_config.smoothing_epsilon)
@@ -253,9 +249,7 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
                     branch_logits = net.forward_all_branches(batch, mode="train")
                     combined, branch_losses = combined_branch_loss(
                         branch_logits, targets, return_branch_losses=True)
-            except ValueError as exc:
-                if "non-finite" not in str(exc):
-                    raise
+            except NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"non-finite values at epoch {epoch}, batch {batches} "
                     f"(first sample index {int(batch_idx[0])}): {exc}") from exc
@@ -307,27 +301,37 @@ def _collect_state(net: BranchedNetwork, state: OptimizerState) -> dict[str, np.
 
 
 def restore_network(checkpoint) -> tuple[BranchedNetwork, OptimizerState]:
-    """Rebuild a network and optimizer state from a checkpoint's tensors."""
+    """Rebuild a network and optimizer state from a checkpoint's tensors.
+
+    The checkpoint must hold exactly one ``model/`` tensor per registry
+    entry and one ``optimizer/`` velocity per parameter, each with the
+    registry shape; anything missing, extra or misshapen raises
+    ``CheckpointError`` naming the tensor.
+    """
     cfg: BranchedNetConfig = checkpoint.model_config
     sample = next((a for k, a in checkpoint.tensors.items() if k.startswith("model/")), None)
     dtype = sample.dtype if sample is not None else np.float64
     net = build_branched_net(cfg, seed=checkpoint.train_config.seed, dtype=dtype)
-    for name, tensor in net.state().items():
-        key = f"model/{name}"
+    state = OptimizerState(net.params)
+    targets = {f"model/{name}": t.data for name, t in net.state().items()}
+    targets.update((f"optimizer/{name}", v) for name, v in state.velocities.items())
+    extra = sorted(k for k in checkpoint.tensors
+                   if k.startswith(("model/", "optimizer/")) and k not in targets)
+    if extra:
+        raise data_io.CheckpointError(
+            f"checkpoint tensor {extra[0]!r} is not in the model registry")
+    for key, target in targets.items():
         if key not in checkpoint.tensors:
-            raise ValueError(f"checkpoint is missing tensor {key!r}")
+            raise data_io.CheckpointError(f"checkpoint is missing tensor {key!r}")
         stored = checkpoint.tensors[key]
-        if stored.shape != tensor.data.shape:
-            raise ValueError(
+        if stored.shape != target.shape:
+            raise data_io.CheckpointError(
                 f"checkpoint tensor {key!r} has shape {stored.shape}, "
-                f"expected {tensor.data.shape}")
-        tensor.data = stored.copy()
-    params = net.named_parameters()
-    state = OptimizerState(params)
-    for name in params:
-        key = f"optimizer/{name}"
-        if key in checkpoint.tensors:
-            state.velocities[name] = checkpoint.tensors[key].copy()
+                f"expected {target.shape}")
+    for name, t in net.state().items():
+        t.data = checkpoint.tensors[f"model/{name}"].copy()
+    for name in state.velocities:
+        state.velocities[name] = checkpoint.tensors[f"optimizer/{name}"].copy()
     return net, state
 
 

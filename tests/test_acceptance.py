@@ -428,7 +428,7 @@ class TestCriterion10OracleEquivalence:
         net = build_branched_net(cfg, seed=5)
         batch = Tensor(rng.standard_normal((4, 3, 8, 8)))
         targets = smooth_label_matrix(rng.integers(0, 3, size=4), 3, 0.1)
-        trunk_names = [n for n in net.named_parameters()
+        trunk_names = [n for n in net.params
                        if n.startswith(("stem.", "trunk."))]
 
         def run(branches):
@@ -439,7 +439,7 @@ class TestCriterion10OracleEquivalence:
                           for br in branches]
                 loss = combined_branch_loss(logits, targets)
             reverse_pass(tape, loss)
-            params = net.named_parameters()
+            params = net.params
             return {n: params[n].grad.copy() for n in trunk_names}
 
         both, only0, only1 = run([0, 1]), run([0]), run([1])

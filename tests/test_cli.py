@@ -83,12 +83,6 @@ class TestTrainCommand:
         assert (first / "history.csv").read_bytes() == (second / "history.csv").read_bytes()
         assert (first / "final.ckpt").read_bytes() == (second / "final.ckpt").read_bytes()
 
-    def test_workers_flag_does_not_change_history(self, tmp_path, config_file):
-        assert main(["train", "--config", str(config_file), "--workers", "3"]) == 0
-        assert main(["train", "--config", str(config_file), "--workers", "1"]) == 0
-        first, second = run_dirs(tmp_path)
-        assert (first / "history.csv").read_bytes() == (second / "history.csv").read_bytes()
-
     def test_fast_precision_runs(self, tmp_path, config_file):
         assert main(["train", "--config", str(config_file),
                      "--precision", "fast"]) == 0

@@ -119,7 +119,7 @@ def _eval_setup(rng, num_classes=4):
 class TestEvaluate:
     def test_identical_branch_weights_equal_errors_zero_improvement(self, rng):
         net, data, augment = _eval_setup(rng)
-        params = net.named_parameters()
+        params = net.params
         for name, tensor in list(params.items()):
             if name.startswith("branch0."):
                 params[name.replace("branch0.", "branch1.")].data = tensor.data.copy()
@@ -136,8 +136,8 @@ class TestEvaluate:
                             num_classes=data.num_classes, split="test")
         label = int(single.labels[0])
         for br in range(2):
-            head_w = net.named_parameters()[f"branch{br}.head.weight"]
-            head_b = net.named_parameters()[f"branch{br}.head.bias"]
+            head_w = net.params[f"branch{br}.head.weight"]
+            head_b = net.params[f"branch{br}.head.bias"]
             head_w.data = np.zeros_like(head_w.data)
             bias = np.zeros_like(head_b.data)
             bias[label] = 10.0

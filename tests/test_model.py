@@ -2,14 +2,15 @@
 parameter accounting."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from branchnet import model
 from branchnet.model import (BranchedNetConfig, block_topology,
                              build_branched_net, count_parameters,
-                             forward_all_branches, layer_counts, mini_config,
-                             paper_scale_config)
+                             layer_counts, mini_config, paper_scale_config)
 from branchnet.tensor import Tensor
 
 
@@ -62,18 +63,47 @@ class TestLayerCounts:
         assert counts.weighted_layers == 14
 
 
+def state_digest(net) -> str:
+    """sha256 over the name, dtype, shape and bytes of every state tensor, in order."""
+    h = hashlib.sha256()
+    for name, t in net.state().items():
+        a = np.ascontiguousarray(t.data)
+        h.update(f"{name}|{a.dtype.str}|{a.shape}\n".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+BOTTLENECK_POOL = BranchedNetConfig(
+    stage_blocks=(1, 2), stage_widths=(4, 8), bottleneck=True,
+    branch_after_block=1, num_branches=2, num_classes=5,
+    input_height=16, input_width=16, stem_kernel=5, stem_stride=2, stem_pool=True)
+
+
 class TestBuilder:
+    # pins the seed-0 state that existing checkpoints were built from; any
+    # change to names, order, dtypes or seed-stream draws shows here
+    @pytest.mark.parametrize("config, dtype, digest", [
+        (mini_config(), np.float64,
+         "76eddedb6755c416d19bc4d22fe393ef8047559a0d2d5d9b88c82b75b9dcb9e8"),
+        (mini_config(), np.float32,
+         "6ea65b5db5b68a4bd0c669151dff2aae49dd5b8e1397323fa7422a6989611a22"),
+        (BOTTLENECK_POOL, np.float64,
+         "21d037350d0852edb3c9654b795040057d1365084bfba60f153076f37c63db10"),
+    ])
+    def test_same_seed_state_matches_golden_digest(self, config, dtype, digest):
+        assert state_digest(build_branched_net(config, seed=0, dtype=dtype)) == digest
+
     def test_same_seed_bitwise_identical(self):
         a = build_branched_net(tiny_config(), seed=11)
         b = build_branched_net(tiny_config(), seed=11)
-        pa, pb = a.named_parameters(), b.named_parameters()
+        pa, pb = a.params, b.params
         assert list(pa) == list(pb)
         for name in pa:
             np.testing.assert_array_equal(pa[name].data, pb[name].data)
 
     def test_branches_differ_under_one_seed(self):
         net = build_branched_net(tiny_config(), seed=11)
-        params = net.named_parameters()
+        params = net.params
         w0 = params["branch0.block02.conv1.weight"].data
         w1 = params["branch1.block02.conv1.weight"].data
         assert w0.shape == w1.shape
@@ -105,70 +135,84 @@ class TestBuilder:
                 (f"branch{br}.head.bias", (10,)),
             ]
         net = build_branched_net(tiny_config(), seed=3)
-        got = [(name, t.shape) for name, t in net.named_parameters().items()]
+        got = [(name, t.shape) for name, t in net.params.items()]
         assert got == expected
 
     def test_bn_init_and_zero_bias(self):
         net = build_branched_net(tiny_config(), seed=5)
-        params = net.named_parameters()
+        params = net.params
         np.testing.assert_array_equal(params["stem.bn.gamma"].data, np.ones(8))
         np.testing.assert_array_equal(params["stem.bn.beta"].data, np.zeros(8))
         np.testing.assert_array_equal(params["branch0.head.bias"].data, np.zeros(10))
 
     def test_b_zero_replicates_stem_per_branch(self):
         net = build_branched_net(tiny_config(branch_after_block=0), seed=5)
-        params = net.named_parameters()
+        params = net.params
         assert "stem.conv.weight" not in params
         assert "branch0.stem.conv.weight" in params
         assert "branch1.stem.conv.weight" in params
 
     def test_projection_exactly_where_shape_changes(self):
-        cfg = mini_config()  # stages (2,2,2): projections at blocks 3 and 5
+        cfg = mini_config()  # stages (2,2,2), B=4: projections at blocks 3 and 5
         net = build_branched_net(cfg, seed=1)
-        blocks = net.trunk + net.branches[0]
-        has_proj = {blk.plan.index: blk.proj is not None for blk in blocks}
-        assert has_proj == {1: False, 2: False, 3: True, 4: False, 5: True, 6: False}
+        got = sorted(name for name in net.params if name.endswith(".proj.weight"))
+        assert got == ["branch0.block05.proj.weight", "branch1.block05.proj.weight",
+                       "trunk.block03.proj.weight"]
 
 
 class TestForward:
     def test_copying_branch_weights_equalizes_logits(self, rng):
         net = build_branched_net(tiny_config(), seed=9)
-        params = net.named_parameters()
+        params = net.params
         for name, tensor in params.items():
             if name.startswith("branch0."):
                 params[name.replace("branch0.", "branch1.")].data = tensor.data.copy()
-        for name, buf in net.named_buffers().items():
+        for name, buf in net.buffers.items():
             if name.startswith("branch0."):
-                net.named_buffers()[name.replace("branch0.", "branch1.")].data = buf.data.copy()
+                net.buffers[name.replace("branch0.", "branch1.")].data = buf.data.copy()
         batch = Tensor(rng.standard_normal((3, 3, 8, 8)))
-        logits = forward_all_branches(net, batch, mode="eval")
+        logits = net.forward_all_branches(batch, mode="eval")
         np.testing.assert_allclose(logits[0].data, logits[1].data, rtol=0, atol=1e-12)
 
     def test_single_branch_equals_sequential_stack(self, rng):
-        cfg = tiny_config(branch_after_block=2, num_branches=1)
-        net = build_branched_net(cfg, seed=4)
+        # with one branch, moving the branch point only renames layers: the
+        # same weights give bitwise-equal logits at every B
+        def path_name(name):
+            return name.removeprefix("trunk.").removeprefix("branch0.")
+
+        reference = build_branched_net(tiny_config(branch_after_block=0, num_branches=1),
+                                       seed=4)
+        weights = {path_name(n): t.data for n, t in reference.state().items()}
         batch = Tensor(rng.standard_normal((2, 3, 8, 8)))
-        want = forward_all_branches(net, batch, mode="eval")[0]
-        # manual sequential composition of the same blocks
-        x = net.stem.forward(batch, "eval")
-        for blk in net.trunk + net.branches[0]:
-            x = blk.forward(x, "eval")
-        got = net.heads[0].forward(x)
-        np.testing.assert_array_equal(got.data, want.data)
+        want = reference.forward_all_branches(batch, mode="eval")[0].data
+        for b in (0, 1, 2):
+            net = build_branched_net(tiny_config(branch_after_block=b, num_branches=1),
+                                     seed=4 + b)
+            assert {path_name(n) for n in net.state()} == set(weights)
+            for name, t in net.state().items():
+                t.data = weights[path_name(name)].copy()
+            got = net.forward_all_branches(batch, mode="eval")[0].data
+            np.testing.assert_array_equal(got, want, err_msg=f"B={b}")
 
     @pytest.mark.parametrize("kb", [1, 3])
-    def test_trunk_evaluated_once_regardless_of_branch_count(self, rng, kb):
+    def test_trunk_evaluated_once_regardless_of_branch_count(self, rng, monkeypatch, kb):
+        calls = []
+        real_conv2d = model.conv2d
+
+        def counting_conv2d(*args, **kwargs):
+            calls.append(1)
+            return real_conv2d(*args, **kwargs)
+
+        monkeypatch.setattr(model, "conv2d", counting_conv2d)
         net = build_branched_net(tiny_config(num_branches=kb), seed=2)
-        batch = Tensor(rng.standard_normal((2, 3, 8, 8)))
-        forward_all_branches(net, batch, mode="eval")
-        assert [blk.eval_count for blk in net.trunk] == [1]
-        for branch in net.branches:
-            assert [blk.eval_count for blk in branch] == [1] * len(branch)
+        net.forward_all_branches(Tensor(rng.standard_normal((2, 3, 8, 8))), mode="eval")
+        # stem + two trunk convs once; two convs + projection per branch
+        assert len(calls) == 3 + 3 * kb
 
     def test_shape_mismatch_rejected(self, rng):
         net = build_branched_net(tiny_config(), seed=2)
         with pytest.raises(ValueError, match="input"):
-            forward_all_branches(net, Tensor(rng.standard_normal((2, 3, 9, 9))))
+            net.forward_all_branches(Tensor(rng.standard_normal((2, 3, 9, 9))))
 
 
 class TestCountParameters:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from branchnet.tensor import (ShapeError, Tensor, batch_norm2d, conv2d,
-                              global_avg_pool, linear, pool2d, relu,
-                              residual_add, softmax)
+from branchnet.tensor import (NonFiniteError, ShapeError, Tensor, batch_norm2d,
+                              conv2d, global_avg_pool, linear, pool2d, relu,
+                              residual_add, softmax, softmax_cross_entropy)
 
 from oracles import batchnorm_twopass, conv2d_loops, linear_loops, pool2d_loops
 
@@ -229,6 +229,12 @@ class TestSoftmax:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             softmax(Tensor([[np.inf, 0.0]]))
+
+    def test_nonfinite_raises_typed_error(self):
+        with pytest.raises(NonFiniteError):
+            softmax(Tensor([[np.nan, 0.0]]))
+        with pytest.raises(NonFiniteError):
+            softmax_cross_entropy(Tensor([[np.inf, 0.0]]), np.array([[0.5, 0.5]]))
 
 
 class TestResidualAdd:

@@ -1,5 +1,6 @@
 """Loss exactness, optimizer recurrences, the schedule, and the epoch loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchnet.augment import AugmentConfig
-from branchnet.data import SyntheticSpec, generate_synthetic
+from branchnet import training
+from branchnet.augment import AugmentConfig, fit_pca_basis
+from branchnet.data import CheckpointError, SyntheticSpec, generate_synthetic
 from branchnet.gradcheck import finite_diff_check
 from branchnet.model import BranchedNetConfig, build_branched_net
 from branchnet.tensor import Tape, Tensor, reverse_pass
-from branchnet.training import (OptimizerState, TrainConfig, combined_branch_loss,
-                                history_csv, lr_at_epoch, sgd_momentum_step,
+from branchnet.training import (OptimizerState, TrainConfig, TrainingDivergedError,
+                                combined_branch_loss, history_csv, lr_at_epoch,
+                                restore_network, sgd_momentum_step,
                                 smooth_label_matrix, smooth_labels,
                                 smoothed_cross_entropy, train)
 
@@ -130,7 +133,7 @@ class TestCombinedBranchLoss:
         net = build_branched_net(cfg, seed=5)
         batch = Tensor(rng.standard_normal((4, 3, 8, 8)))
         targets = smooth_label_matrix(rng.integers(0, 3, size=4), 3, 0.1)
-        trunk_names = [n for n in net.named_parameters()
+        trunk_names = [n for n in net.params
                        if n.startswith(("stem.", "trunk."))]
 
         def run(branches):
@@ -142,7 +145,7 @@ class TestCombinedBranchLoss:
                 logits = [net.forward_branch(br, trunk_out, "train") for br in branches]
                 loss = combined_branch_loss(logits, targets)
             reverse_pass(tape, loss)
-            params = net.named_parameters()
+            params = net.params
             return {n: params[n].grad.copy() for n in trunk_names}
 
         both = run([0, 1])
@@ -261,7 +264,7 @@ def _loop_setup(epsilon=0.1, epochs=3, seed=3, noise=8.0):
 class TestTrainLoop:
     def test_zero_epochs_checkpoint_equals_initialization(self):
         net, data, cfg, augment = _loop_setup(epochs=0)
-        before = {n: t.data.copy() for n, t in net.named_parameters().items()}
+        before = {n: t.data.copy() for n, t in net.params.items()}
         checkpoint, history = train(net, data, cfg, augment)
         assert history.epochs == []
         for name, arr in before.items():
@@ -284,12 +287,26 @@ class TestTrainLoop:
         for name in ck1.tensors:
             np.testing.assert_array_equal(ck1.tensors[name], ck2.tensors[name])
 
-    def test_worker_count_does_not_change_results(self):
-        net1, data, cfg, augment = _loop_setup(epochs=1)
-        _, h1 = train(net1, data, cfg, augment, workers=1)
-        net2, _, _, _ = _loop_setup(epochs=1)
-        _, h2 = train(net2, data, cfg, augment, workers=4)
-        assert history_csv(h1, 2) == history_csv(h2, 2)
+    def test_augmented_row_independent_of_batch_composition_and_order(self):
+        data = generate_synthetic(
+            SyntheticSpec(num_classes=4, samples_per_class=4, image_size=12,
+                          noise_std=8.0), seed=5, split="train")
+        augment = AugmentConfig(crop_height=8, crop_width=8,
+                                channel_means=np.full(3, 110.0),
+                                pca_basis=fit_pca_basis(data.images))
+
+        def rows(indices):
+            return training._augment_batch(data, np.array(indices), 2, augment,
+                                           seed=9, dtype=np.float64)
+
+        batch = rows([3, 7, 11, 15])
+        reversed_batch = rows([15, 11, 7, 3])
+        other_batch = rows([0, 7, 1])
+        assert batch.shape == (4, 3, 8, 8)
+        np.testing.assert_array_equal(batch[1], reversed_batch[2])
+        np.testing.assert_array_equal(batch[1], other_batch[1])
+        np.testing.assert_array_equal(batch[::-1], reversed_batch)
+        assert not np.array_equal(batch[0], batch[1])
 
     def test_history_one_record_per_epoch_with_schedule(self):
         net, data, cfg, augment = _loop_setup(epochs=3)
@@ -324,12 +341,64 @@ class TestTrainLoop:
             < np.mean(history.epochs[0].branch_losses)
 
     def test_non_finite_forward_aborts_with_diagnostics(self):
-        from branchnet.training import TrainingDivergedError
         net, data, cfg, augment = _loop_setup(epochs=1)
-        bias = net.named_parameters()["branch0.head.bias"]
+        bias = net.params["branch0.head.bias"]
         bias.data[0] = np.nan  # what real divergence looks like mid-run
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
             train(net, data, cfg, augment)
+
+    def test_other_value_error_mentioning_non_finite_is_not_divergence(self, monkeypatch):
+        # divergence is recognised by exception type, not by message text
+        net, data, cfg, augment = _loop_setup(epochs=1)
+
+        def bad_targets(*args, **kwargs):
+            raise ValueError("non-finite entries in the smoothed target rows")
+
+        monkeypatch.setattr(training, "combined_branch_loss", bad_targets)
+        with pytest.raises(ValueError, match="target rows") as info:
+            train(net, data, cfg, augment)
+        assert not isinstance(info.value, TrainingDivergedError)
+
+
+class TestRestoreNetwork:
+    @pytest.fixture(scope="class")
+    def checkpoint(self):
+        net, data, cfg, augment = _loop_setup(epochs=1)
+        checkpoint, _ = train(net, data, cfg, augment)
+        return checkpoint
+
+    @staticmethod
+    def with_tensors(checkpoint, tensors):
+        return dataclasses.replace(checkpoint, tensors=tensors)
+
+    def test_round_trip_restores_every_tensor(self, checkpoint):
+        net, state = restore_network(checkpoint)
+        for name, t in net.state().items():
+            np.testing.assert_array_equal(t.data, checkpoint.tensors[f"model/{name}"])
+        for name, v in state.velocities.items():
+            np.testing.assert_array_equal(v, checkpoint.tensors[f"optimizer/{name}"])
+
+    @pytest.mark.parametrize("key", ["optimizer/trunk.block01.conv1.weight",
+                                     "model/branch1.head.bias",
+                                     "model/stem.bn.running_var"])
+    def test_missing_tensor_rejected(self, checkpoint, key):
+        tensors = {k: v for k, v in checkpoint.tensors.items() if k != key}
+        with pytest.raises(CheckpointError, match=f"missing tensor '{key}'"):
+            restore_network(self.with_tensors(checkpoint, tensors))
+
+    @pytest.mark.parametrize("key", ["model/branch2.head.bias",
+                                     "optimizer/trunk.block01.conv3.weight"])
+    def test_tensor_not_in_registry_rejected(self, checkpoint, key):
+        tensors = {**checkpoint.tensors, key: np.zeros(4)}
+        with pytest.raises(CheckpointError, match=f"'{key}' is not in the model registry"):
+            restore_network(self.with_tensors(checkpoint, tensors))
+
+    @pytest.mark.parametrize("key", ["model/branch0.head.weight",
+                                     "optimizer/branch0.head.weight"])
+    def test_shape_mismatch_rejected(self, checkpoint, key):
+        tensors = {**checkpoint.tensors, key: checkpoint.tensors[key][:, :-1]}
+        with pytest.raises(CheckpointError, match=f"'{key}' has shape"):
+            restore_network(self.with_tensors(checkpoint, tensors))
 
 
 class TestHistoryCsv:
