@@ -21,14 +21,14 @@ def main():
     print("x:\n", x.data)
     print("d sum(relu(x + x)) / dx  (2 where x > 0):\n", x.grad)
 
-    # a conv -> BN -> relu -> shortcut block, checked against central
-    # finite differences
-    x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True)
+    # a conv -> BN -> relu -> shortcut block on NHWC activations, checked
+    # against central finite differences
+    x = Tensor(rng.standard_normal((2, 6, 6, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 4, 3, 3)) * 0.3, requires_grad=True)
     gamma = Tensor(np.ones(4), requires_grad=True)
     beta = Tensor(np.zeros(4), requires_grad=True)
     running_mean, running_var = Tensor(np.zeros(4)), Tensor(np.ones(4))
-    probe = rng.standard_normal((2, 4, 6, 6))
+    probe = rng.standard_normal((2, 6, 6, 4))
 
     def block_loss():
         out = conv2d(x, w, stride=1, pad=1)

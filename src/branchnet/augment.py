@@ -8,7 +8,8 @@ so results are independent of batch composition and order.
 Pipeline stage order is fixed: random_crop -> horizontal_flip ->
 color_jitter -> pca_noise -> normalize; each stage has its own enable flag
 and is an exact identity at its neutral setting (full-size crop, p=0, s=0,
-sigma=0, zero means).
+sigma=0, zero means). ``normalize`` emits the [h, w, 3] training tensor,
+already in the network's channel-last layout.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def normalize(image: np.ndarray, channel_means: Sequence[float],
               channel_stds: Optional[Sequence[float]] = None,
               dtype=np.float64) -> Tensor:
     """Subtract per-channel dataset means (divide by stds when given) and
-    emit the [3, h, w] training tensor. No clamping."""
+    emit the [h, w, 3] training tensor. No clamping."""
     img = _as_float_image(image)
     means = np.asarray(channel_means, dtype=np.float64)
     if means.shape != (3,):
@@ -232,7 +233,7 @@ def normalize(image: np.ndarray, channel_means: Sequence[float],
         if np.any(stds <= 0):
             raise ValueError("channel_stds must be strictly positive")
         out = out / stds
-    return Tensor(out.transpose(2, 0, 1).astype(dtype))
+    return Tensor(out.astype(dtype, copy=False))
 
 
 def epoch_shuffle(n: int, epoch: int, seed: int) -> np.ndarray:
@@ -268,4 +269,4 @@ def augment_pipeline(image: np.ndarray, config: AugmentConfig, rng: RngStream,
     if config.enable_normalize:
         means = config.channel_means if config.channel_means is not None else np.zeros(3)
         return normalize(img, means, config.channel_stds, dtype=dtype)
-    return Tensor(img.transpose(2, 0, 1).astype(dtype))
+    return Tensor(img.astype(dtype, copy=False))

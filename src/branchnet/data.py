@@ -12,6 +12,7 @@ are bitwise exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -301,7 +302,16 @@ class _Reader:
         return out
 
 
+def _parsed(section: str, build):
+    """``build()``, re-raising its rejection of malformed input as ``CheckpointError``."""
+    try:
+        return build()
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise CheckpointError(f"checkpoint {section} is malformed: {exc!r}") from exc
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any malformed part raises ``CheckpointError`` naming it."""
     from .training import TrainConfig  # local import to avoid a module cycle
 
     raw = Path(path).read_bytes()
@@ -313,12 +323,18 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (blob_len,) = struct.unpack("<I", rd.take(4, "header length"))
-    header = json.loads(rd.take(blob_len, "JSON header"))
+    blob = rd.take(blob_len, "JSON header")
+    header = _parsed("JSON header", lambda: json.loads(blob.decode("utf-8")))
+    if not isinstance(header, dict):
+        raise CheckpointError(f"JSON header is a {type(header).__name__}, not an object")
+    for key in ("model", "train", "augment", "epoch", "rng_cursor", "tensor_count"):
+        if key not in header:
+            raise CheckpointError(f"JSON header is missing key {key!r}")
 
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(header["tensor_count"]):
+    for _ in _parsed("tensor_count", lambda: range(header["tensor_count"])):
         (name_len,) = struct.unpack("<I", rd.take(4, "tensor name length"))
-        name = rd.take(name_len, "tensor name").decode()
+        name = _parsed(f"tensor name at offset {rd.pos}", rd.take(name_len, "tensor name").decode)
         rd.context = name
         (tag,) = struct.unpack("<B", rd.take(1, "dtype tag"))
         if tag not in _TAG_DTYPES:
@@ -326,18 +342,19 @@ def load_checkpoint(path) -> Checkpoint:
         dtype = _TAG_DTYPES[tag]
         (rank,) = struct.unpack("<B", rd.take(1, "rank"))
         shape = tuple(struct.unpack("<Q", rd.take(8, "extent"))[0] for _ in range(rank))
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         payload = rd.take(nbytes, "payload")
-        tensors[name] = np.frombuffer(payload, dtype=dtype.newbyteorder("<")) \
-            .astype(dtype).reshape(shape)
+        tensors[name] = _parsed(f"tensor {name!r}", lambda: np.frombuffer(
+            payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape))
     if rd.pos != len(raw):
         raise CheckpointError(f"{len(raw) - rd.pos} trailing bytes after tensor table")
 
     augment_arrays = {k: tensors.pop(k) for k in list(tensors) if k.startswith("augment/")}
     return Checkpoint(
-        model_config=BranchedNetConfig(**header["model"]),
-        train_config=TrainConfig(**header["train"]),
-        augment_config=_augment_from_parts(dict(header["augment"]), augment_arrays),
+        model_config=_parsed("model section", lambda: BranchedNetConfig(**header["model"])),
+        train_config=_parsed("train section", lambda: TrainConfig(**header["train"])),
+        augment_config=_parsed("augment section", lambda: _augment_from_parts(
+            dict(header["augment"]), augment_arrays)),
         epoch=header["epoch"],
         rng_cursor=header["rng_cursor"],
         tensors=tensors)

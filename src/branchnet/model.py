@@ -303,10 +303,10 @@ class BranchedNetwork:
     def forward_all_branches(self, batch: Tensor, mode: str = "eval") -> list[Tensor]:
         """Evaluate the trunk once and every branch on the shared trunk output."""
         cfg = self.config
-        want = (cfg.input_channels, cfg.input_height, cfg.input_width)
+        want = (cfg.input_height, cfg.input_width, cfg.input_channels)
         if batch.shape[1:] != want:
             raise ValueError(f"batch shape {batch.shape} does not match configured "
-                             f"input [N, C, H, W] = [N, {', '.join(map(str, want))}]")
+                             f"input [N, H, W, C] = [N, {', '.join(map(str, want))}]")
         trunk_out = self.forward_trunk(batch, mode)
         return [self.forward_branch(br, trunk_out, mode)
                 for br in range(cfg.num_branches)]

@@ -10,6 +10,9 @@ Gradients are recorded on an explicit :class:`Tape`: ops executed inside a
 valid topological order, and :func:`reverse_pass` walks it backwards.
 Outside a tape, ops run forward-only (evaluation mode, no graph memory).
 
+Activations and their gradients are NHWC ([N, H, W, C]) throughout, so no op
+converts layouts; conv weights are OIHW ([Cout, Cin, kh, kw]).
+
 Reference precision is float64; float32 is permitted for fast training runs.
 Dtype follows the input arrays.
 """
@@ -146,46 +149,38 @@ def reverse_pass(tape: Tape, loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # convolution
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """Unfold (N,C,H,W) into (N*OH*OW, C*kh*kw) patch rows."""
-    n, c, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """(N,H,W,C) input -> (N,OH,OW,C,kh,kw) patches; flattened to rows, the
+    columns are in the (C, kh, kw) order of an OIHW weight reshaped to (Cout, -1)."""
     if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw), oh, ow
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    return windows[:, ::stride, ::stride]
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Fold patch-row gradients back onto the (N,C,H,W) input, summing overlaps."""
-    n, c, h, w = x_shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+def _col2im(patches: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
+    """Fold (N,OH,OW,C,kh,kw) patch gradients onto the (N,H,W,C) input, summing overlaps."""
+    n, oh, ow, c, kh, kw = patches.shape
+    h, w = x_shape[1:3]
+    out = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=patches.dtype)
     for i in range(kh):
-        i_max = i + stride * oh
         for j in range(kw):
-            j_max = j + stride * ow
-            out[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
-    if pad > 0:
-        out = out[:, :, pad:pad + h, pad:pad + w]
-    return out
+            out[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += patches[..., i, j]
+    return out[:, pad:pad + h, pad:pad + w]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation (no kernel flip), NCHW layout.
+    """2-D cross-correlation (no kernel flip): [N,H,W,Cin] input, OIHW weight,
+    [N,OH,OW,Cout] output.
 
     Output spatial size is floor((H + 2*pad - kh)/stride) + 1, same for W.
     """
     if x.data.ndim != 4:
-        raise ShapeError(f"conv2d input must be 4-D [N,C,H,W], got {x.shape}")
+        raise ShapeError(f"conv2d input must be 4-D [N,H,W,C], got {x.shape}")
     if weight.data.ndim != 4:
         raise ShapeError(f"conv2d weight must be 4-D [Cout,Cin,kh,kw], got {weight.shape}")
-    n, cin, h, w = x.shape
+    n, h, w, cin = x.shape
     cout, wcin, kh, kw = weight.shape
     if wcin != cin:
         raise ShapeError(f"conv2d channel mismatch: input Cin={cin}, weight Cin={wcin}")
@@ -199,17 +194,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
 
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    cols = _im2col(x.data, kh, kw, stride, pad).reshape(n * oh * ow, -1)
     w2 = weight.data.reshape(cout, -1)
     out_data = cols @ w2.T
     if bias is not None:
         out_data = out_data + bias.data
-    out = Tensor(out_data.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2))
+    out = Tensor(out_data.reshape(n, oh, ow, cout))
 
     def backward(grad: np.ndarray):
-        g2 = grad.transpose(0, 2, 3, 1).reshape(-1, cout)
+        g2 = grad.reshape(-1, cout)
         dw = (g2.T @ cols).reshape(weight.shape)
-        dx = _col2im(g2 @ w2, x.shape, kh, kw, stride, pad)
+        dx = _col2im((g2 @ w2).reshape(n, oh, ow, cin, kh, kw), x.shape, stride, pad)
         db = g2.sum(axis=0) if bias is not None else None
         return dx, dw, db
 
@@ -225,7 +222,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: Tensor, running_var: Tensor,
                  mode: str = "train", epsilon: float = 1e-5,
                  momentum: float = 0.9) -> Tensor:
-    """Per-channel normalization over (N,H,W); population variance.
+    """Per-channel normalization of [N,H,W,C] over (N,H,W); population variance.
 
     Train mode uses batch statistics and updates the running buffers in
     place: running <- momentum*running + (1-momentum)*batch. Eval mode
@@ -234,8 +231,8 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if x.data.ndim != 4:
-        raise ShapeError(f"batch_norm2d input must be 4-D [N,C,H,W], got {x.shape}")
-    n, c, h, w = x.shape
+        raise ShapeError(f"batch_norm2d input must be 4-D [N,H,W,C], got {x.shape}")
+    n, h, w, c = x.shape
     for name, t in (("gamma", gamma), ("beta", beta),
                     ("running_mean", running_mean), ("running_var", running_var)):
         if t.shape != (c,):
@@ -246,8 +243,8 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         if m < 2:
             raise ValueError(
                 f"batch_norm2d train mode needs N*H*W >= 2, got {m} (degenerate variance)")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mean = x.data.mean(axis=(0, 1, 2))
+        var = x.data.var(axis=(0, 1, 2))
         running_mean.data[...] = momentum * running_mean.data + (1.0 - momentum) * mean
         running_var.data[...] = momentum * running_var.data + (1.0 - momentum) * var
     else:
@@ -255,24 +252,18 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         var = running_var.data
 
     inv_std = 1.0 / np.sqrt(var + epsilon)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = Tensor(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None])
+    xhat = (x.data - mean) * inv_std
+    out = Tensor(gamma.data * xhat + beta.data)
 
-    if mode == "train":
-        def backward(grad: np.ndarray):
-            dbeta = grad.sum(axis=(0, 2, 3))
-            dgamma = (grad * xhat).sum(axis=(0, 2, 3))
-            dxhat = grad * gamma.data[None, :, None, None]
-            mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-            mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-            dx = inv_std[None, :, None, None] * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-            return dx, dgamma, dbeta
-    else:
-        def backward(grad: np.ndarray):
-            dbeta = grad.sum(axis=(0, 2, 3))
-            dgamma = (grad * xhat).sum(axis=(0, 2, 3))
-            dx = grad * (gamma.data * inv_std)[None, :, None, None]
-            return dx, dgamma, dbeta
+    def backward(grad: np.ndarray):
+        dbeta = grad.sum(axis=(0, 1, 2))
+        dgamma = (grad * xhat).sum(axis=(0, 1, 2))
+        if mode == "eval":
+            return grad * (gamma.data * inv_std), dgamma, dbeta
+        dxhat = grad * gamma.data
+        mean_dxhat = dxhat.mean(axis=(0, 1, 2))
+        mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 1, 2))
+        return inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat), dgamma, dbeta
 
     _record("batch_norm2d", (x, gamma, beta), out, backward)
     return out
@@ -293,7 +284,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def pool2d(x: Tensor, kind: str, window: int, stride: Optional[int] = None) -> Tensor:
-    """Per-window max or mean over non-padded windows.
+    """Per-window max or mean of [N,H,W,C] over non-padded windows.
 
     Max ties go to the first index in row-major scan order; avg splits the
     gradient uniformly across the window.
@@ -301,19 +292,16 @@ def pool2d(x: Tensor, kind: str, window: int, stride: Optional[int] = None) -> T
     if kind not in ("max", "avg"):
         raise ValueError(f"kind must be 'max' or 'avg', got {kind!r}")
     if x.data.ndim != 4:
-        raise ShapeError(f"pool2d input must be 4-D [N,C,H,W], got {x.shape}")
+        raise ShapeError(f"pool2d input must be 4-D [N,H,W,C], got {x.shape}")
     if stride is None:
         stride = window
-    n, c, h, w = x.shape
+    h, w = x.shape[1:3]
     if window > h or window > w:
         raise ShapeError(f"pool window {window} exceeds input {h}x{w}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
-    sw = np.lib.stride_tricks.sliding_window_view(x.data, (window, window), axis=(2, 3))
-    sw = sw[:, :, ::stride, ::stride, :, :]
-    flat = sw.reshape(n, c, oh, ow, window * window)
+    windows = _im2col(x.data, window, window, stride, 0)
+    flat = windows.reshape(windows.shape[:4] + (window * window,))
 
     if kind == "max":
         # argmax over the flattened window is row-major, first occurrence wins
@@ -321,36 +309,28 @@ def pool2d(x: Tensor, kind: str, window: int, stride: Optional[int] = None) -> T
         out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0])
 
         def backward(grad: np.ndarray):
-            dx = np.zeros_like(x.data)
-            ni, ci, oi, oj = np.indices(idx.shape)
-            src_i = oi * stride + idx // window
-            src_j = oj * stride + idx % window
-            np.add.at(dx, (ni, ci, src_i, src_j), grad)
-            return (dx,)
+            routed = (np.arange(window * window) == idx[..., None]) * grad[..., None]
+            return (_col2im(routed.reshape(windows.shape), x.shape, stride, 0),)
     else:
         out = Tensor(flat.mean(axis=-1))
 
         def backward(grad: np.ndarray):
-            dx = np.zeros_like(x.data)
-            share = grad / (window * window)
-            for i in range(window):
-                for j in range(window):
-                    dx[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += share
-            return (dx,)
+            share = grad[..., None, None] / (window * window)
+            return (_col2im(np.broadcast_to(share, windows.shape), x.shape, stride, 0),)
 
     _record(f"pool2d_{kind}", (x,), out, backward)
     return out
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Spatial mean per channel: [N,C,H,W] -> [N,C]."""
+    """Spatial mean per channel: [N,H,W,C] -> [N,C]."""
     if x.data.ndim != 4:
-        raise ShapeError(f"global_avg_pool input must be 4-D, got {x.shape}")
-    n, c, h, w = x.shape
-    out = Tensor(x.data.mean(axis=(2, 3)))
+        raise ShapeError(f"global_avg_pool input must be 4-D [N,H,W,C], got {x.shape}")
+    n, h, w, c = x.shape
+    out = Tensor(x.data.mean(axis=(1, 2)))
 
     def backward(grad: np.ndarray):
-        return (np.broadcast_to(grad[:, :, None, None] / (h * w), x.shape).copy(),)
+        return (np.broadcast_to(grad[:, None, None, :] / (h * w), x.shape).copy(),)
 
     _record("global_avg_pool", (x,), out, backward)
     return out

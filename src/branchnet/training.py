@@ -86,7 +86,8 @@ def smooth_labels(y: int, num_classes: int, epsilon: float) -> np.ndarray:
     """Probability vector with 1 - eps + eps/K on the true class and eps/K
     elsewhere. The float rounding residue of the sum is folded back into
     the true class so the vector sums to exactly 1.0 (strict downstream
-    validators, np.random.choice)."""
+    validators, np.random.choice); when eps is so close to 1 that this would
+    pull the true class down to eps/K, it goes into the next class instead."""
     k = num_classes
     if not 0 <= y < k:
         raise ValueError(f"class index {y} out of range [0, {k})")
@@ -98,7 +99,7 @@ def smooth_labels(y: int, num_classes: int, epsilon: float) -> np.ndarray:
         residue = p.sum() - 1.0
         if residue == 0.0:
             break
-        p[y] -= residue
+        p[y if p[y] - residue > epsilon / k else (y + 1) % k] -= residue
     return p
 
 
@@ -193,7 +194,7 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 
 def _augment_batch(dataset, indices: np.ndarray, epoch: int,
                    augment_config: AugmentConfig, seed: int, dtype) -> np.ndarray:
-    """Augmented [N,C,H,W] batch; each row depends only on its own
+    """Augmented [N,H,W,C] batch; each row depends only on its own
     (seed, epoch, dataset index) stream, not on the rest of the batch."""
     def one(i: int) -> np.ndarray:
         stream = RngStream(global_seed=seed, epoch=epoch, sample_index=i)
@@ -305,8 +306,9 @@ def restore_network(checkpoint) -> tuple[BranchedNetwork, OptimizerState]:
 
     The checkpoint must hold exactly one ``model/`` tensor per registry
     entry and one ``optimizer/`` velocity per parameter, each with the
-    registry shape; anything missing, extra or misshapen raises
-    ``CheckpointError`` naming the tensor.
+    registry shape and the dtype of the first ``model/`` tensor; anything
+    missing, extra, misshapen or of another dtype raises ``CheckpointError``
+    naming the tensor.
     """
     cfg: BranchedNetConfig = checkpoint.model_config
     sample = next((a for k, a in checkpoint.tensors.items() if k.startswith("model/")), None)
@@ -324,10 +326,10 @@ def restore_network(checkpoint) -> tuple[BranchedNetwork, OptimizerState]:
         if key not in checkpoint.tensors:
             raise data_io.CheckpointError(f"checkpoint is missing tensor {key!r}")
         stored = checkpoint.tensors[key]
-        if stored.shape != target.shape:
+        if stored.shape != target.shape or stored.dtype != target.dtype:
             raise data_io.CheckpointError(
-                f"checkpoint tensor {key!r} has shape {stored.shape}, "
-                f"expected {target.shape}")
+                f"checkpoint tensor {key!r} has shape {stored.shape} dtype {stored.dtype}, "
+                f"expected shape {target.shape} dtype {target.dtype}")
     for name, t in net.state().items():
         t.data = checkpoint.tensors[f"model/{name}"].copy()
     for name in state.velocities:

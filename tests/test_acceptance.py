@@ -29,6 +29,8 @@ from branchnet.tensor import (Tensor, batch_norm2d, conv2d, global_avg_pool,
 from branchnet.training import (TrainConfig, lr_at_epoch, restore_network,
                                 smooth_labels, train)
 
+from layout import nchw, nhwc
+
 
 def ok(line):
     print(f"PASS  {line}")
@@ -57,10 +59,10 @@ class TestCriterion1GradientCorrectness:
             oh = (h + 2 * pad - k) // stride + 1
             ow = (w_ + 2 * pad - k) // stride + 1
 
-            x = Tensor(rng.standard_normal((n, cin, h, w_)), requires_grad=True)
+            x = Tensor(nhwc(rng.standard_normal((n, cin, h, w_))), requires_grad=True)
             wt = Tensor(rng.standard_normal((cout, cin, k, k)), requires_grad=True)
             b = Tensor(rng.standard_normal(cout), requires_grad=True)
-            probe = rng.standard_normal((n, cout, oh, ow))
+            probe = nhwc(rng.standard_normal((n, cout, oh, ow)))
             worst = max(worst, self._check(
                 lambda: weighted_sum(conv2d(x, wt, b, stride=stride, pad=pad), probe),
                 [x, wt, b]))
@@ -84,11 +86,11 @@ class TestCriterion1GradientCorrectness:
 
             # batch norm, train and eval
             c = int(rng.integers(1, 4))
-            xb = Tensor(rng.standard_normal((2, c, 3, 3)), requires_grad=True)
+            xb = Tensor(nhwc(rng.standard_normal((2, c, 3, 3))), requires_grad=True)
             g = Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True)
             bt = Tensor(rng.standard_normal(c), requires_grad=True)
             rm, rv = Tensor(rng.standard_normal(c)), Tensor(rng.uniform(0.5, 2.0, c))
-            pb = rng.standard_normal((2, c, 3, 3))
+            pb = nhwc(rng.standard_normal((2, c, 3, 3)))
             mode = "train" if i % 2 == 0 else "eval"
             worst = max(worst, self._check(
                 lambda: weighted_sum(batch_norm2d(xb, g, bt, rm, rv, mode=mode), pb),
@@ -97,20 +99,20 @@ class TestCriterion1GradientCorrectness:
             # pools (max probed away from ties via a permutation input)
             hp = int(rng.integers(4, 7))
             win = int(rng.integers(2, 4))
-            xm = Tensor(rng.permutation(hp * hp).reshape(1, 1, hp, hp) * 0.31,
+            xm = Tensor(nhwc(rng.permutation(hp * hp).reshape(1, 1, hp, hp) * 0.31),
                         requires_grad=True)
             om = (hp - win) // win + 1
-            pm = rng.standard_normal((1, 1, om, om))
+            pm = nhwc(rng.standard_normal((1, 1, om, om)))
             worst = max(worst, self._check(
                 lambda: weighted_sum(pool2d(xm, "max", win, win), pm), [xm]))
-            xa = Tensor(rng.standard_normal((1, 2, hp, hp)), requires_grad=True)
+            xa = Tensor(nhwc(rng.standard_normal((1, 2, hp, hp))), requires_grad=True)
             oa = (hp - win) // 1 + 1
-            pa = rng.standard_normal((1, 2, oa, oa))
+            pa = nhwc(rng.standard_normal((1, 2, oa, oa)))
             worst = max(worst, self._check(
                 lambda: weighted_sum(pool2d(xa, "avg", win, 1), pa), [xa]))
 
             # global average pool, softmax, residual add
-            xg = Tensor(rng.standard_normal((2, 3, 2, 4)), requires_grad=True)
+            xg = Tensor(nhwc(rng.standard_normal((2, 3, 2, 4))), requires_grad=True)
             pg = rng.standard_normal((2, 3))
             worst = max(worst, self._check(
                 lambda: weighted_sum(global_avg_pool(xg), pg), [xg]))
@@ -125,12 +127,12 @@ class TestCriterion1GradientCorrectness:
                 lambda: weighted_sum(residual_add(ra, rb), pradd), [ra, rb]))
 
             # composed mini residual block
-            xc = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
+            xc = Tensor(nhwc(rng.standard_normal((2, 3, 5, 5))), requires_grad=True)
             wc = Tensor(rng.standard_normal((3, 3, 3, 3)) * 0.4, requires_grad=True)
             gc = Tensor(np.ones(3), requires_grad=True)
             bc = Tensor(np.zeros(3), requires_grad=True)
             rmc, rvc = Tensor(np.zeros(3)), Tensor(np.ones(3))
-            pc = rng.standard_normal((2, 3, 5, 5))
+            pc = nhwc(rng.standard_normal((2, 3, 5, 5)))
 
             def mini_block():
                 y = conv2d(xc, wc, stride=1, pad=1)
@@ -379,7 +381,7 @@ class TestCriterion9AugmentationProperties:
         # post-normalization pooled channel mean -> 0
         means = px.mean(axis=0)
         pooled = np.stack([normalize(im, means).data for im in images]) \
-            .mean(axis=(0, 2, 3))
+            .mean(axis=(0, 1, 2))
         np.testing.assert_allclose(pooled, 0.0, atol=1e-6)
 
         ok("criterion 9: flip involution, neutral-setting identities, crop "
@@ -400,11 +402,11 @@ class TestCriterion10OracleEquivalence:
         x = rng.standard_normal((2, 3, 6, 6))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, pad=1).data
+        got = nchw(conv2d(Tensor(nhwc(x)), Tensor(w), Tensor(b), stride=2, pad=1).data)
         np.testing.assert_allclose(got, conv2d_loops(x, w, b, 2, 1), atol=1e-12)
 
         for kind in ("max", "avg"):
-            got = pool2d(Tensor(x), kind, 2, 2).data
+            got = nchw(pool2d(Tensor(nhwc(x)), kind, 2, 2).data)
             np.testing.assert_allclose(got, pool2d_loops(x, kind, 2, 2), atol=1e-12)
 
         xl = rng.standard_normal((3, 5))
@@ -415,8 +417,8 @@ class TestCriterion10OracleEquivalence:
 
         gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
         rm, rv = Tensor(np.zeros(3)), Tensor(np.ones(3))
-        got = batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv,
-                           mode="train", epsilon=1e-5).data
+        got = nchw(batch_norm2d(Tensor(nhwc(x)), Tensor(gamma), Tensor(beta), rm, rv,
+                                mode="train", epsilon=1e-5).data)
         np.testing.assert_allclose(got, batchnorm_twopass(x, gamma, beta, 1e-5),
                                    atol=1e-12)
 
@@ -426,7 +428,7 @@ class TestCriterion10OracleEquivalence:
                                 num_branches=2, num_classes=3,
                                 input_height=8, input_width=8)
         net = build_branched_net(cfg, seed=5)
-        batch = Tensor(rng.standard_normal((4, 3, 8, 8)))
+        batch = Tensor(nhwc(rng.standard_normal((4, 3, 8, 8))))
         targets = smooth_label_matrix(rng.integers(0, 3, size=4), 3, 0.1)
         trunk_names = [n for n in net.params
                        if n.startswith(("stem.", "trunk."))]

@@ -230,27 +230,25 @@ class TestNormalize:
     def test_constant_image_maps_to_zero(self):
         img = np.full((5, 5, 3), 0.0) + np.array([10.0, 20.0, 30.0])
         out = normalize(img, [10.0, 20.0, 30.0])
-        assert out.shape == (3, 5, 5)
-        np.testing.assert_array_equal(out.data, np.zeros((3, 5, 5)))
+        assert out.shape == (5, 5, 3)
+        np.testing.assert_array_equal(out.data, np.zeros((5, 5, 3)))
 
     def test_zero_means_no_stds_identity(self, rng):
         img = random_image(rng)
         out = normalize(img, [0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(out.data, img.transpose(2, 0, 1))
+        np.testing.assert_array_equal(out.data, img)
 
     def test_dataset_self_normalization_pools_to_zero_mean(self, rng):
         images = rng.uniform(0, 255, size=(20, 6, 6, 3))
         means = images.reshape(-1, 3).mean(axis=0)
         normalized = np.stack([normalize(img, means).data for img in images])
-        pooled = normalized.mean(axis=(0, 2, 3))
+        pooled = normalized.mean(axis=(0, 1, 2))
         np.testing.assert_allclose(pooled, 0.0, atol=1e-6)
 
     def test_std_division(self, rng):
         img = random_image(rng)
         out = normalize(img, [0.0, 0.0, 0.0], [2.0, 4.0, 8.0])
-        np.testing.assert_allclose(out.data,
-                                   (img / [2.0, 4.0, 8.0]).transpose(2, 0, 1),
-                                   atol=1e-12)
+        np.testing.assert_allclose(out.data, img / [2.0, 4.0, 8.0], atol=1e-12)
 
     def test_nonpositive_std_rejected(self, rng):
         with pytest.raises(ValueError, match="positive"):
@@ -286,7 +284,7 @@ class TestPipeline:
                                enable_jitter=False, enable_pca=False,
                                channel_means=np.zeros(3))
         out = augment_pipeline(img, config, stream())
-        np.testing.assert_array_equal(out.data, img.transpose(2, 0, 1))
+        np.testing.assert_array_equal(out.data, img)
 
     def test_deterministic_under_fixed_stream(self, rng):
         img = random_image(rng, 12, 12)
@@ -300,7 +298,7 @@ class TestPipeline:
         for size in range(32, 65, 8):
             out = augment_pipeline(random_image(rng, size, size + 3), config,
                                    stream(sample=size))
-            assert out.shape == (3, 8, 8)
+            assert out.shape == (8, 8, 3)
 
     def test_neutral_settings_are_identity(self, rng):
         img = random_image(rng, 9, 9)
@@ -309,7 +307,7 @@ class TestPipeline:
                                pca_sigma=0.0, jitter_strength=0.0,
                                channel_means=np.zeros(3), pca_basis=basis)
         out = augment_pipeline(img, config, stream(seed=123))
-        np.testing.assert_array_equal(out.data, img.transpose(2, 0, 1))
+        np.testing.assert_array_equal(out.data, img)
 
     def test_pixel_range_preserved_before_normalize(self, rng):
         config = self._full_config(rng)

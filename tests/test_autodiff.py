@@ -9,6 +9,8 @@ from branchnet.tensor import (ShapeError, Tape, Tensor, batch_norm2d, conv2d,
                               residual_add, reverse_pass, softmax, sum_all,
                               weighted_sum)
 
+from layout import nhwc
+
 
 class TestReversePass:
     def test_sum_gradient_is_ones(self, rng):
@@ -83,19 +85,21 @@ class TestReversePass:
         np.testing.assert_array_equal(x.grad, np.ones(3))
 
     def test_max_pool_ties_route_to_first_rowmajor_argmax(self):
-        x = Tensor(np.array([[[[2.0, 2.0], [2.0, 2.0]]]]), requires_grad=True)
+        x = Tensor(np.array([[2.0, 2.0], [2.0, 2.0]]).reshape(1, 2, 2, 1),
+                   requires_grad=True)
         with Tape() as tape:
             loss = sum_all(pool2d(x, "max", window=2))
         reverse_pass(tape, loss)
-        np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
+        np.testing.assert_array_equal(
+            x.grad, np.array([[1.0, 0.0], [0.0, 0.0]]).reshape(1, 2, 2, 1))
 
     def test_mini_block_matches_finite_differences(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
+        x = Tensor(nhwc(rng.standard_normal((2, 3, 5, 5))), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 3, 3, 3)) * 0.4, requires_grad=True)
         gamma = Tensor(np.ones(3), requires_grad=True)
         beta = Tensor(np.zeros(3), requires_grad=True)
         rm, rv = Tensor(np.zeros(3)), Tensor(np.ones(3))
-        probe = rng.standard_normal((2, 3, 5, 5))
+        probe = nhwc(rng.standard_normal((2, 3, 5, 5)))
 
         def loss_fn():
             y = conv2d(x, w, stride=1, pad=1)
@@ -128,12 +132,12 @@ class TestFiniteDiffPerOp:
             w = int(rng.integers(k, k + 4))
             stride = int(rng.integers(1, 3))
             pad = int(rng.integers(0, 2))
-            x = Tensor(rng.standard_normal((n, cin, h, w)), requires_grad=True)
+            x = Tensor(nhwc(rng.standard_normal((n, cin, h, w))), requires_grad=True)
             wt = Tensor(rng.standard_normal((cout, cin, k, k)), requires_grad=True)
             b = Tensor(rng.standard_normal(cout), requires_grad=True)
             oh = (h + 2 * pad - k) // stride + 1
             ow = (w + 2 * pad - k) // stride + 1
-            probe = rng.standard_normal((n, cout, oh, ow))
+            probe = nhwc(rng.standard_normal((n, cout, oh, ow)))
             report = finite_diff_check(
                 _probe_loss(lambda: conv2d(x, wt, b, stride=stride, pad=pad), probe),
                 [x, wt, b], tolerance=1e-4)
@@ -166,11 +170,11 @@ class TestFiniteDiffPerOp:
             n = int(rng.integers(2, 4))
             c = int(rng.integers(1, 4))
             h, w = (int(v) for v in rng.integers(2, 4, size=2))
-            x = Tensor(rng.standard_normal((n, c, h, w)), requires_grad=True)
+            x = Tensor(nhwc(rng.standard_normal((n, c, h, w))), requires_grad=True)
             gamma = Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True)
             beta = Tensor(rng.standard_normal(c), requires_grad=True)
             rm, rv = Tensor(np.zeros(c)), Tensor(np.ones(c))
-            probe = rng.standard_normal((n, c, h, w))
+            probe = nhwc(rng.standard_normal((n, c, h, w)))
             report = finite_diff_check(
                 _probe_loss(lambda: batch_norm2d(x, gamma, beta, rm, rv, mode="train"),
                             probe),
@@ -180,12 +184,12 @@ class TestFiniteDiffPerOp:
     def test_batch_norm_eval(self, rng):
         for _ in range(self.N_SHAPES):
             c = int(rng.integers(1, 4))
-            x = Tensor(rng.standard_normal((2, c, 3, 3)), requires_grad=True)
+            x = Tensor(nhwc(rng.standard_normal((2, c, 3, 3))), requires_grad=True)
             gamma = Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True)
             beta = Tensor(rng.standard_normal(c), requires_grad=True)
             rm = Tensor(rng.standard_normal(c))
             rv = Tensor(rng.uniform(0.5, 2.0, c))
-            probe = rng.standard_normal((2, c, 3, 3))
+            probe = nhwc(rng.standard_normal((2, c, 3, 3)))
             report = finite_diff_check(
                 _probe_loss(lambda: batch_norm2d(x, gamma, beta, rm, rv, mode="eval"),
                             probe),
@@ -197,10 +201,10 @@ class TestFiniteDiffPerOp:
             h = int(rng.integers(4, 7))
             window = int(rng.integers(2, 4))
             stride = window  # non-overlap keeps argmax stable under probes
-            x = Tensor(rng.permutation(h * h * 2).reshape(2, 1, h, h) * 0.37,
+            x = Tensor(nhwc(rng.permutation(h * h * 2).reshape(2, 1, h, h) * 0.37),
                        requires_grad=True)
             oh = (h - window) // stride + 1
-            probe = rng.standard_normal((2, 1, oh, oh))
+            probe = nhwc(rng.standard_normal((2, 1, oh, oh)))
             report = finite_diff_check(
                 _probe_loss(lambda: pool2d(x, "max", window, stride), probe),
                 [x], tolerance=1e-4)
@@ -211,9 +215,9 @@ class TestFiniteDiffPerOp:
             h = int(rng.integers(3, 7))
             window = int(rng.integers(2, min(h, 4) + 1))
             stride = int(rng.integers(1, window + 1))
-            x = Tensor(rng.standard_normal((2, 2, h, h)), requires_grad=True)
+            x = Tensor(nhwc(rng.standard_normal((2, 2, h, h))), requires_grad=True)
             oh = (h - window) // stride + 1
-            probe = rng.standard_normal((2, 2, oh, oh))
+            probe = nhwc(rng.standard_normal((2, 2, oh, oh)))
             report = finite_diff_check(
                 _probe_loss(lambda: pool2d(x, "avg", window, stride), probe),
                 [x], tolerance=1e-6)
@@ -222,7 +226,7 @@ class TestFiniteDiffPerOp:
     def test_global_avg_pool(self, rng):
         for _ in range(self.N_SHAPES):
             n, c, h, w = (int(v) for v in rng.integers(1, 5, size=4))
-            x = Tensor(rng.standard_normal((n, c, h, w)), requires_grad=True)
+            x = Tensor(nhwc(rng.standard_normal((n, c, h, w))), requires_grad=True)
             probe = rng.standard_normal((n, c))
             report = finite_diff_check(
                 _probe_loss(lambda: global_avg_pool(x), probe), [x], tolerance=1e-6)

@@ -1,7 +1,12 @@
 """Loader byte-level contracts, synthetic determinism, checkpoint integrity."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchnet.augment import AugmentConfig
 from branchnet.data import (CheckpointError, SyntheticSpec, class_template,
@@ -212,3 +217,85 @@ class TestCheckpoint:
         for name in ck_a.tensors:
             np.testing.assert_array_equal(ck_a.tensors[name], ck_b.tensors[name],
                                           err_msg=name)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    net, data, cfg, augment = _training_setup(total_epochs=0)
+    checkpoint, _ = train(net, data, cfg, augment)
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(path, checkpoint)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def flipped_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("flip") / "flipped.ckpt"
+
+
+def _header_blob(raw):
+    (length,) = struct.unpack("<I", raw[12:16])
+    return raw[16:16 + length]
+
+
+def _with_header(raw, blob):
+    """The checkpoint with its JSON header block replaced by ``blob``."""
+    rest = raw[16 + len(_header_blob(raw)):]
+    return raw[:12] + struct.pack("<I", len(blob)) + blob + rest
+
+
+def _edited_header(raw, edit):
+    header = json.loads(_header_blob(raw))
+    edit(header)
+    return _with_header(raw, json.dumps(header, sort_keys=True).encode())
+
+
+class TestMalformedCheckpoint:
+    """Every malformed part of a file raises CheckpointError, nothing else."""
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda raw: _with_header(raw, b"\xff" + _header_blob(raw)[1:]), "JSON header"),
+        (lambda raw: _with_header(raw, b'{"model": '), "JSON header"),
+        (lambda raw: _with_header(raw, b"[1, 2]"), "not an object"),
+        (lambda raw: _edited_header(raw, lambda h: h.pop("epoch")), "missing key 'epoch'"),
+        (lambda raw: _edited_header(raw, lambda h: h.update(tensor_count="9")),
+         "tensor_count is malformed"),
+        (lambda raw: _edited_header(raw, lambda h: h["model"].update(num_branches=0)),
+         "model section"),
+        (lambda raw: _edited_header(raw, lambda h: h["train"].update(momentum_x=1)),
+         "train section"),
+        (lambda raw: _edited_header(raw, lambda h: h["augment"].pop("pca_basis")),
+         "augment section"),
+        (lambda raw: _edited_header(
+            raw, lambda h: h["augment"].update(flip_probability=2.0)), "augment section"),
+    ], ids=["header-not-utf8", "header-not-json", "header-not-object", "missing-key",
+            "tensor-count-type", "model-rejected", "train-rejected",
+            "augment-missing-flag", "augment-rejected"])
+    def test_header_rejected(self, tmp_path, checkpoint_bytes, make, match):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(make(checkpoint_bytes))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_tensor_name_not_utf8_rejected(self, tmp_path, checkpoint_bytes):
+        first_name = 16 + len(_header_blob(checkpoint_bytes)) + 4
+        raw = bytearray(checkpoint_bytes)
+        raw[first_name] = 0xFF
+        (tmp_path / "bad.ckpt").write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="tensor name"):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
+    # the magic, version, header length, JSON header and first tensor records
+    HEADER_REGION = 1024
+
+    @given(bit=st.integers(0, HEADER_REGION * 8 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_header_bit_flip_raises_checkpoint_error_or_loads(self, checkpoint_bytes,
+                                                               flipped_path, bit):
+        raw = bytearray(checkpoint_bytes)
+        raw[bit // 8] ^= 1 << (bit % 8)
+        flipped_path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(flipped_path)
+        except CheckpointError:
+            pass

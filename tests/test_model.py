@@ -13,6 +13,8 @@ from branchnet.model import (BranchedNetConfig, block_topology,
                              layer_counts, mini_config, paper_scale_config)
 from branchnet.tensor import Tensor
 
+from layout import nhwc
+
 
 def tiny_config(**overrides):
     base = dict(stage_blocks=(1, 1), stage_widths=(8, 16), bottleneck=False,
@@ -93,6 +95,26 @@ class TestBuilder:
     def test_same_seed_state_matches_golden_digest(self, config, dtype, digest):
         assert state_digest(build_branched_net(config, seed=0, dtype=dtype)) == digest
 
+    # pins the seed-0 mini forward pass, computed from the NCHW form of this
+    # input before activations became NHWC: logits in eval then train mode,
+    # then the BN running buffers the train pass updated, per dtype
+    def test_forward_matches_golden_digest(self):
+        x = nhwc(np.random.default_rng(0).standard_normal((2, 3, 32, 32)))
+        h = hashlib.sha256()
+        for dtype in (np.float64, np.float32):
+            net = build_branched_net(mini_config(), seed=0, dtype=dtype)
+            batch = Tensor(x.astype(dtype))
+            for mode in ("eval", "train"):
+                for br, logits in enumerate(net.forward_all_branches(batch, mode=mode)):
+                    a = logits.data
+                    h.update(f"{mode}|{br}|{a.dtype.str}|{a.shape}\n".encode())
+                    h.update(a.tobytes())
+            for name, t in net.buffers.items():
+                h.update(f"{name}|{t.data.dtype.str}|{t.data.shape}\n".encode())
+                h.update(t.data.tobytes())
+        assert h.hexdigest() == \
+            "2293cb434e5cc5458a078787ea74d0d17f14d04348b27722a2cef6a1540c27af"
+
     def test_same_seed_bitwise_identical(self):
         a = build_branched_net(tiny_config(), seed=11)
         b = build_branched_net(tiny_config(), seed=11)
@@ -170,7 +192,7 @@ class TestForward:
         for name, buf in net.buffers.items():
             if name.startswith("branch0."):
                 net.buffers[name.replace("branch0.", "branch1.")].data = buf.data.copy()
-        batch = Tensor(rng.standard_normal((3, 3, 8, 8)))
+        batch = Tensor(nhwc(rng.standard_normal((3, 3, 8, 8))))
         logits = net.forward_all_branches(batch, mode="eval")
         np.testing.assert_allclose(logits[0].data, logits[1].data, rtol=0, atol=1e-12)
 
@@ -183,7 +205,7 @@ class TestForward:
         reference = build_branched_net(tiny_config(branch_after_block=0, num_branches=1),
                                        seed=4)
         weights = {path_name(n): t.data for n, t in reference.state().items()}
-        batch = Tensor(rng.standard_normal((2, 3, 8, 8)))
+        batch = Tensor(nhwc(rng.standard_normal((2, 3, 8, 8))))
         want = reference.forward_all_branches(batch, mode="eval")[0].data
         for b in (0, 1, 2):
             net = build_branched_net(tiny_config(branch_after_block=b, num_branches=1),
@@ -205,14 +227,14 @@ class TestForward:
 
         monkeypatch.setattr(model, "conv2d", counting_conv2d)
         net = build_branched_net(tiny_config(num_branches=kb), seed=2)
-        net.forward_all_branches(Tensor(rng.standard_normal((2, 3, 8, 8))), mode="eval")
+        net.forward_all_branches(Tensor(nhwc(rng.standard_normal((2, 3, 8, 8)))), mode="eval")
         # stem + two trunk convs once; two convs + projection per branch
         assert len(calls) == 3 + 3 * kb
 
     def test_shape_mismatch_rejected(self, rng):
         net = build_branched_net(tiny_config(), seed=2)
         with pytest.raises(ValueError, match="input"):
-            net.forward_all_branches(Tensor(rng.standard_normal((2, 3, 9, 9))))
+            net.forward_all_branches(Tensor(nhwc(rng.standard_normal((2, 3, 9, 9)))))
 
 
 class TestCountParameters:

@@ -7,6 +7,7 @@ from branchnet.tensor import (NonFiniteError, ShapeError, Tensor, batch_norm2d,
                               conv2d, global_avg_pool, linear, pool2d, relu,
                               residual_add, softmax, softmax_cross_entropy)
 
+from layout import nchw, nhwc
 from oracles import batchnorm_twopass, conv2d_loops, linear_loops, pool2d_loops
 
 
@@ -16,15 +17,15 @@ class TestConv2d:
         assert out.data.reshape(()) == 6.0
 
     def test_all_ones_summation(self):
-        x = Tensor(np.ones((1, 1, 3, 3)))
+        x = Tensor(np.ones((1, 3, 3, 1)))
         w = Tensor(np.ones((1, 1, 3, 3)))
         assert conv2d(x, w).data.reshape(()) == 9.0
 
     def test_matches_loop_oracle_strided_padded(self, rng):
         x = rng.standard_normal((1, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
-        out = conv2d(Tensor(x), Tensor(w), stride=2, pad=1)
-        np.testing.assert_allclose(out.data, conv2d_loops(x, w, stride=2, pad=1),
+        out = conv2d(Tensor(nhwc(x)), Tensor(w), stride=2, pad=1)
+        np.testing.assert_allclose(nchw(out.data), conv2d_loops(x, w, stride=2, pad=1),
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
@@ -37,24 +38,25 @@ class TestConv2d:
             x = rng.standard_normal((n, cin, h, w))
             wt = rng.standard_normal((cout, cin, kh, kw))
             b = rng.standard_normal(cout)
-            got = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=int(stride), pad=int(pad))
+            got = conv2d(Tensor(nhwc(x)), Tensor(wt), Tensor(b), stride=int(stride),
+                         pad=int(pad))
             want = conv2d_loops(x, wt, b, stride=int(stride), pad=int(pad))
-            np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(nchw(got.data), want, rtol=0, atol=1e-12)
 
     def test_output_spatial_formula(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 9, 7)))
+        x = Tensor(rng.standard_normal((1, 9, 7, 1)))
         w = Tensor(rng.standard_normal((2, 1, 3, 3)))
         out = conv2d(x, w, stride=2, pad=1)
-        assert out.shape == (1, 2, (9 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
+        assert out.shape == (1, (9 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1, 2)
 
     def test_channel_mismatch_names_dimension(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
+        x = Tensor(nhwc(rng.standard_normal((1, 2, 4, 4))))
         w = Tensor(rng.standard_normal((1, 3, 3, 3)))
         with pytest.raises(ShapeError, match="Cin"):
             conv2d(x, w)
 
     def test_kernel_larger_than_padded_input(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 2, 2)))
+        x = Tensor(rng.standard_normal((1, 2, 2, 1)))
         w = Tensor(rng.standard_normal((1, 1, 5, 5)))
         with pytest.raises(ShapeError, match="kernel"):
             conv2d(x, w)
@@ -65,19 +67,19 @@ class TestBatchNorm:
         return Tensor(np.zeros(c)), Tensor(np.ones(c))
 
     def test_constant_input_maps_to_zero(self):
-        x = Tensor(np.full((2, 3, 2, 2), 7.0))
+        x = Tensor(np.full((2, 2, 2, 3), 7.0))
         rm, rv = self._stats(3)
         out = batch_norm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv,
                            mode="train", epsilon=1e-5)
         assert np.all(np.abs(out.data) <= 1e-5)
 
     def test_normalization_contract_mean_and_variance(self, rng):
-        x = Tensor(rng.standard_normal((4, 3, 5, 5)) * 3.0 + 1.5)
+        x = Tensor(nhwc(rng.standard_normal((4, 3, 5, 5)) * 3.0 + 1.5))
         rm, rv = self._stats(3)
         out = batch_norm2d(x, Tensor(np.ones(3)), Tensor(np.full(3, 5.0)), rm, rv,
                            mode="train", epsilon=1e-12)
-        means = out.data.mean(axis=(0, 2, 3))
-        variances = out.data.var(axis=(0, 2, 3))
+        means = out.data.mean(axis=(0, 1, 2))
+        variances = out.data.var(axis=(0, 1, 2))
         np.testing.assert_allclose(means, 5.0, rtol=0, atol=1e-9)
         np.testing.assert_allclose(variances, 1.0, rtol=0, atol=1e-6)
 
@@ -86,9 +88,9 @@ class TestBatchNorm:
         gamma = rng.standard_normal(3)
         beta = rng.standard_normal(3)
         rm, rv = self._stats(3)
-        out = batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv,
+        out = batch_norm2d(Tensor(nhwc(x)), Tensor(gamma), Tensor(beta), rm, rv,
                            mode="train", epsilon=1e-5)
-        np.testing.assert_allclose(out.data, batchnorm_twopass(x, gamma, beta, 1e-5),
+        np.testing.assert_allclose(nchw(out.data), batchnorm_twopass(x, gamma, beta, 1e-5),
                                    rtol=0, atol=1e-12)
 
     def test_running_stats_update_rule(self, rng):
@@ -97,7 +99,7 @@ class TestBatchNorm:
         rv = Tensor(np.array([2.0, 0.5]))
         batch_mean = x.mean(axis=(0, 2, 3))
         batch_var = x.var(axis=(0, 2, 3))
-        batch_norm2d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv,
+        batch_norm2d(Tensor(nhwc(x)), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv,
                      mode="train", momentum=0.9)
         np.testing.assert_allclose(rm.data, 0.9 * np.array([1.0, -1.0]) + 0.1 * batch_mean)
         np.testing.assert_allclose(rv.data, 0.9 * np.array([2.0, 0.5]) + 0.1 * batch_var)
@@ -106,15 +108,15 @@ class TestBatchNorm:
         x = rng.standard_normal((2, 2, 2, 2))
         rm = Tensor(np.array([0.5, -0.5]))
         rv = Tensor(np.array([4.0, 0.25]))
-        out = batch_norm2d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+        out = batch_norm2d(Tensor(nhwc(x)), Tensor(np.ones(2)), Tensor(np.zeros(2)),
                            rm, rv, mode="eval", epsilon=0.0)
         want = (x - np.array([0.5, -0.5])[None, :, None, None]) \
             / np.sqrt(np.array([4.0, 0.25]))[None, :, None, None]
-        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(nchw(out.data), want, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(rm.data, [0.5, -0.5])  # unchanged
 
     def test_single_element_train_mode_rejected(self):
-        x = Tensor(np.ones((1, 3, 1, 1)))
+        x = Tensor(np.ones((1, 1, 1, 3)))
         rm, rv = self._stats(3)
         with pytest.raises(ValueError, match="degenerate"):
             batch_norm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv, mode="train")
@@ -132,18 +134,18 @@ class TestRelu:
 
 class TestPool2d:
     def test_max_window2(self):
-        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
         assert pool2d(x, "max", window=2).data.reshape(()) == 4.0
 
     def test_avg_window2(self):
-        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
         assert pool2d(x, "avg", window=2).data.reshape(()) == 2.5
 
     @pytest.mark.parametrize("kind", ["max", "avg"])
     def test_matches_loop_oracle(self, rng, kind):
         x = rng.standard_normal((1, 1, 6, 6))
-        got = pool2d(Tensor(x), kind, window=2, stride=2)
-        np.testing.assert_allclose(got.data, pool2d_loops(x, kind, 2, 2),
+        got = pool2d(Tensor(nhwc(x)), kind, window=2, stride=2)
+        np.testing.assert_allclose(nchw(got.data), pool2d_loops(x, kind, 2, 2),
                                    rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("kind", ["max", "avg"])
@@ -153,8 +155,8 @@ class TestPool2d:
             window = int(rng.integers(2, min(h, w) + 1))
             stride = int(rng.integers(1, window + 1))
             x = rng.standard_normal((2, 3, h, w))
-            got = pool2d(Tensor(x), kind, window=window, stride=stride)
-            np.testing.assert_allclose(got.data, pool2d_loops(x, kind, window, stride),
+            got = pool2d(Tensor(nhwc(x)), kind, window=window, stride=stride)
+            np.testing.assert_allclose(nchw(got.data), pool2d_loops(x, kind, window, stride),
                                        rtol=0, atol=1e-15)
 
     def test_oversized_window_rejected(self):
@@ -164,15 +166,15 @@ class TestPool2d:
 
 class TestGlobalAvgPool:
     def test_constant_map(self):
-        out = global_avg_pool(Tensor(np.full((2, 3, 4, 4), 7.0)))
+        out = global_avg_pool(Tensor(np.full((2, 4, 4, 3), 7.0)))
         np.testing.assert_array_equal(out.data, np.full((2, 3), 7.0))
 
     def test_small_case(self):
-        out = global_avg_pool(Tensor(np.array([[[[1.0, 3.0], [5.0, 7.0]]]])))
+        out = global_avg_pool(Tensor(np.array([[1.0, 3.0], [5.0, 7.0]]).reshape(1, 2, 2, 1)))
         assert out.data.reshape(()) == 4.0
 
     def test_equals_full_window_avg_pool(self, rng):
-        x = rng.standard_normal((2, 4, 5, 5))
+        x = nhwc(rng.standard_normal((2, 4, 5, 5)))
         got = global_avg_pool(Tensor(x))
         want = pool2d(Tensor(x), "avg", window=5, stride=1)
         np.testing.assert_allclose(got.data, want.data.reshape(2, 4), rtol=0, atol=1e-15)

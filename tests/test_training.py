@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchnet import training
@@ -19,6 +19,8 @@ from branchnet.training import (OptimizerState, TrainConfig, TrainingDivergedErr
                                 restore_network, sgd_momentum_step,
                                 smooth_label_matrix, smooth_labels,
                                 smoothed_cross_entropy, train)
+
+from layout import nhwc
 
 
 class TestSmoothLabels:
@@ -41,6 +43,7 @@ class TestSmoothLabels:
         assert float(p.sum()) == 1.0
 
     @given(k=st.integers(2, 500), eps=st.floats(0.0, 1.0), frac=st.floats(0.0, 0.999))
+    @example(k=249, eps=0.9999999999999999, frac=0.0)  # fold once sank the true class
     @settings(max_examples=100, deadline=None)
     def test_simplex_point_with_true_class_argmax(self, k, eps, frac):
         y = int(frac * k)
@@ -131,7 +134,7 @@ class TestCombinedBranchLoss:
                                 num_branches=2, num_classes=3,
                                 input_channels=3, input_height=8, input_width=8)
         net = build_branched_net(cfg, seed=5)
-        batch = Tensor(rng.standard_normal((4, 3, 8, 8)))
+        batch = Tensor(nhwc(rng.standard_normal((4, 3, 8, 8))))
         targets = smooth_label_matrix(rng.integers(0, 3, size=4), 3, 0.1)
         trunk_names = [n for n in net.params
                        if n.startswith(("stem.", "trunk."))]
@@ -302,7 +305,7 @@ class TestTrainLoop:
         batch = rows([3, 7, 11, 15])
         reversed_batch = rows([15, 11, 7, 3])
         other_batch = rows([0, 7, 1])
-        assert batch.shape == (4, 3, 8, 8)
+        assert batch.shape == (4, 8, 8, 3)
         np.testing.assert_array_equal(batch[1], reversed_batch[2])
         np.testing.assert_array_equal(batch[1], other_batch[1])
         np.testing.assert_array_equal(batch[::-1], reversed_batch)
@@ -398,6 +401,13 @@ class TestRestoreNetwork:
     def test_shape_mismatch_rejected(self, checkpoint, key):
         tensors = {**checkpoint.tensors, key: checkpoint.tensors[key][:, :-1]}
         with pytest.raises(CheckpointError, match=f"'{key}' has shape"):
+            restore_network(self.with_tensors(checkpoint, tensors))
+
+    @pytest.mark.parametrize("key", ["model/trunk.block01.conv1.weight",
+                                     "optimizer/branch1.head.bias"])
+    def test_dtype_mismatch_rejected(self, checkpoint, key):
+        tensors = {**checkpoint.tensors, key: checkpoint.tensors[key].astype(np.float32)}
+        with pytest.raises(CheckpointError, match=f"'{key}' has shape .* dtype float32"):
             restore_network(self.with_tensors(checkpoint, tensors))
 
 
