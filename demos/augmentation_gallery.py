@@ -2,20 +2,21 @@
 
 Writes the original plus one file per stage (crop, flip, brightness /
 saturation / contrast jitter, PCA color noise) and a few full-pipeline
-draws into demos/gallery/.
+draws into demos/gallery/. Each stage runs through ``augment_batch`` with
+only that stage enabled; the fixed-factor jitter files call the blend it
+uses, ``jitter_blend``, directly.
 
 Run: python demos/augmentation_gallery.py
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from branchnet import (AugmentConfig, RngStream, SyntheticSpec,
-                       augment_pipeline, color_jitter, fit_pca_basis,
-                       generate_synthetic, horizontal_flip, pca_noise,
-                       random_crop, write_ppm)
-from branchnet.augment import apply_brightness, apply_contrast, apply_saturation
+from branchnet import (AugmentConfig, RngStream, SyntheticSpec, augment_batch,
+                       fit_pca_basis, generate_synthetic, write_ppm)
+from branchnet.augment import BRIGHTNESS, CONTRAST, SATURATION, jitter_blend
 
 
 def main():
@@ -28,25 +29,32 @@ def main():
     image = data.images[5].astype(np.float64)
     write_ppm(out_dir / "original.ppm", image)
 
-    stream = RngStream(global_seed=11, epoch=0, sample_index=0)
-    write_ppm(out_dir / "crop.ppm", random_crop(image, (36, 36), stream))
-    write_ppm(out_dir / "flip.ppm", horizontal_flip(image, stream, p=1.0))
-    write_ppm(out_dir / "brightness.ppm", np.clip(apply_brightness(image, 1.35), 0, 255))
-    write_ppm(out_dir / "saturation.ppm", np.clip(apply_saturation(image, 0.2), 0, 255))
-    write_ppm(out_dir / "contrast.ppm", np.clip(apply_contrast(image, 1.6), 0, 255))
-    write_ppm(out_dir / "jitter_all.ppm", color_jitter(image, stream, strength=0.4))
-
     basis = fit_pca_basis(data.images)
     print("fitted color-covariance eigenvalues:", np.round(basis.eigenvalues, 1))
-    write_ppm(out_dir / "pca_noise.ppm", pca_noise(image, basis, stream, sigma=0.15))
-
+    # pixels, not network inputs: PPM is 8-bit, normalized tensors are not
     config = AugmentConfig(crop_height=36, crop_width=36, flip_probability=0.5,
                            jitter_strength=0.4, pca_sigma=0.1,
-                           channel_means=np.zeros(3), pca_basis=basis)
-    for i in range(4):
-        draw = RngStream(global_seed=11, epoch=0, sample_index=i)
-        pixels = augment_pipeline(image, config, draw, skip_normalize=True)
-        write_ppm(out_dir / f"pipeline_{i}.ppm", pixels)
+                           enable_normalize=False, pca_basis=basis)
+    none = replace(config, enable_crop=False, enable_flip=False,
+                   enable_jitter=False, enable_pca=False)
+    stream = [RngStream(global_seed=11, epoch=0, sample_index=0)]
+
+    def one(stage_config):
+        return augment_batch(image[None], stage_config, stream)[0]
+
+    write_ppm(out_dir / "crop.ppm", one(replace(none, enable_crop=True)))
+    write_ppm(out_dir / "flip.ppm", one(replace(none, enable_flip=True, flip_probability=1.0)))
+    for name, op, factor in (("brightness", BRIGHTNESS, 1.35),
+                             ("saturation", SATURATION, 0.2),
+                             ("contrast", CONTRAST, 1.6)):
+        write_ppm(out_dir / f"{name}.ppm", jitter_blend(image[None], [[op]], [[factor]])[0])
+    write_ppm(out_dir / "jitter_all.ppm", one(replace(none, enable_jitter=True)))
+    write_ppm(out_dir / "pca_noise.ppm", one(replace(none, enable_pca=True, pca_sigma=0.15)))
+
+    draws = [RngStream(global_seed=11, epoch=0, sample_index=i) for i in range(4)]
+    pixels = augment_batch(np.broadcast_to(image, (4,) + image.shape), config, draws)
+    for i, row in enumerate(pixels):
+        write_ppm(out_dir / f"pipeline_{i}.ppm", row)
 
     print(f"wrote {len(list(out_dir.glob('*.ppm')))} images to {out_dir}/")
 

@@ -7,9 +7,8 @@ image-augmentation pipeline (crop, flip, color jitter, PCA color noise,
 normalization).
 """
 
-from .augment import (AugmentConfig, PcaBasis, RngStream, augment_pipeline,
-                      color_jitter, epoch_shuffle, fit_pca_basis,
-                      horizontal_flip, normalize, pca_noise, random_crop)
+from .augment import (AugmentConfig, PcaBasis, RngStream, augment_batch,
+                      epoch_shuffle, fit_pca_basis)
 from .data import (Checkpoint, Dataset, SyntheticSpec, generate_synthetic,
                    load_checkpoint, load_cifar10_binary, read_ppm,
                    save_checkpoint, write_ppm)
@@ -32,9 +31,8 @@ from .training import (OptimizerState, TrainConfig, TrainHistory,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentConfig", "PcaBasis", "RngStream", "augment_pipeline",
-    "color_jitter", "epoch_shuffle", "fit_pca_basis", "horizontal_flip",
-    "normalize", "pca_noise", "random_crop",
+    "AugmentConfig", "PcaBasis", "RngStream", "augment_batch", "epoch_shuffle",
+    "fit_pca_basis",
     "Checkpoint", "Dataset", "SyntheticSpec", "generate_synthetic",
     "load_checkpoint", "load_cifar10_binary", "read_ppm", "save_checkpoint",
     "write_ppm",

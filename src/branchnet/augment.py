@@ -1,15 +1,16 @@
 """Training-time image transformations, deterministic under keyed randomness.
 
-Images are (H, W, 3) RGB arrays: uint8 at ingestion, float in [0, 255]
-inside the pipeline, clamped back into range after every noise stage.
-Every random draw is keyed by (global_seed, epoch, sample_index, technique),
-so results are independent of batch composition and order.
+``augment_batch`` turns [N, H, W, 3] source images (uint8, or float in
+[0, 255]) into the [N, h, w, 3] network input, already in the network's
+channel-last layout. Every random draw is keyed by (global_seed, epoch,
+sample_index, technique) through the row's own ``RngStream``, so a row does
+not depend on batch composition or order.
 
-Pipeline stage order is fixed: random_crop -> horizontal_flip ->
-color_jitter -> pca_noise -> normalize; each stage has its own enable flag
-and is an exact identity at its neutral setting (full-size crop, p=0, s=0,
-sigma=0, zero means). ``normalize`` emits the [h, w, 3] training tensor,
-already in the network's channel-last layout.
+Stage order is fixed: random crop -> horizontal flip -> color jitter ->
+PCA color noise -> normalize; each stage has its own enable flag and is an
+exact identity at its neutral setting (full-size crop, p=0, s=0, sigma=0,
+zero means). Pixels stay in [0, 255] until normalization: jitter and PCA
+noise clamp back into range.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
-
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
-_JITTER_OPS = ("brightness", "contrast", "saturation")
+# jitter ops, as the indices the per-image permutation draws
+BRIGHTNESS, CONTRAST, SATURATION = range(3)
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,15 @@ class AugmentConfig:
             raise ValueError("noise strengths must be >= 0")
         if self.crop_height < 1 or self.crop_width < 1:
             raise ValueError("crop size must be positive")
-        if self.channel_means is not None:
-            object.__setattr__(self, "channel_means",
-                               np.asarray(self.channel_means, dtype=np.float64))
-        if self.channel_stds is not None:
-            stds = np.asarray(self.channel_stds, dtype=np.float64)
-            if np.any(stds <= 0):
-                raise ValueError("channel_stds must be strictly positive")
-            object.__setattr__(self, "channel_stds", stds)
+        for name in ("channel_means", "channel_stds"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.asarray(value, dtype=np.float64)
+                if value.shape != (3,):
+                    raise ValueError(f"{name} must have shape (3,), got {value.shape}")
+                setattr(self, name, value)
+        if self.channel_stds is not None and np.any(self.channel_stds <= 0):
+            raise ValueError("channel_stds must be strictly positive")
 
 
 def _as_float_image(image: np.ndarray) -> np.ndarray:
@@ -96,12 +97,8 @@ def _as_float_image(image: np.ndarray) -> np.ndarray:
     return img.astype(np.float64, copy=True)
 
 
-def _clamp(img: np.ndarray) -> np.ndarray:
-    return np.clip(img, 0.0, 255.0)
-
-
 # ---------------------------------------------------------------------------
-# PCA color noise
+# PCA color basis
 
 def fit_pca_basis(images: Iterable[np.ndarray]) -> PcaBasis:
     """Eigendecompose the 3x3 sample covariance of RGB values pooled over
@@ -127,113 +124,94 @@ def fit_pca_basis(images: Iterable[np.ndarray]) -> PcaBasis:
                     channel_means=mean)
 
 
-def pca_noise(image: np.ndarray, basis: PcaBasis, rng: RngStream,
-              sigma: float) -> np.ndarray:
-    """Add sum_i alpha_i * lambda_i * p_i to every pixel, alpha ~ N(0, sigma^2)
-    drawn once per image; clamps to [0, 255]."""
-    img = _as_float_image(image)
-    if sigma == 0.0 or not np.any(basis.eigenvalues):
-        return img
-    alpha = rng.generator("pca_noise").normal(0.0, sigma, size=3)
-    shift = (alpha * basis.eigenvalues) @ basis.eigenvectors
-    return _clamp(img + shift)
-
-
 # ---------------------------------------------------------------------------
-# photometric jitter
+# the batch pipeline
 
-def _gray(img: np.ndarray) -> np.ndarray:
-    return img @ GRAY_WEIGHTS
-
-
-def apply_brightness(img: np.ndarray, factor: float) -> np.ndarray:
-    return img * factor
-
-
-def apply_contrast(img: np.ndarray, factor: float) -> np.ndarray:
-    mean_luma = _gray(img).mean()
-    return factor * img + (1.0 - factor) * mean_luma
-
-
-def apply_saturation(img: np.ndarray, factor: float) -> np.ndarray:
-    return factor * img + (1.0 - factor) * _gray(img)[:, :, None]
-
-
-_JITTER_FNS = {"brightness": apply_brightness,
-               "contrast": apply_contrast,
-               "saturation": apply_saturation}
-
-
-def color_jitter(image: np.ndarray, rng: RngStream, strength: float) -> np.ndarray:
-    """Brightness/contrast/saturation factors ~ U[1-s, 1+s], applied in a
-    per-image random order; clamps once at the end."""
-    if strength < 0:
-        raise ValueError(f"strength must be >= 0, got {strength}")
-    img = _as_float_image(image)
-    if strength == 0.0:
-        return img
-    g = rng.generator("color_jitter")
-    order = g.permutation(len(_JITTER_OPS))
-    for op_idx in order:
-        factor = g.uniform(1.0 - strength, 1.0 + strength)
-        img = _JITTER_FNS[_JITTER_OPS[op_idx]](img, factor)
-    return _clamp(img)
+def jitter_blend(x: np.ndarray, ops, factors) -> np.ndarray:
+    """Blend each row of an [N, h, w, 3] batch toward its jitter centers,
+    position by position: x <- f*x + (1-f)*c with f = factors[i, k] and c =
+    0 (BRIGHTNESS), the row's mean luma (CONTRAST) or each pixel's luma
+    (SATURATION) for op = ops[i, k]. Returns a new array, clamped once at
+    the end."""
+    x = np.array(x, dtype=np.float64)
+    ops = np.asarray(ops)
+    factors = np.asarray(factors, dtype=np.float64)
+    for k in range(ops.shape[1]):
+        f = factors[:, k, None, None]
+        luma = x @ GRAY_WEIGHTS
+        center = np.where((ops[:, k] == SATURATION)[:, None, None], luma,
+                          luma.mean(axis=(1, 2), keepdims=True))
+        # brightness adds -0.0, not (1-f)*0: x + -0.0 is x bitwise, even at x = -0.0
+        shift = np.where((ops[:, k] == BRIGHTNESS)[:, None, None], -0.0, (1.0 - f) * center)
+        x *= f[..., None]
+        x += shift[..., None]
+    return np.clip(x, 0.0, 255.0, out=x)
 
 
-# ---------------------------------------------------------------------------
-# geometric transforms
+def augment_batch(images: np.ndarray, config: AugmentConfig,
+                  streams: Sequence[RngStream], dtype=np.float64) -> np.ndarray:
+    """Apply the enabled stages in the fixed order to [N, H, W, 3] sources
+    and return the [N, h, w, 3] network input as ``dtype``.
 
-def random_crop(image: np.ndarray, out_size: tuple[int, int],
-                rng: RngStream) -> np.ndarray:
-    """Contiguous (h, w) subimage at an offset drawn uniformly over the
-    valid positions."""
-    img = _as_float_image(image)
-    h, w = out_size
-    src_h, src_w = img.shape[:2]
-    if h > src_h or w > src_w:
-        raise ValueError(f"crop {h}x{w} exceeds source {src_h}x{src_w}")
-    g = rng.generator("crop")
-    oy = int(g.integers(0, src_h - h + 1))
-    ox = int(g.integers(0, src_w - w + 1))
-    return img[oy:oy + h, ox:ox + w].copy()
+    ``streams[i]`` keys every draw of row i: the crop offset, the flip, the
+    jitter order and factors (U[1-s, 1+s]) and the PCA weights
+    alpha ~ N(0, sigma^2), which shift every pixel by
+    sum_i alpha_i * lambda_i * p_i. Only the random stages read the
+    streams, so a call with all of them disabled may pass none.
+    Normalization subtracts ``channel_means`` and divides by
+    ``channel_stds``, each where set; with it disabled the output is the
+    augmented pixels, still in [0, 255].
+    """
+    images = np.asarray(images)
+    if images.ndim != 4 or images.shape[3] != 3:
+        raise ValueError(f"images must be [N, H, W, 3] RGB, got shape {images.shape}")
+    n, src_h, src_w, _ = images.shape
+    if (config.enable_crop or config.enable_flip or config.enable_jitter
+            or config.enable_pca) and len(streams) != n:
+        raise ValueError(f"{n} images need {n} RngStreams, got {len(streams)}")
 
-
-def horizontal_flip(image: np.ndarray, rng: RngStream, p: float) -> np.ndarray:
-    """Reverse column order with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0,1], got {p}")
-    img = _as_float_image(image)
-    if p > 0 and rng.generator("flip").uniform() < p:
-        return img[:, ::-1].copy()
-    return img
-
-
-def flip_columns(image: np.ndarray) -> np.ndarray:
-    """Unconditional column reversal (the forced-flip involution)."""
-    return _as_float_image(image)[:, ::-1].copy()
-
-
-# ---------------------------------------------------------------------------
-# normalization and the pipeline
-
-def normalize(image: np.ndarray, channel_means: Sequence[float],
-              channel_stds: Optional[Sequence[float]] = None,
-              dtype=np.float64) -> Tensor:
-    """Subtract per-channel dataset means (divide by stds when given) and
-    emit the [h, w, 3] training tensor. No clamping."""
-    img = _as_float_image(image)
-    means = np.asarray(channel_means, dtype=np.float64)
-    if means.shape != (3,):
-        raise ValueError(f"channel_means must have shape (3,), got {means.shape}")
-    out = img - means
-    if channel_stds is not None:
-        stds = np.asarray(channel_stds, dtype=np.float64)
-        if stds.shape != (3,):
-            raise ValueError(f"channel_stds must have shape (3,), got {stds.shape}")
-        if np.any(stds <= 0):
-            raise ValueError("channel_stds must be strictly positive")
-        out = out / stds
-    return Tensor(out.astype(dtype, copy=False))
+    if config.enable_crop:
+        h, w = config.crop_height, config.crop_width
+        if h > src_h or w > src_w:
+            raise ValueError(f"crop {h}x{w} exceeds source {src_h}x{src_w}")
+        x = np.empty((n, h, w, 3))
+        for i, stream in enumerate(streams):
+            g = stream.generator("crop")
+            oy = int(g.integers(0, src_h - h + 1))
+            ox = int(g.integers(0, src_w - w + 1))
+            x[i] = images[i, oy:oy + h, ox:ox + w]
+    else:
+        x = images.astype(np.float64)
+    if config.enable_flip and config.flip_probability > 0:
+        flip = np.array([s.generator("flip").uniform() < config.flip_probability
+                         for s in streams], dtype=bool)
+        x[flip] = x[flip, :, ::-1]
+    if config.enable_jitter and config.jitter_strength > 0:
+        ops = np.empty((n, 3), dtype=np.int64)
+        factors = np.empty((n, 3))
+        low, high = 1.0 - config.jitter_strength, 1.0 + config.jitter_strength
+        for i, stream in enumerate(streams):
+            g = stream.generator("color_jitter")
+            ops[i] = g.permutation(3)
+            factors[i] = g.uniform(low, high, size=3)
+        x = jitter_blend(x, ops, factors)
+    if config.enable_pca:
+        basis = config.pca_basis
+        if basis is None:
+            raise ValueError("enable_pca requires a fitted pca_basis in the config")
+        if config.pca_sigma > 0 and np.any(basis.eigenvalues):
+            shifts = np.empty((n, 3))
+            for i, stream in enumerate(streams):
+                alpha = stream.generator("pca_noise").normal(0.0, config.pca_sigma, size=3)
+                shifts[i] = (alpha * basis.eigenvalues) @ basis.eigenvectors
+            x += shifts[:, None, None, :]
+            np.clip(x, 0.0, 255.0, out=x)
+    if config.enable_normalize:
+        if config.channel_means is not None:
+            x -= config.channel_means
+        if config.channel_stds is not None:
+            x /= config.channel_stds
+    return x.astype(dtype, copy=False)
 
 
 def epoch_shuffle(n: int, epoch: int, seed: int) -> np.ndarray:
@@ -243,30 +221,3 @@ def epoch_shuffle(n: int, epoch: int, seed: int) -> np.ndarray:
     entropy = (seed, epoch) + tuple(b"epoch_shuffle")
     g = np.random.default_rng(np.random.SeedSequence(entropy))
     return g.permutation(n)
-
-
-def augment_pipeline(image: np.ndarray, config: AugmentConfig, rng: RngStream,
-                     dtype=np.float64, skip_normalize: bool = False):
-    """Apply enabled stages in the fixed order and emit the training tensor.
-
-    ``skip_normalize`` stops after the pixel-space stages and returns the
-    (H, W, 3) float image instead; used by the preview dump, where the
-    output must still be an 8-bit-range image.
-    """
-    img = _as_float_image(image)
-    if config.enable_crop:
-        img = random_crop(img, (config.crop_height, config.crop_width), rng)
-    if config.enable_flip:
-        img = horizontal_flip(img, rng, config.flip_probability)
-    if config.enable_jitter:
-        img = color_jitter(img, rng, config.jitter_strength)
-    if config.enable_pca:
-        if config.pca_basis is None:
-            raise ValueError("enable_pca requires a fitted pca_basis in the config")
-        img = pca_noise(img, config.pca_basis, rng, config.pca_sigma)
-    if skip_normalize:
-        return img
-    if config.enable_normalize:
-        means = config.channel_means if config.channel_means is not None else np.zeros(3)
-        return normalize(img, means, config.channel_stds, dtype=dtype)
-    return Tensor(img.astype(dtype, copy=False))

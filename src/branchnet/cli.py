@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import data as data_io
-from .augment import AugmentConfig, fit_pca_basis
+from .augment import AugmentConfig, RngStream, augment_batch, fit_pca_basis
 from .evaluation import evaluate
 from .model import (BranchedNetConfig, block_topology, build_branched_net,
                     count_parameters, layer_counts)
@@ -337,11 +337,12 @@ def cmd_augment_preview(args) -> int:
     if args.count > 0:
         out_dir.mkdir(parents=True, exist_ok=True)
         data_io.write_ppm(out_dir / "original.ppm", image)
-    from .augment import RngStream, augment_pipeline
-    for i in range(args.count):
-        stream = RngStream(global_seed=cfg.train.seed, epoch=0, sample_index=i)
-        # dump pre-normalization pixels: PPM is 8-bit, normalized tensors are not
-        preview = augment_pipeline(image, augment, stream, skip_normalize=True)
+    streams = [RngStream(global_seed=cfg.train.seed, epoch=0, sample_index=i)
+               for i in range(args.count)]
+    # dump pre-normalization pixels: PPM is 8-bit, normalized tensors are not
+    previews = augment_batch(np.broadcast_to(image, (args.count,) + image.shape),
+                             dataclasses.replace(augment, enable_normalize=False), streams)
+    for i, preview in enumerate(previews):
         data_io.write_ppm(out_dir / f"augment{i:03d}.ppm", preview)
     return 0
 
@@ -349,13 +350,12 @@ def cmd_augment_preview(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
-    parser.add_argument("--config", required=config_required, help="experiment JSON file")
+def _add_common(parser: argparse.ArgumentParser, out: bool = True) -> None:
+    parser.add_argument("--config", required=True, help="experiment JSON file")
     parser.add_argument("--set", action="append", default=[], metavar="K=V",
                         help="override a config value, e.g. train.total_epochs=1")
-    parser.add_argument("--precision", choices=("ref", "fast"), default="ref",
-                        help="ref = float64 (bit-reproducible), fast = float32")
-    parser.add_argument("--out", default=None, help="output directory")
+    if out:
+        parser.add_argument("--out", default=None, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,6 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run the training loop")
     _add_common(p)
+    p.add_argument("--precision", choices=("ref", "fast"), default="ref",
+                   help="ref = float64 (bit-reproducible), fast = float32")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -377,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("inspect", help="print topology and parameter report")
-    _add_common(p)
+    _add_common(p, out=False)
     p.set_defaults(fn=cmd_inspect)
 
     p = sub.add_parser("compare", help="sweep branch points, print CSV")

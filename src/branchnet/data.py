@@ -310,6 +310,10 @@ def _parsed(section: str, build):
         raise CheckpointError(f"checkpoint {section} is malformed: {exc!r}") from exc
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any malformed part raises ``CheckpointError`` naming it."""
     from .training import TrainConfig  # local import to avoid a module cycle
@@ -330,6 +334,13 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("model", "train", "augment", "epoch", "rng_cursor", "tensor_count"):
         if key not in header:
             raise CheckpointError(f"JSON header is missing key {key!r}")
+    if not _is_count(header["epoch"]):
+        raise CheckpointError(f"header epoch {header['epoch']!r} is not a non-negative int")
+    cursor = header["rng_cursor"]
+    if not (isinstance(cursor, dict)
+            and all(_is_count(cursor.get(k)) for k in ("global_seed", "next_epoch"))):
+        raise CheckpointError(f"header rng_cursor {cursor!r} needs non-negative int "
+                              "global_seed and next_epoch")
 
     tensors: dict[str, np.ndarray] = {}
     for _ in _parsed("tensor_count", lambda: range(header["tensor_count"])):

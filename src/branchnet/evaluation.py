@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .augment import AugmentConfig, normalize
+from .augment import AugmentConfig, augment_batch
 from .model import BranchedNetwork
 from .tensor import Tensor, softmax
 
@@ -99,9 +99,10 @@ def _config_fingerprint(net: BranchedNetwork) -> str:
 def evaluate(net: BranchedNetwork, dataset, batch_size: int = 256,
              augment_config: Optional[AugmentConfig] = None,
              dump_probs: bool = False):
-    """Eval-mode forward over the dataset (normalization only, BN running
-    stats), per-branch softmax, mean-probability ensemble, top-1/top-5
-    errors, and relative improvement on top-1.
+    """Eval-mode forward over the dataset (center crop, the training
+    normalization of ``augment_config``, BN running stats), per-branch
+    softmax, mean-probability ensemble, top-1/top-5 errors, and relative
+    improvement on top-1.
 
     With ``dump_probs`` the per-branch probability matrices are returned
     alongside the report for offline recomputation.
@@ -114,32 +115,25 @@ def evaluate(net: BranchedNetwork, dataset, batch_size: int = 256,
     kb = net.config.num_branches
     k5 = min(5, net.config.num_classes)
 
-    if augment_config is not None and augment_config.enable_normalize \
-            and augment_config.channel_means is not None:
-        means = augment_config.channel_means
-        stds = augment_config.channel_stds
-    else:
-        means = np.zeros(3)
-        stds = None
-
     src_h, src_w = dataset.images.shape[1:3]
     in_h, in_w = net.config.input_height, net.config.input_width
     if src_h < in_h or src_w < in_w:
         raise ValueError(
             f"evaluation images {src_h}x{src_w} smaller than model input {in_h}x{in_w}")
     # deterministic center crop when sources are larger than the model input
-    # (mirrors the training-time crop size without any randomness)
+    # (mirrors the training-time crop size without any randomness), then the
+    # training-time normalization with every random stage off
     oy, ox = (src_h - in_h) // 2, (src_w - in_w) // 2
+    center = replace(augment_config or AugmentConfig(), enable_crop=False,
+                     enable_flip=False, enable_jitter=False, enable_pca=False)
 
     dtype = next(iter(net.params.values())).dtype
     branch_probs = [np.empty((n, net.config.num_classes)) for _ in range(kb)]
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
-        batch = Tensor(np.stack([
-            normalize(dataset.images[i][oy:oy + in_h, ox:ox + in_w],
-                      means, stds, dtype=dtype).data
-            for i in range(lo, hi)]))
-        logits = net.forward_all_branches(batch, mode="eval")
+        batch = augment_batch(dataset.images[lo:hi, oy:oy + in_h, ox:ox + in_w],
+                              center, (), dtype)
+        logits = net.forward_all_branches(Tensor(batch), mode="eval")
         for br in range(kb):
             branch_probs[br][lo:hi] = softmax(logits[br]).data
 

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import data as data_io
-from .augment import AugmentConfig, RngStream, augment_pipeline, epoch_shuffle
+from .augment import AugmentConfig, RngStream, augment_batch, epoch_shuffle
 from .model import BranchedNetConfig, BranchedNetwork, build_branched_net
 from .tensor import (NonFiniteError, Tape, Tensor, residual_add, reverse_pass, scale,
                      softmax_cross_entropy)
@@ -192,18 +192,6 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 # ---------------------------------------------------------------------------
 # the epoch loop
 
-def _augment_batch(dataset, indices: np.ndarray, epoch: int,
-                   augment_config: AugmentConfig, seed: int, dtype) -> np.ndarray:
-    """Augmented [N,H,W,C] batch; each row depends only on its own
-    (seed, epoch, dataset index) stream, not on the rest of the batch."""
-    def one(i: int) -> np.ndarray:
-        stream = RngStream(global_seed=seed, epoch=epoch, sample_index=i)
-        return augment_pipeline(dataset.images[i], augment_config, stream,
-                                dtype=dtype).data
-
-    return np.stack([one(int(i)) for i in indices])
-
-
 def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
           augment_config: AugmentConfig, *,
           eval_dataset=None, eval_batch_size: int = 256,
@@ -239,8 +227,9 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
         batches = 0
         for lo in range(0, n, train_config.batch_size):
             batch_idx = order[lo:lo + train_config.batch_size]
-            batch = Tensor(_augment_batch(dataset, batch_idx, epoch, augment_config,
-                                          train_config.seed, dtype))
+            streams = [RngStream(train_config.seed, epoch, int(i)) for i in batch_idx]
+            batch = Tensor(augment_batch(dataset.images[batch_idx], augment_config,
+                                         streams, dtype))
             targets = smooth_label_matrix(dataset.labels[batch_idx],
                                           train_config.num_classes,
                                           train_config.smoothing_epsilon)

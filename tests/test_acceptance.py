@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from branchnet.augment import (AugmentConfig, PcaBasis, RngStream,
-                               fit_pca_basis, flip_columns, horizontal_flip,
-                               normalize, pca_noise, random_crop)
+                               augment_batch, fit_pca_basis)
 from branchnet.cli import main
 from branchnet.data import (SyntheticSpec, generate_synthetic,
                             load_checkpoint, save_checkpoint)
@@ -340,21 +339,34 @@ class TestCriterion9AugmentationProperties:
     def test_property_suite(self, rng):
         img = rng.uniform(0, 255, size=(12, 12, 3))
 
-        np.testing.assert_array_equal(flip_columns(flip_columns(img)), img)
+        def one(image, stream, **fields):
+            """A batch of one through the stages ``fields`` enables."""
+            off = dict(enable_crop=False, enable_flip=False, enable_jitter=False,
+                       enable_pca=False, enable_normalize=False)
+            return augment_batch(image[None], AugmentConfig(**{**off, **fields}),
+                                 [stream])[0]
+
         stream = RngStream(global_seed=3, epoch=0, sample_index=0)
-        np.testing.assert_array_equal(horizontal_flip(img, stream, 0.0), img)
-        np.testing.assert_array_equal(random_crop(img, (12, 12), stream), img)
+        flip = dict(enable_flip=True, flip_probability=1.0)
+        np.testing.assert_array_equal(one(img, stream, **flip), img[:, ::-1])
+        np.testing.assert_array_equal(one(one(img, stream, **flip), stream, **flip), img)
+        np.testing.assert_array_equal(
+            one(img, stream, enable_flip=True, flip_probability=0.0), img)
+        np.testing.assert_array_equal(
+            one(img, stream, enable_crop=True, crop_height=12, crop_width=12), img)
 
         basis0 = PcaBasis(eigenvalues=np.zeros(3), eigenvectors=np.eye(3),
                           channel_means=np.zeros(3))
-        np.testing.assert_array_equal(pca_noise(img, basis0, stream, 0.0), img)
-        from branchnet.augment import color_jitter
-        np.testing.assert_array_equal(color_jitter(img, stream, 0.0), img)
+        np.testing.assert_array_equal(
+            one(img, stream, enable_pca=True, pca_basis=basis0, pca_sigma=0.0), img)
+        np.testing.assert_array_equal(
+            one(img, stream, enable_jitter=True, jitter_strength=0.0), img)
 
         # crop output shape equals configured size over source sizes
         for size in (16, 24, 33):
             src = rng.uniform(0, 255, size=(size, size + 1, 3))
-            out = random_crop(src, (9, 11), RngStream(3, 0, size))
+            out = one(src, RngStream(3, 0, size), enable_crop=True,
+                      crop_height=9, crop_width=11)
             assert out.shape == (9, 11, 3)
 
         # crop offsets uniform over the 9-offset case within +-0.02
@@ -362,7 +374,8 @@ class TestCriterion9AugmentationProperties:
         counts = np.zeros(9)
         draws = 10_000
         for i in range(draws):
-            out = random_crop(base, (2, 2), RngStream(21, 0, i))
+            out = one(base, RngStream(21, 0, i), enable_crop=True,
+                      crop_height=2, crop_width=2)
             flat = int(out[0, 0, 0])
             counts[(flat // 12) * 3 + (flat % 12) // 3] += 1
         assert np.all(np.abs(counts / draws - 1 / 9) <= 0.02)
@@ -380,8 +393,8 @@ class TestCriterion9AugmentationProperties:
 
         # post-normalization pooled channel mean -> 0
         means = px.mean(axis=0)
-        pooled = np.stack([normalize(im, means).data for im in images]) \
-            .mean(axis=(0, 1, 2))
+        pooled = np.stack([one(im, stream, enable_normalize=True, channel_means=means)
+                           for im in images]).mean(axis=(0, 1, 2))
         np.testing.assert_allclose(pooled, 0.0, atol=1e-6)
 
         ok("criterion 9: flip involution, neutral-setting identities, crop "

@@ -1,15 +1,17 @@
 """Augmentation identities, distribution checks, and the PCA basis oracle."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchnet.augment import (AugmentConfig, PcaBasis, RngStream,
-                               augment_pipeline, color_jitter, epoch_shuffle,
-                               fit_pca_basis, flip_columns, horizontal_flip,
-                               normalize, pca_noise, random_crop)
-from branchnet.augment import apply_brightness, apply_contrast, apply_saturation
+from branchnet.augment import (BRIGHTNESS, CONTRAST, SATURATION, AugmentConfig,
+                               PcaBasis, RngStream, augment_batch, epoch_shuffle,
+                               fit_pca_basis, jitter_blend)
+from branchnet.data import SyntheticSpec, generate_synthetic
 
 from oracles import jacobi_eig3
 
@@ -20,6 +22,43 @@ def stream(seed=77, epoch=0, sample=0):
 
 def random_image(rng, h=12, w=12):
     return rng.uniform(0, 255, size=(h, w, 3))
+
+
+def only(stage, **fields):
+    """Config with one stage enabled (normalization off unless it is the stage)."""
+    flags = {f"enable_{name}": name == stage
+             for name in ("crop", "flip", "jitter", "pca", "normalize")}
+    return AugmentConfig(**flags, **fields)
+
+
+def augment_one(img, config, s=None, dtype=np.float64):
+    """``augment_batch`` on a batch of one."""
+    return augment_batch(img[None], config, [stream() if s is None else s], dtype)[0]
+
+
+def pca_noise(img, basis, s, sigma):
+    return augment_one(img, only("pca", pca_basis=basis, pca_sigma=sigma), s)
+
+
+def color_jitter(img, s, strength):
+    return augment_one(img, only("jitter", jitter_strength=strength), s)
+
+
+def blend(img, op, factor):
+    """One jitter op at a fixed factor, on a batch of one."""
+    return jitter_blend(img[None], [[op]], [[factor]])[0]
+
+
+def random_crop(img, size, s):
+    return augment_one(img, only("crop", crop_height=size[0], crop_width=size[1]), s)
+
+
+def horizontal_flip(img, s, p):
+    return augment_one(img, only("flip", flip_probability=p), s)
+
+
+def normalize(img, means, stds=None):
+    return augment_one(img, only("normalize", channel_means=means, channel_stds=stds))
 
 
 class TestRngStream:
@@ -136,18 +175,18 @@ class TestColorJitter:
 
     def test_brightness_factor_zero_black(self, rng):
         img = random_image(rng)
-        np.testing.assert_array_equal(apply_brightness(img, 0.0), np.zeros_like(img))
+        np.testing.assert_array_equal(blend(img, BRIGHTNESS, 0.0), np.zeros_like(img))
 
     def test_saturation_factor_zero_grayscale(self, rng):
         img = random_image(rng)
-        out = apply_saturation(img, 0.0)
+        out = blend(img, SATURATION, 0.0)
         np.testing.assert_allclose(out[:, :, 0], out[:, :, 1], atol=1e-12)
         np.testing.assert_allclose(out[:, :, 1], out[:, :, 2], atol=1e-12)
 
     def test_contrast_factor_zero_flattens_to_mean_luma(self, rng):
         img = random_image(rng)
         luma = (img @ np.array([0.299, 0.587, 0.114])).mean()
-        out = apply_contrast(img, 0.0)
+        out = blend(img, CONTRAST, 0.0)
         np.testing.assert_allclose(out, np.full_like(img, luma), atol=1e-12)
 
     def test_deterministic_and_in_range(self, rng):
@@ -203,19 +242,20 @@ class TestRandomCrop:
 class TestHorizontalFlip:
     def test_involution(self, rng):
         img = random_image(rng)
-        np.testing.assert_array_equal(flip_columns(flip_columns(img)), img)
+        s = stream()
+        np.testing.assert_array_equal(
+            horizontal_flip(horizontal_flip(img, s, 1.0), s, 1.0), img)
 
     def test_p_zero_identity_p_one_always_flipped(self, rng):
         img = random_image(rng)
         for i in range(5):
             s = stream(seed=2, sample=i)
             np.testing.assert_array_equal(horizontal_flip(img, s, 0.0), img)
-            np.testing.assert_array_equal(horizontal_flip(img, s, 1.0),
-                                          flip_columns(img))
+            np.testing.assert_array_equal(horizontal_flip(img, s, 1.0), img[:, ::-1])
 
     def test_2x2_definition(self):
         img = np.array([[[1.0] * 3, [2.0] * 3], [[3.0] * 3, [4.0] * 3]])
-        out = flip_columns(img)
+        out = horizontal_flip(img, stream(), 1.0)
         np.testing.assert_array_equal(out[:, :, 0], [[2.0, 1.0], [4.0, 3.0]])
 
     def test_flip_rate_close_to_half(self):
@@ -231,28 +271,33 @@ class TestNormalize:
         img = np.full((5, 5, 3), 0.0) + np.array([10.0, 20.0, 30.0])
         out = normalize(img, [10.0, 20.0, 30.0])
         assert out.shape == (5, 5, 3)
-        np.testing.assert_array_equal(out.data, np.zeros((5, 5, 3)))
+        np.testing.assert_array_equal(out, np.zeros((5, 5, 3)))
 
     def test_zero_means_no_stds_identity(self, rng):
         img = random_image(rng)
         out = normalize(img, [0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(out.data, img)
+        np.testing.assert_array_equal(out, img)
 
     def test_dataset_self_normalization_pools_to_zero_mean(self, rng):
         images = rng.uniform(0, 255, size=(20, 6, 6, 3))
         means = images.reshape(-1, 3).mean(axis=0)
-        normalized = np.stack([normalize(img, means).data for img in images])
+        normalized = np.stack([normalize(img, means) for img in images])
         pooled = normalized.mean(axis=(0, 1, 2))
         np.testing.assert_allclose(pooled, 0.0, atol=1e-6)
 
     def test_std_division(self, rng):
         img = random_image(rng)
         out = normalize(img, [0.0, 0.0, 0.0], [2.0, 4.0, 8.0])
-        np.testing.assert_allclose(out.data, img / [2.0, 4.0, 8.0], atol=1e-12)
+        np.testing.assert_allclose(out, img / [2.0, 4.0, 8.0], atol=1e-12)
 
     def test_nonpositive_std_rejected(self, rng):
         with pytest.raises(ValueError, match="positive"):
             normalize(random_image(rng), [0.0] * 3, [1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("field", ["channel_means", "channel_stds"])
+    def test_statistics_of_wrong_shape_rejected(self, field):
+        with pytest.raises(ValueError, match=rf"{field} must have shape \(3,\)"):
+            AugmentConfig(**{field: [1.0, 2.0]})
 
 
 class TestEpochShuffle:
@@ -283,21 +328,21 @@ class TestPipeline:
         config = AugmentConfig(enable_crop=False, enable_flip=False,
                                enable_jitter=False, enable_pca=False,
                                channel_means=np.zeros(3))
-        out = augment_pipeline(img, config, stream())
-        np.testing.assert_array_equal(out.data, img)
+        out = augment_one(img, config)
+        np.testing.assert_array_equal(out, img)
 
     def test_deterministic_under_fixed_stream(self, rng):
         img = random_image(rng, 12, 12)
         config = self._full_config(rng)
-        a = augment_pipeline(img, config, stream(seed=4, epoch=2, sample=17))
-        b = augment_pipeline(img, config, stream(seed=4, epoch=2, sample=17))
-        np.testing.assert_array_equal(a.data, b.data)
+        a = augment_one(img, config, stream(seed=4, epoch=2, sample=17))
+        b = augment_one(img, config, stream(seed=4, epoch=2, sample=17))
+        np.testing.assert_array_equal(a, b)
 
     def test_output_shape_sweep_over_source_sizes(self, rng):
         config = self._full_config(rng, crop=8)
         for size in range(32, 65, 8):
-            out = augment_pipeline(random_image(rng, size, size + 3), config,
-                                   stream(sample=size))
+            out = augment_one(random_image(rng, size, size + 3), config,
+                              stream(sample=size))
             assert out.shape == (8, 8, 3)
 
     def test_neutral_settings_are_identity(self, rng):
@@ -306,17 +351,63 @@ class TestPipeline:
         config = AugmentConfig(crop_height=9, crop_width=9, flip_probability=0.0,
                                pca_sigma=0.0, jitter_strength=0.0,
                                channel_means=np.zeros(3), pca_basis=basis)
-        out = augment_pipeline(img, config, stream(seed=123))
-        np.testing.assert_array_equal(out.data, img)
+        out = augment_one(img, config, stream(seed=123))
+        np.testing.assert_array_equal(out, img)
 
     def test_pixel_range_preserved_before_normalize(self, rng):
         config = self._full_config(rng)
         for i in range(10):
-            out = augment_pipeline(random_image(rng, 12, 12), config,
-                                   stream(sample=i), skip_normalize=True)
+            out = augment_one(random_image(rng, 12, 12),
+                              replace(config, enable_normalize=False), stream(sample=i))
             assert out.min() >= 0.0 and out.max() <= 255.0
 
     def test_missing_pca_basis_rejected(self, rng):
         config = AugmentConfig(crop_height=8, crop_width=8, channel_means=np.zeros(3))
         with pytest.raises(ValueError, match="pca_basis"):
-            augment_pipeline(random_image(rng, 12, 12), config, stream())
+            augment_one(random_image(rng, 12, 12), config)
+
+
+class TestGoldenBatches:
+    """sha256 of augmented batches, recorded from the per-image pipeline
+    that ``augment_batch`` replaced: seed 11, epoch 3, one stream per
+    dataset index. The black-image case keeps the sign of zero that a
+    negative brightness factor leaves on a 0 pixel."""
+
+    MEANS = [118.0, 121.5, 109.25]
+    STDS = [50.0, 60.0, 70.0]
+
+    @pytest.mark.parametrize("source, fields, dtype, indices, digest", [
+        ("synthetic", dict(crop_height=9, crop_width=10, channel_means=MEANS),
+         np.float64, [5, 0, 17, 9, 22, 3],
+         "9843b43c77e1532a86b61bfa073ba808c45ee3c3a0e1cacfabfb0e101446d5ef"),
+        ("synthetic", dict(crop_height=8, crop_width=8, enable_jitter=False,
+                           enable_pca=False, channel_means=MEANS),
+         np.float32, [5, 0, 17, 9, 22, 3],
+         "8a97a2a4b1437bf801bbe2c1cb235f0ea04e4fd2c15949526d6a726e6e788076"),
+        ("synthetic", dict(crop_height=10, crop_width=10, enable_pca=False,
+                           jitter_strength=1.5, channel_stds=STDS),
+         np.float64, [1, 2, 3, 4, 5, 6, 7, 8],
+         "4b74ab4be4204a0e195a632a991fca788cf0b3b1e1b0146a1ca768e319fe57e8"),
+        ("synthetic", dict(crop_height=12, crop_width=12, channel_means=MEANS,
+                           channel_stds=STDS),
+         np.float32, [23, 11],
+         "0c3e8c4ef1be29d3267c218edcd8f34ca876a24eee39954c4773ad9d068d6df9"),
+        ("synthetic", dict(crop_height=7, crop_width=9, channel_means=MEANS),
+         np.float64, [13],
+         "75820606881cda8c682c0bd9c07c4109cf507b0ee8997a90c7deef8577ba599c"),
+        ("black", dict(enable_crop=False, enable_flip=False, enable_pca=False,
+                       jitter_strength=2.5),
+         np.float64, [0, 1, 2, 3, 4, 5, 6, 7],
+         "f36f18760a1722127c0178039eaf04150cd7a7182e1f99cc8fdfcef60a1e4637"),
+    ], ids=["full-f64", "crop-flip-f32", "stds-strong-jitter-f64", "stds-means-f32",
+            "single-row-f64", "black-jitter-2.5-f64"])
+    def test_batch_matches_golden_digest(self, source, fields, dtype, indices, digest):
+        data = generate_synthetic(SyntheticSpec(num_classes=4, samples_per_class=6,
+                                                image_size=12, noise_std=60.0),
+                                  seed=31, split="train")
+        images = data.images if source == "synthetic" else np.zeros((8, 3, 4, 3), np.uint8)
+        config = AugmentConfig(pca_basis=fit_pca_basis(data.images), **fields)
+        batch = augment_batch(images[indices], config,
+                              [stream(seed=11, epoch=3, sample=i) for i in indices], dtype)
+        assert batch.dtype == dtype
+        assert hashlib.sha256(batch.tobytes()).hexdigest() == digest

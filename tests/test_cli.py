@@ -251,6 +251,24 @@ class TestAugmentPreviewCommand:
                      "--image", str(tmp_path / "missing.ppm"), "--count", "1"]) == 1
 
 
+class TestFlagScope:
+    """Each command offers only the flags it reads."""
+
+    @pytest.mark.parametrize("args", [
+        ["inspect", "--precision", "fast"],
+        ["inspect", "--out", "ignored"],
+        ["compare", "--precision", "fast"],
+        ["eval", "--checkpoint", "final.ckpt", "--precision", "fast"],
+        ["augment-preview", "--image", "input.ppm", "--precision", "fast"],
+    ], ids=["inspect-precision", "inspect-out", "compare-precision", "eval-precision",
+            "preview-precision"])
+    def test_unread_flag_exits_2(self, config_file, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args[:1] + ["--config", str(config_file)] + args[1:])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestConfigStrictness:
     def test_unknown_top_level_section(self, tmp_path):
         cfg = experiment_dict(tmp_path / "runs")

@@ -268,9 +268,25 @@ class TestMalformedCheckpoint:
          "augment section"),
         (lambda raw: _edited_header(
             raw, lambda h: h["augment"].update(flip_probability=2.0)), "augment section"),
+        (lambda raw: _edited_header(raw, lambda h: h.update(epoch="1")), "header epoch"),
+        (lambda raw: _edited_header(raw, lambda h: h.update(epoch=-1)), "header epoch"),
+        (lambda raw: _edited_header(raw, lambda h: h.update(epoch=True)), "header epoch"),
+        (lambda raw: _edited_header(raw, lambda h: h.update(epoch=1.0)), "header epoch"),
+        (lambda raw: _edited_header(raw, lambda h: h.update(rng_cursor=[7, 1])),
+         "header rng_cursor"),
+        (lambda raw: _edited_header(raw, lambda h: h["rng_cursor"].pop("next_epoch")),
+         "header rng_cursor"),
+        (lambda raw: _edited_header(raw, lambda h: h["rng_cursor"].update(global_seed="7")),
+         "header rng_cursor"),
+        (lambda raw: _edited_header(raw, lambda h: h["rng_cursor"].update(next_epoch=False)),
+         "header rng_cursor"),
+        (lambda raw: _edited_header(raw, lambda h: h["rng_cursor"].update(next_epoch=-2)),
+         "header rng_cursor"),
     ], ids=["header-not-utf8", "header-not-json", "header-not-object", "missing-key",
             "tensor-count-type", "model-rejected", "train-rejected",
-            "augment-missing-flag", "augment-rejected"])
+            "augment-missing-flag", "augment-rejected", "epoch-string", "epoch-negative",
+            "epoch-bool", "epoch-float", "cursor-not-object", "cursor-missing-epoch",
+            "cursor-seed-string", "cursor-epoch-bool", "cursor-epoch-negative"])
     def test_header_rejected(self, tmp_path, checkpoint_bytes, make, match):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(make(checkpoint_bytes))

@@ -1,4 +1,5 @@
-"""The package imports only numpy, the standard library and itself."""
+"""The package imports only numpy, the standard library and itself, and
+exports only names it defines."""
 
 import ast
 import sys
@@ -28,3 +29,10 @@ def test_imports_are_numpy_stdlib_or_package(path):
     bad = [f"{path.name}:{line} imports {root}" for line, root in imported_roots(path)
            if root not in ALLOWED and root not in sys.stdlib_module_names]
     assert not bad, bad
+
+
+def test_every_export_resolves():
+    import branchnet
+    missing = [name for name in branchnet.__all__ if not hasattr(branchnet, name)]
+    assert not missing, f"branchnet.__all__ names undefined attributes: {missing}"
+    assert len(set(branchnet.__all__)) == len(branchnet.__all__)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from branchnet.augment import AugmentConfig
+from branchnet.augment import AugmentConfig, epoch_shuffle
 from branchnet.data import SyntheticSpec, generate_synthetic
 from branchnet.evaluation import (ensemble_probs, evaluate,
                                   relative_improvement, top_k_error)
 from branchnet.model import BranchedNetConfig, build_branched_net
+from branchnet.training import TrainConfig, train
 
 from oracles import topk_error_sorted
 
@@ -162,6 +163,28 @@ class TestEvaluate:
         if mean_branch > 0:
             want = 100.0 * (mean_branch - report.ensemble_top1) / mean_branch
             assert abs(report.relative_improvement - want) < 1e-12
+
+    def test_feeds_the_network_the_rows_training_feeds_it(self, rng):
+        # stds without means: evaluation must divide by them as training does
+        net, data, _ = _eval_setup(rng)
+        augment = AugmentConfig(enable_crop=False, enable_flip=False, enable_jitter=False,
+                                enable_pca=False, enable_normalize=True,
+                                channel_means=None, channel_stds=[2, 2, 2])
+        fed = []
+        forward = net.forward_all_branches
+
+        def recording(batch, mode):
+            fed.append(batch.data.copy())
+            return forward(batch, mode=mode)
+
+        net.forward_all_branches = recording
+        n = len(data.images)
+        cfg = TrainConfig(batch_size=n, total_epochs=1, base_lr=0.001, seed=3,
+                          num_classes=data.num_classes)
+        train(net, data, cfg, augment)
+        evaluate(net, data, batch_size=n, augment_config=augment)
+        train_rows, eval_rows = fed
+        np.testing.assert_array_equal(train_rows, eval_rows[epoch_shuffle(n, 0, cfg.seed)])
 
     def test_deterministic_given_checkpointed_state(self, rng):
         net, data, augment = _eval_setup(rng)

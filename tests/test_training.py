@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchnet import training
-from branchnet.augment import AugmentConfig, fit_pca_basis
+from branchnet.augment import AugmentConfig, RngStream, augment_batch, fit_pca_basis
 from branchnet.data import CheckpointError, SyntheticSpec, generate_synthetic
 from branchnet.gradcheck import finite_diff_check
 from branchnet.model import BranchedNetConfig, build_branched_net
@@ -299,8 +299,8 @@ class TestTrainLoop:
                                 pca_basis=fit_pca_basis(data.images))
 
         def rows(indices):
-            return training._augment_batch(data, np.array(indices), 2, augment,
-                                           seed=9, dtype=np.float64)
+            return augment_batch(data.images[indices], augment,
+                                 [RngStream(9, 2, i) for i in indices], np.float64)
 
         batch = rows([3, 7, 11, 15])
         reversed_batch = rows([15, 11, 7, 3])
