@@ -10,8 +10,8 @@ Run: python demos/train_mini_synthetic.py
 import numpy as np
 
 from branchnet import (AugmentConfig, SyntheticSpec, TrainConfig,
-                       build_branched_net, evaluate, generate_synthetic,
-                       mini_config, train)
+                       build_branched_net, evaluate, fit_augment_statistics,
+                       generate_synthetic, mini_config, train)
 
 
 def main():
@@ -22,10 +22,11 @@ def main():
         SyntheticSpec(num_classes=10, samples_per_class=10, image_size=28,
                       noise_std=60.0), seed=200, split="test")
 
-    augment = AugmentConfig(
-        crop_height=24, crop_width=24, flip_probability=0.5,
-        enable_jitter=False, enable_pca=False,
-        channel_means=train_set.images.astype(np.float64).reshape(-1, 3).mean(axis=0))
+    # channel means for normalization come from the training images
+    augment = fit_augment_statistics(
+        AugmentConfig(crop_height=24, crop_width=24, flip_probability=0.5,
+                      enable_jitter=False, enable_pca=False),
+        train_set.images)
 
     config = TrainConfig(batch_size=32, total_epochs=8, base_lr=0.05,
                          weight_decay=1e-4, momentum=0.9,

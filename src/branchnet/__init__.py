@@ -8,7 +8,7 @@ normalization).
 """
 
 from .augment import (AugmentConfig, PcaBasis, RngStream, augment_batch,
-                      epoch_shuffle, fit_pca_basis)
+                      epoch_shuffle, fit_augment_statistics, fit_pca_basis)
 from .data import (Checkpoint, Dataset, SyntheticSpec, generate_synthetic,
                    load_checkpoint, load_cifar10_binary, read_ppm,
                    save_checkpoint, write_ppm)
@@ -26,13 +26,13 @@ from .training import (OptimizerState, TrainConfig, TrainHistory,
                        TrainingDivergedError, combined_branch_loss,
                        history_csv, lr_at_epoch, restore_network,
                        sgd_momentum_step, smooth_label_matrix, smooth_labels,
-                       smoothed_cross_entropy, train)
+                       train)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AugmentConfig", "PcaBasis", "RngStream", "augment_batch", "epoch_shuffle",
-    "fit_pca_basis",
+    "fit_augment_statistics", "fit_pca_basis",
     "Checkpoint", "Dataset", "SyntheticSpec", "generate_synthetic",
     "load_checkpoint", "load_cifar10_binary", "read_ppm", "save_checkpoint",
     "write_ppm",
@@ -47,6 +47,5 @@ __all__ = [
     "reverse_pass", "softmax", "sum_all", "weighted_sum",
     "OptimizerState", "TrainConfig", "TrainHistory", "TrainingDivergedError",
     "combined_branch_loss", "history_csv", "lr_at_epoch", "restore_network",
-    "sgd_momentum_step", "smooth_label_matrix", "smooth_labels",
-    "smoothed_cross_entropy", "train",
+    "sgd_momentum_step", "smooth_label_matrix", "smooth_labels", "train",
 ]

@@ -15,7 +15,7 @@ noise clamp back into range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -51,6 +51,13 @@ class PcaBasis:
     eigenvalues: np.ndarray      # (3,), lambda1 >= lambda2 >= lambda3 >= 0
     eigenvectors: np.ndarray     # (3, 3), row i = i-th principal direction
     channel_means: np.ndarray    # (3,)
+
+    def __post_init__(self):
+        for name, shape in (("eigenvalues", (3,)), ("eigenvectors", (3, 3)),
+                            ("channel_means", (3,))):
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValueError(f"PcaBasis {name} must have shape {shape}, got {got}")
 
     def reconstruct_covariance(self) -> np.ndarray:
         return self.eigenvectors.T @ np.diag(self.eigenvalues) @ self.eigenvectors
@@ -90,15 +97,8 @@ class AugmentConfig:
             raise ValueError("channel_stds must be strictly positive")
 
 
-def _as_float_image(image: np.ndarray) -> np.ndarray:
-    img = np.asarray(image)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"image must be (H, W, 3) RGB, got shape {img.shape}")
-    return img.astype(np.float64, copy=True)
-
-
 # ---------------------------------------------------------------------------
-# PCA color basis
+# statistics fitted from data: the PCA color basis and the channel means
 
 def fit_pca_basis(images: Iterable[np.ndarray]) -> PcaBasis:
     """Eigendecompose the 3x3 sample covariance of RGB values pooled over
@@ -108,7 +108,10 @@ def fit_pca_basis(images: Iterable[np.ndarray]) -> PcaBasis:
     s = np.zeros(3)
     ss = np.zeros((3, 3))
     for image in images:
-        px = _as_float_image(image).reshape(-1, 3)
+        px = np.asarray(image, dtype=np.float64)
+        if px.ndim != 3 or px.shape[2] != 3:
+            raise ValueError(f"image must be (H, W, 3) RGB, got shape {px.shape}")
+        px = px.reshape(-1, 3)
         count += px.shape[0]
         s += px.sum(axis=0)
         ss += px.T @ px
@@ -122,6 +125,18 @@ def fit_pca_basis(images: Iterable[np.ndarray]) -> PcaBasis:
     eigvals = np.maximum(eigvals[order], 0.0)
     return PcaBasis(eigenvalues=eigvals, eigenvectors=eigvecs[:, order].T,
                     channel_means=mean)
+
+
+def fit_augment_statistics(config: AugmentConfig, images: np.ndarray) -> AugmentConfig:
+    """The config with the statistics it uses but leaves unset fitted from
+    [N, H, W, 3] ``images``: the pooled channel means when normalization is
+    on, the PCA basis when PCA noise is on."""
+    means, basis = config.channel_means, config.pca_basis
+    if config.enable_normalize and means is None:
+        means = np.asarray(images, dtype=np.float64).reshape(-1, 3).mean(axis=0)
+    if config.enable_pca and basis is None:
+        basis = fit_pca_basis(images)
+    return replace(config, channel_means=means, pca_basis=basis)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ from typing import Optional
 import numpy as np
 
 from . import data as data_io
-from .augment import AugmentConfig, RngStream, augment_batch, fit_pca_basis
+from .augment import AugmentConfig, RngStream, augment_batch, fit_augment_statistics
 from .evaluation import evaluate
 from .model import (BranchedNetConfig, block_topology, build_branched_net,
                     count_parameters, layer_counts)
-from .training import (TrainConfig, history_csv, timings_csv, train)
+from .training import TrainConfig, history_csv, restore_network, timings_csv, train
 
 
 class ConfigError(ValueError):
@@ -87,6 +87,10 @@ def parse_experiment(raw: dict) -> ExperimentConfig:
     for section in ("model", "train", "data"):
         if section not in raw:
             raise ConfigError(f"missing required section '{section}'")
+    for section, given in raw.items():
+        if not isinstance(given, dict):
+            raise ConfigError(f"section '{section}' must be a JSON object, "
+                              f"got {type(given).__name__}")
 
     model = _dataclass_section("model", raw["model"], BranchedNetConfig)
 
@@ -152,34 +156,21 @@ def load_experiment(path, overrides: list[str]) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # data and run-dir helpers
 
-def build_datasets(data_cfg: dict) -> tuple[data_io.Dataset, data_io.Dataset]:
-    if data_cfg["kind"] == "synthetic":
-        spec_train = data_io.SyntheticSpec(
-            num_classes=data_cfg.get("num_classes", 10),
-            samples_per_class=data_cfg.get("train_samples_per_class", 50),
-            image_size=data_cfg.get("image_size", 32),
-            noise_std=data_cfg.get("noise_std", 8.0))
-        spec_test = dataclasses.replace(
-            spec_train, samples_per_class=data_cfg.get("test_samples_per_class", 20))
-        seed = data_cfg.get("seed", 1234)
-        return (data_io.generate_synthetic(spec_train, seed, split="train"),
-                data_io.generate_synthetic(spec_test, seed + 1, split="test"))
-    directory = data_cfg["dir"]
-    return (data_io.load_cifar10_binary(directory, data_cfg.get("train_files"), split="train"),
-            data_io.load_cifar10_binary(directory, data_cfg.get("test_files"), split="test"))
-
-
-def fit_augment_statistics(augment: AugmentConfig,
-                           train_set: data_io.Dataset) -> AugmentConfig:
-    """Fill channel means and the PCA basis from the training set when the
-    config leaves them unset."""
-    updated = dataclasses.replace(augment)
-    if updated.enable_normalize and updated.channel_means is None:
-        pixels = train_set.images.astype(np.float64).reshape(-1, 3)
-        updated.channel_means = pixels.mean(axis=0)
-    if updated.enable_pca and updated.pca_basis is None:
-        updated.pca_basis = fit_pca_basis(train_set.images)
-    return updated
+def build_dataset(data_cfg: dict, split: str) -> data_io.Dataset:
+    """The ``split`` ("train" or "test") of the configured dataset. Synthetic
+    settings the config leaves out take ``SyntheticSpec``'s defaults, except
+    that the test split has 20 samples per class; its seed is one above the
+    training split's."""
+    if data_cfg["kind"] == "cifar10":
+        return data_io.load_cifar10_binary(data_cfg["dir"], data_cfg.get(f"{split}_files"),
+                                           split=split)
+    keys = {"num_classes": "num_classes", f"{split}_samples_per_class": "samples_per_class",
+            "image_size": "image_size", "noise_std": "noise_std"}
+    given = {name: data_cfg[key] for key, name in keys.items() if key in data_cfg}
+    if split == "test":
+        given.setdefault("samples_per_class", 20)
+    seed = data_cfg.get("seed", 1234) + (1 if split == "test" else 0)
+    return data_io.generate_synthetic(data_io.SyntheticSpec(**given), seed, split=split)
 
 
 def _validate_shapes(cfg: ExperimentConfig, train_set: data_io.Dataset) -> None:
@@ -226,21 +217,20 @@ def _dtype_for(precision: str):
 
 def cmd_train(args) -> int:
     cfg = load_experiment(args.config, args.set)
-    train_set, test_set = build_datasets(cfg.data)
+    train_set, test_set = build_dataset(cfg.data, "train"), build_dataset(cfg.data, "test")
     _validate_shapes(cfg, train_set)
-    augment = fit_augment_statistics(cfg.augment, train_set)
+    augment = fit_augment_statistics(cfg.augment, train_set.images)
     net = build_branched_net(cfg.model, seed=cfg.train.seed,
                              dtype=_dtype_for(args.precision))
 
     run_dir = make_run_dir(args.out or cfg.output_dir, cfg.fingerprint())
     print(f"run directory: {run_dir}")
-    checkpoint, history = train(net, train_set, cfg.train, augment,
-                                eval_dataset=test_set, log=print)
+    checkpoint, history = train(net, train_set, cfg.train, augment, log=print)
     (run_dir / "history.csv").write_text(history_csv(history, cfg.model.num_branches))
     (run_dir / "timings.csv").write_text(timings_csv(history))
     data_io.save_checkpoint(run_dir / "final.ckpt", checkpoint)
-    if history.eval_reports:
-        report = history.eval_reports[-1]
+    if len(test_set):
+        report = evaluate(net, test_set, augment_config=augment)
         (run_dir / "report.csv").write_text(report.to_csv())
         (run_dir / "report.txt").write_text(report.render_text() + "\n")
         print(report.render_text())
@@ -257,9 +247,8 @@ def cmd_eval(args) -> int:
             raise ConfigError(
                 f"config model.{fld.name}={got!r} does not match checkpoint "
                 f"({want!r})")
-    from .training import restore_network
     net, _ = restore_network(checkpoint)
-    _, test_set = build_datasets(cfg.data)
+    test_set = build_dataset(cfg.data, "test")
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.dump_probs:
@@ -330,18 +319,17 @@ def cmd_compare(args) -> int:
 def cmd_augment_preview(args) -> int:
     cfg = load_experiment(args.config, args.set)
     image = data_io.read_ppm(args.image)
-    augment = cfg.augment
-    if augment.enable_pca and augment.pca_basis is None:
-        augment = dataclasses.replace(augment, pca_basis=fit_pca_basis([image]))
+    # dump pre-normalization pixels: PPM is 8-bit, normalized tensors are not
+    augment = fit_augment_statistics(
+        dataclasses.replace(cfg.augment, enable_normalize=False), image[None])
     out_dir = Path(args.out or "preview")
     if args.count > 0:
         out_dir.mkdir(parents=True, exist_ok=True)
         data_io.write_ppm(out_dir / "original.ppm", image)
     streams = [RngStream(global_seed=cfg.train.seed, epoch=0, sample_index=i)
                for i in range(args.count)]
-    # dump pre-normalization pixels: PPM is 8-bit, normalized tensors are not
     previews = augment_batch(np.broadcast_to(image, (args.count,) + image.shape),
-                             dataclasses.replace(augment, enable_normalize=False), streams)
+                             augment, streams)
     for i, preview in enumerate(previews):
         data_io.write_ppm(out_dir / f"augment{i:03d}.ppm", preview)
     return 0

@@ -50,9 +50,10 @@ class Dataset:
             raise ValueError(
                 f"images ({len(self.images)}) and labels ({len(self.labels)}) "
                 "must have equal length")
-        if len(self.labels) and int(self.labels.max()) >= self.num_classes:
+        outside = (self.labels < 0) | (self.labels >= self.num_classes)
+        if np.any(outside):
             raise ValueError(
-                f"label {int(self.labels.max())} >= num_classes {self.num_classes}")
+                f"label {int(self.labels[outside][0])} is outside [0, {self.num_classes})")
 
     def __len__(self) -> int:
         return len(self.images)

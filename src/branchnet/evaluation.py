@@ -57,7 +57,8 @@ class EvalReport:
 
 def top_k_error(probs: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Percent of samples whose true label is outside the k most probable
-    classes; ties rank the lower class index first."""
+    classes; ties rank the lower class index first. Every label must be a
+    class index in [0, K)."""
     probs = np.asarray(probs)
     labels = np.asarray(labels)
     if probs.ndim != 2:
@@ -67,6 +68,9 @@ def top_k_error(probs: np.ndarray, labels: np.ndarray, k: int) -> float:
         raise ValueError(f"k must be in [1, {num_classes}], got {k}")
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+    outside = (labels < 0) | (labels >= num_classes)
+    if np.any(outside):
+        raise ValueError(f"label {labels[outside][0]} is outside [0, {num_classes})")
     # stable argsort of -probs keeps ascending class index among ties
     ranking = np.argsort(-probs, axis=1, kind="stable")[:, :k]
     hits = (ranking == labels[:, None]).any(axis=1)

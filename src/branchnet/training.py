@@ -76,7 +76,6 @@ class EpochRecord:
 @dataclass
 class TrainHistory:
     epochs: list[EpochRecord] = field(default_factory=list)
-    eval_reports: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +107,10 @@ def smooth_label_matrix(labels: Sequence[int], num_classes: int,
     return np.stack([smooth_labels(int(y), num_classes, epsilon) for y in labels])
 
 
-def smoothed_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean batch cross entropy against smoothed target rows; the gradient
-    w.r.t. the logits is (softmax(logits) - targets) / N."""
-    t = np.asarray(targets, dtype=np.float64)
-    if t.ndim != 2:
-        raise ValueError(f"targets must be 2-D [N,K], got shape {t.shape}")
-    row_sums = t.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-9):
-        worst = int(np.abs(row_sums - 1.0).argmax())
-        raise ValueError(
-            f"target row {worst} sums to {row_sums[worst]!r}, not 1 within 1e-9")
-    return softmax_cross_entropy(logits, t)
-
-
 def combined_branch_loss(branch_logits: Sequence[Tensor], targets: np.ndarray,
                          return_branch_losses: bool = False):
-    """Arithmetic mean of per-branch smoothed cross entropies.
+    """Arithmetic mean of the branches' ``softmax_cross_entropy`` against
+    the smoothed [N, K] target rows, checked once to sum to 1 within 1e-9.
 
     The trunk gradient is the mean of the branch contributions; each
     branch's own parameters see only their (1/K_b)-scaled loss gradient.
@@ -134,7 +120,15 @@ def combined_branch_loss(branch_logits: Sequence[Tensor], targets: np.ndarray,
     shapes = {t.shape for t in branch_logits}
     if len(shapes) != 1:
         raise ValueError(f"branch logits must share one shape, got {sorted(shapes)}")
-    losses = [smoothed_cross_entropy(logits, targets) for logits in branch_logits]
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim != 2:
+        raise ValueError(f"targets must be 2-D [N,K], got shape {targets.shape}")
+    row_sums = targets.sum(axis=1)
+    if np.any(np.abs(row_sums - 1.0) > 1e-9):
+        worst = int(np.abs(row_sums - 1.0).argmax())
+        raise ValueError(
+            f"target row {worst} sums to {row_sums[worst]!r}, not 1 within 1e-9")
+    losses = [softmax_cross_entropy(logits, targets) for logits in branch_logits]
     total = losses[0]
     for loss in losses[1:]:
         total = residual_add(total, loss)
@@ -194,10 +188,10 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 
 def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
           augment_config: AugmentConfig, *,
-          eval_dataset=None, eval_batch_size: int = 256,
           start_epoch: int = 0, optimizer_state: Optional[OptimizerState] = None,
           log=None):
-    """Run the epoch loop and return (Checkpoint, TrainHistory).
+    """Run the epoch loop and return (Checkpoint, TrainHistory). Training
+    only: score the trained ``net`` with ``evaluation.evaluate``.
 
     Each epoch: fresh permutation, per-sample augmentation keyed by
     (seed, epoch, dataset index), forward of all branches, mean branch
@@ -263,12 +257,6 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
             losses = " ".join(f"{v:.4f}" for v in record.branch_losses)
             log(f"epoch {epoch:3d}  lr {lr:g}  branch losses {losses}  "
                 f"({record.wall_seconds:.1f}s)")
-
-    if eval_dataset is not None and len(eval_dataset.images) > 0:
-        from .evaluation import evaluate
-        history.eval_reports.append(
-            evaluate(net, eval_dataset, batch_size=eval_batch_size,
-                     augment_config=augment_config))
 
     checkpoint = data_io.Checkpoint(
         model_config=net.config,

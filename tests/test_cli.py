@@ -130,13 +130,29 @@ class TestEvalCommand:
                                    for row in lines[1:]]))
         # recompute the ensemble top-1 error offline from the dumped matrices
         from oracles import topk_error_sorted
-        from branchnet.cli import build_datasets, load_experiment
+        from branchnet.cli import build_dataset, load_experiment
         cfg = load_experiment(config_file, [])
-        _, test_set = build_datasets(cfg.data)
+        test_set = build_dataset(cfg.data, "test")
         ens = (probs[0] + probs[1]) / 2
         recomputed = topk_error_sorted(ens, test_set.labels, 1)
         reported = float(report.strip().split("\n")[3].split(",")[1])
         assert recomputed == reported
+
+    def test_eval_builds_only_the_test_split(self, tmp_path, config_file, monkeypatch):
+        from branchnet import data
+        assert main(["train", "--config", str(config_file)]) == 0
+        (run_dir,) = run_dirs(tmp_path)
+        splits = []
+        generate = data.generate_synthetic
+
+        def recording(spec, seed, split=""):
+            splits.append(split)
+            return generate(spec, seed, split=split)
+
+        monkeypatch.setattr(data, "generate_synthetic", recording)
+        assert main(["eval", "--config", str(config_file),
+                     "--checkpoint", str(run_dir / "final.ckpt")]) == 0
+        assert splits == ["test"]
 
     def test_architecture_mismatch_names_field(self, tmp_path, config_file, capsys):
         assert main(["train", "--config", str(config_file)]) == 0
@@ -286,6 +302,17 @@ class TestConfigStrictness:
         assert main(["inspect", "--config", str(config_file),
                      "--set", "train.num_classes=9"]) == 2
         assert "num_classes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value", [
+        ("model", [1, 2]), ("train", 5), ("augment", [1]), ("data", 5), ("output", "x"),
+    ], ids=["model", "train", "augment", "data", "output"])
+    def test_section_not_an_object(self, tmp_path, capsys, section, value):
+        cfg = experiment_dict(tmp_path / "runs")
+        cfg[section] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["inspect", "--config", str(path)]) == 2
+        assert f"section '{section}' must be a JSON object" in capsys.readouterr().err
 
     def test_malformed_json_line_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -1,5 +1,6 @@
 """Loader byte-level contracts, synthetic determinism, checkpoint integrity."""
 
+import dataclasses
 import json
 import struct
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchnet.augment import AugmentConfig
-from branchnet.data import (CheckpointError, SyntheticSpec, class_template,
+from branchnet.augment import AugmentConfig, fit_pca_basis
+from branchnet.data import (CheckpointError, Dataset, SyntheticSpec, class_template,
                             generate_synthetic, load_checkpoint,
                             load_cifar10_binary, read_ppm, save_checkpoint,
                             write_ppm)
@@ -27,6 +28,14 @@ def make_cifar_file(path, rng, records=4):
         raw.extend(rng.integers(0, 256, size=3072, dtype=np.uint8).tobytes())
     path.write_bytes(bytes(raw))
     return bytes(raw)
+
+
+class TestDataset:
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_class_range_rejected(self, label):
+        with pytest.raises(ValueError, match=f"label {label} is outside"):
+            Dataset(images=np.zeros((2, 4, 4, 3), dtype=np.uint8),
+                    labels=np.array([0, label]), num_classes=3)
 
 
 class TestCifarLoader:
@@ -299,6 +308,21 @@ class TestMalformedCheckpoint:
         raw[first_name] = 0xFF
         (tmp_path / "bad.ckpt").write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="tensor name"):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
+    def test_pca_basis_of_wrong_shape_rejected(self, tmp_path):
+        net, data, cfg, augment = _training_setup(total_epochs=0)
+        augment = dataclasses.replace(augment, enable_pca=True,
+                                      pca_basis=fit_pca_basis(data.images))
+        checkpoint, _ = train(net, data, cfg, augment)
+        save_checkpoint(tmp_path / "pca.ckpt", checkpoint)
+        raw = (tmp_path / "pca.ckpt").read_bytes()
+        # the record's name, then its dtype tag and rank, then the (3, 3) extents
+        extents = raw.index(b"augment/pca_eigenvectors") + len(b"augment/pca_eigenvectors") + 2
+        assert raw[extents:extents + 16] == struct.pack("<QQ", 3, 3)
+        (tmp_path / "bad.ckpt").write_bytes(
+            raw[:extents] + struct.pack("<QQ", 1, 9) + raw[extents + 16:])
+        with pytest.raises(CheckpointError, match="augment section"):
             load_checkpoint(tmp_path / "bad.ckpt")
 
     # the magic, version, header length, JSON header and first tensor records

@@ -56,6 +56,12 @@ class TestTopKError:
         errors = [top_k_error(probs, labels, k) for k in range(1, 9)]
         assert all(a >= b for a, b in zip(errors, errors[1:]))
 
+    @pytest.mark.parametrize("label", [-1, 7])
+    def test_label_outside_class_range_rejected(self, rng, label):
+        probs = rng.dirichlet(np.ones(3), size=2)
+        with pytest.raises(ValueError, match=f"label {label} is outside"):
+            top_k_error(probs, np.array([0, label]), 1)
+
     def test_k_out_of_range_rejected(self, rng):
         probs = rng.dirichlet(np.ones(3), size=2)
         with pytest.raises(ValueError, match="k must"):

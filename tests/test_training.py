@@ -13,12 +13,11 @@ from branchnet.augment import AugmentConfig, RngStream, augment_batch, fit_pca_b
 from branchnet.data import CheckpointError, SyntheticSpec, generate_synthetic
 from branchnet.gradcheck import finite_diff_check
 from branchnet.model import BranchedNetConfig, build_branched_net
-from branchnet.tensor import Tape, Tensor, reverse_pass
+from branchnet.tensor import Tape, Tensor, reverse_pass, softmax_cross_entropy
 from branchnet.training import (OptimizerState, TrainConfig, TrainingDivergedError,
                                 combined_branch_loss, history_csv, lr_at_epoch,
                                 restore_network, sgd_momentum_step,
-                                smooth_label_matrix, smooth_labels,
-                                smoothed_cross_entropy, train)
+                                smooth_label_matrix, smooth_labels, train)
 
 from layout import nhwc
 
@@ -59,11 +58,13 @@ class TestSmoothLabels:
 
 
 class TestSmoothedCrossEntropy:
+    """The smoothed cross entropy of one branch, through ``combined_branch_loss``."""
+
     def test_epsilon_zero_equals_nll(self, rng):
         logits = rng.standard_normal((4, 6))
         labels = rng.integers(0, 6, size=4)
         targets = smooth_label_matrix(labels, 6, 0.0)
-        loss = smoothed_cross_entropy(Tensor(logits), targets).item()
+        loss = combined_branch_loss([Tensor(logits)], targets).item()
         z = logits - logits.max(axis=1, keepdims=True)
         log_q = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         nll = -log_q[np.arange(4), labels].mean()
@@ -72,13 +73,13 @@ class TestSmoothedCrossEntropy:
     def test_uniform_vs_uniform_is_ln2(self):
         logits = Tensor(np.zeros((1, 2)))
         targets = np.array([[0.5, 0.5]])
-        loss = smoothed_cross_entropy(logits, targets).item()
+        loss = combined_branch_loss([logits], targets).item()
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_gradient_matches_finite_differences(self, rng):
         logits = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         targets = smooth_label_matrix(rng.integers(0, 5, size=3), 5, 0.1)
-        report = finite_diff_check(lambda: smoothed_cross_entropy(logits, targets),
+        report = finite_diff_check(lambda: combined_branch_loss([logits], targets),
                                    [logits], tolerance=1e-6)
         assert report.passed, report.summary()
 
@@ -86,7 +87,7 @@ class TestSmoothedCrossEntropy:
         logits = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         targets = smooth_label_matrix(rng.integers(0, 3, size=4), 3, 0.2)
         with Tape() as tape:
-            loss = smoothed_cross_entropy(logits, targets)
+            loss = combined_branch_loss([logits], targets)
         reverse_pass(tape, loss)
         z = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
         q = z / z.sum(axis=1, keepdims=True)
@@ -96,16 +97,16 @@ class TestSmoothedCrossEntropy:
         logits = Tensor(rng.standard_normal((2, 3)))
         bad = np.array([[0.5, 0.5, 0.5], [0.4, 0.3, 0.3]])
         with pytest.raises(ValueError, match="sums to"):
-            smoothed_cross_entropy(logits, bad)
+            combined_branch_loss([logits], bad)
 
     def test_minimized_at_target_distribution(self, rng):
         # perturbing q away from p never decreases the loss
         p = np.array([[0.6, 0.3, 0.1]])
         base_logits = np.log(p)
-        base = smoothed_cross_entropy(Tensor(base_logits), p).item()
+        base = combined_branch_loss([Tensor(base_logits)], p).item()
         for _ in range(25):
-            perturbed = smoothed_cross_entropy(
-                Tensor(base_logits + rng.standard_normal((1, 3)) * 0.5), p).item()
+            perturbed = combined_branch_loss(
+                [Tensor(base_logits + rng.standard_normal((1, 3)) * 0.5)], p).item()
             assert perturbed >= base - 1e-12
 
 
@@ -114,7 +115,7 @@ class TestCombinedBranchLoss:
         logits = Tensor(rng.standard_normal((3, 4)))
         targets = smooth_label_matrix([0, 1, 2], 4, 0.1)
         combined = combined_branch_loss([logits], targets).item()
-        single = smoothed_cross_entropy(Tensor(logits.data), targets).item()
+        single = softmax_cross_entropy(Tensor(logits.data), targets).item()
         assert combined == single
 
     def test_identical_branches_mean_of_equals(self, rng):
@@ -122,7 +123,7 @@ class TestCombinedBranchLoss:
         targets = smooth_label_matrix([0, 1, 2], 4, 0.1)
         combined = combined_branch_loss(
             [Tensor(logits), Tensor(logits.copy())], targets).item()
-        single = smoothed_cross_entropy(Tensor(logits), targets).item()
+        single = softmax_cross_entropy(Tensor(logits), targets).item()
         assert abs(combined - single) < 1e-15
 
     def test_trunk_gradient_is_mean_of_single_branch_passes(self, rng):
