@@ -9,9 +9,8 @@ normalization).
 
 from .augment import (AugmentConfig, PcaBasis, RngStream, augment_batch,
                       epoch_shuffle, fit_augment_statistics, fit_pca_basis)
-from .data import (Checkpoint, Dataset, SyntheticSpec, generate_synthetic,
-                   load_checkpoint, load_cifar10_binary, read_ppm,
-                   save_checkpoint, write_ppm)
+from .data import (Dataset, SyntheticSpec, generate_synthetic, load_checkpoint,
+                   load_cifar10_binary, read_ppm, save_checkpoint, write_ppm)
 from .evaluation import (EvalReport, ensemble_probs, evaluate,
                          relative_improvement, top_k_error)
 from .gradcheck import FiniteDiffReport, finite_diff_check
@@ -22,7 +21,7 @@ from .model import (BlockTopology, BranchedNetConfig, BranchedNetwork,
 from .tensor import (NonFiniteError, ShapeError, Tape, Tensor, batch_norm2d,
                      conv2d, global_avg_pool, linear, pool2d, relu,
                      residual_add, reverse_pass, softmax, sum_all, weighted_sum)
-from .training import (OptimizerState, TrainConfig, TrainHistory,
+from .training import (Checkpoint, OptimizerState, TrainConfig, TrainHistory,
                        TrainingDivergedError, combined_branch_loss,
                        history_csv, lr_at_epoch, restore_network,
                        sgd_momentum_step, smooth_label_matrix, smooth_labels,
@@ -33,9 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentConfig", "PcaBasis", "RngStream", "augment_batch", "epoch_shuffle",
     "fit_augment_statistics", "fit_pca_basis",
-    "Checkpoint", "Dataset", "SyntheticSpec", "generate_synthetic",
-    "load_checkpoint", "load_cifar10_binary", "read_ppm", "save_checkpoint",
-    "write_ppm",
+    "Dataset", "SyntheticSpec", "generate_synthetic", "load_checkpoint",
+    "load_cifar10_binary", "read_ppm", "save_checkpoint", "write_ppm",
     "EvalReport", "ensemble_probs", "evaluate", "relative_improvement",
     "top_k_error",
     "FiniteDiffReport", "finite_diff_check",
@@ -45,7 +43,8 @@ __all__ = [
     "NonFiniteError", "ShapeError", "Tape", "Tensor", "batch_norm2d", "conv2d",
     "global_avg_pool", "linear", "pool2d", "relu", "residual_add",
     "reverse_pass", "softmax", "sum_all", "weighted_sum",
-    "OptimizerState", "TrainConfig", "TrainHistory", "TrainingDivergedError",
-    "combined_branch_loss", "history_csv", "lr_at_epoch", "restore_network",
-    "sgd_momentum_step", "smooth_label_matrix", "smooth_labels", "train",
+    "Checkpoint", "OptimizerState", "TrainConfig", "TrainHistory",
+    "TrainingDivergedError", "combined_branch_loss", "history_csv",
+    "lr_at_epoch", "restore_network", "sgd_momentum_step",
+    "smooth_label_matrix", "smooth_labels", "train",
 ]

@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+import typing
 from pathlib import Path
 from typing import Optional
 
@@ -41,9 +42,33 @@ def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown key(s) in section '{section}': {', '.join(unknown)}")
 
 
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list[str]: "a list of strings"}
+
+
+def _fits(value, want) -> bool:
+    """JSON typing: only a boolean fits ``bool``, and an ``int`` or ``float``
+    field takes no boolean (a ``float`` field takes any other number)."""
+    if want == list[str]:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if want is bool or isinstance(value, bool):
+        return want is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if want is float else want)
+
+
+def _check_types(section: str, given: dict, types: dict) -> None:
+    """Reject a value whose JSON type does not fit its field; fields of
+    other types (tuples, arrays) are left to their dataclass."""
+    for key, value in given.items():
+        want = types[key]
+        if want in _JSON_TYPES and not _fits(value, want):
+            raise ConfigError(f"section '{section}': {key} must be {_JSON_TYPES[want]}, "
+                              f"got {json.dumps(value)}")
+
+
 def _dataclass_section(section: str, given: dict, cls):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    _check_keys(section, given, allowed)
+    _check_keys(section, given, {f.name for f in dataclasses.fields(cls)})
+    _check_types(section, given, typing.get_type_hints(cls))
     try:
         return cls(**given)
     except (TypeError, ValueError) as exc:
@@ -65,9 +90,10 @@ class ExperimentConfig:
 
 
 _DATA_KEYS = {
-    "synthetic": {"kind", "num_classes", "train_samples_per_class",
-                  "test_samples_per_class", "image_size", "noise_std", "seed"},
-    "cifar10": {"kind", "dir", "train_files", "test_files"},
+    "synthetic": {"kind": str, "num_classes": int, "train_samples_per_class": int,
+                  "test_samples_per_class": int, "image_size": int, "noise_std": float,
+                  "seed": int},
+    "cifar10": {"kind": str, "dir": str, "train_files": list[str], "test_files": list[str]},
 }
 
 
@@ -76,7 +102,12 @@ def _parse_data_section(given: dict) -> dict:
     if kind not in _DATA_KEYS:
         raise ConfigError(
             f"section 'data': kind must be one of {sorted(_DATA_KEYS)}, got {kind!r}")
-    _check_keys("data", given, _DATA_KEYS[kind])
+    types = _DATA_KEYS[kind]
+    _check_keys("data", given, set(types))
+    missing = sorted(set(types) - set(given)) if kind == "cifar10" else []
+    if missing:
+        raise ConfigError(f"section 'data': cifar10 data needs key(s) {', '.join(missing)}")
+    _check_types("data", given, types)
     return dict(given)
 
 
@@ -113,6 +144,7 @@ def parse_experiment(raw: dict) -> ExperimentConfig:
 
     output = dict(raw.get("output", {}))
     _check_keys("output", output, {"dir"})
+    _check_types("output", output, {"dir": str})
 
     return ExperimentConfig(model=model, train=train_cfg, augment=augment,
                             data=data, output_dir=output.get("dir", "runs"), raw=raw)
@@ -162,7 +194,7 @@ def build_dataset(data_cfg: dict, split: str) -> data_io.Dataset:
     that the test split has 20 samples per class; its seed is one above the
     training split's."""
     if data_cfg["kind"] == "cifar10":
-        return data_io.load_cifar10_binary(data_cfg["dir"], data_cfg.get(f"{split}_files"),
+        return data_io.load_cifar10_binary(data_cfg["dir"], data_cfg[f"{split}_files"],
                                            split=split)
     keys = {"num_classes": "num_classes", f"{split}_samples_per_class": "samples_per_class",
             "image_size": "image_size", "noise_std": "noise_std"}

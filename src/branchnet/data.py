@@ -1,5 +1,6 @@
 """Dataset ingestion (CIFAR-10 binary records, deterministic synthetic
-renderer) and binary checkpointing.
+renderer) and the checkpoint file format (``training.Checkpoint`` is what a
+run's state holds; this module only says how its bytes look).
 
 Checkpoint format: magic ``BRNCHNET``, 4-byte little-endian version, a
 length-prefixed JSON block (configs, epoch counter, RNG cursor, tensor
@@ -24,6 +25,7 @@ import numpy as np
 
 from .augment import AugmentConfig, PcaBasis
 from .model import BranchedNetConfig
+from .training import Checkpoint, CheckpointError, TrainConfig
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 channel-planar pixels
 CHECKPOINT_MAGIC = b"BRNCHNET"
@@ -31,10 +33,6 @@ CHECKPOINT_VERSION = 1
 
 _DTYPE_TAGS = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
-
-
-class CheckpointError(RuntimeError):
-    """Corrupt or incompatible checkpoint file."""
 
 
 @dataclass
@@ -197,16 +195,6 @@ def read_ppm(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-@dataclass
-class Checkpoint:
-    model_config: BranchedNetConfig
-    train_config: object            # training.TrainConfig (import cycle avoided)
-    augment_config: AugmentConfig
-    epoch: int
-    rng_cursor: dict
-    tensors: dict[str, np.ndarray]
-
-
 def _augment_to_json(aug: AugmentConfig) -> dict:
     d = asdict(aug)
     # arrays move to the tensor table; mark presence only
@@ -244,9 +232,6 @@ def _augment_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> AugmentCon
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     """Atomic write: serialize to a temp file in the target directory, then
     rename over the destination."""
-    from .training import TrainConfig  # local import to avoid a module cycle
-
-    assert isinstance(checkpoint.train_config, TrainConfig)
     tensors = dict(checkpoint.tensors)
     tensors.update(_augment_arrays(checkpoint.augment_config))
     header = {
@@ -317,8 +302,6 @@ def _is_count(value) -> bool:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any malformed part raises ``CheckpointError`` naming it."""
-    from .training import TrainConfig  # local import to avoid a module cycle
-
     raw = Path(path).read_bytes()
     rd = _Reader(raw, "header")
     magic = rd.take(len(CHECKPOINT_MAGIC), "magic")
@@ -362,11 +345,14 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{len(raw) - rd.pos} trailing bytes after tensor table")
 
     augment_arrays = {k: tensors.pop(k) for k in list(tensors) if k.startswith("augment/")}
-    return Checkpoint(
+    checkpoint = Checkpoint(
         model_config=_parsed("model section", lambda: BranchedNetConfig(**header["model"])),
         train_config=_parsed("train section", lambda: TrainConfig(**header["train"])),
         augment_config=_parsed("augment section", lambda: _augment_from_parts(
             dict(header["augment"]), augment_arrays)),
         epoch=header["epoch"],
-        rng_cursor=header["rng_cursor"],
         tensors=tensors)
+    if cursor != checkpoint.rng_cursor:
+        raise CheckpointError(f"header rng_cursor {cursor!r} disagrees with the train "
+                              f"seed and epoch, which give {checkpoint.rng_cursor!r}")
+    return checkpoint

@@ -100,9 +100,8 @@ def _config_fingerprint(net: BranchedNetwork) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def evaluate(net: BranchedNetwork, dataset, batch_size: int = 256,
-             augment_config: Optional[AugmentConfig] = None,
-             dump_probs: bool = False):
+def evaluate(net: BranchedNetwork, dataset, batch_size: int = 256, *,
+             augment_config: AugmentConfig, dump_probs: bool = False):
     """Eval-mode forward over the dataset (center crop, the training
     normalization of ``augment_config``, BN running stats), per-branch
     softmax, mean-probability ensemble, top-1/top-5 errors, and relative
@@ -128,15 +127,14 @@ def evaluate(net: BranchedNetwork, dataset, batch_size: int = 256,
     # (mirrors the training-time crop size without any randomness), then the
     # training-time normalization with every random stage off
     oy, ox = (src_h - in_h) // 2, (src_w - in_w) // 2
-    center = replace(augment_config or AugmentConfig(), enable_crop=False,
-                     enable_flip=False, enable_jitter=False, enable_pca=False)
+    center = replace(augment_config, enable_crop=False, enable_flip=False,
+                     enable_jitter=False, enable_pca=False)
 
-    dtype = next(iter(net.params.values())).dtype
     branch_probs = [np.empty((n, net.config.num_classes)) for _ in range(kb)]
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
         batch = augment_batch(dataset.images[lo:hi, oy:oy + in_h, ox:ox + in_w],
-                              center, (), dtype)
+                              center, (), net.dtype)
         logits = net.forward_all_branches(Tensor(batch), mode="eval")
         for br in range(kb):
             branch_probs[br][lo:hi] = softmax(logits[br]).data

@@ -249,13 +249,15 @@ class BranchedNetwork:
     ``params`` and ``buffers`` map stable dotted names to tensors in layer
     table order; trunk parameters appear exactly once, branch parameters
     under branch-scoped names. All branches share one architecture with
-    independent values. Build with ``build_branched_net``.
+    independent values. ``dtype`` is the dtype every tensor was built with.
+    Build with ``build_branched_net``.
     """
 
     config: BranchedNetConfig
     units: list[Unit]
     params: dict[str, Tensor]
     buffers: dict[str, Tensor]
+    dtype: np.dtype
 
     def state(self) -> dict[str, Tensor]:
         return {**self.params, **self.buffers}
@@ -332,7 +334,7 @@ def build_branched_net(config: BranchedNetConfig, seed: int,
                 data = np.full(shape, fill, dtype=dtype)
             is_buffer = name.endswith(_BUFFER_SUFFIXES)
             (buffers if is_buffer else params)[name] = Tensor(data, requires_grad=not is_buffer)
-    return BranchedNetwork(config, units, params, buffers)
+    return BranchedNetwork(config, units, params, buffers, np.dtype(dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 DTYPE_REF = np.float64
-DTYPE_FAST = np.float32
 
 
 class ShapeError(ValueError):
@@ -69,9 +68,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"

@@ -17,7 +17,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import data as data_io
 from .augment import AugmentConfig, RngStream, augment_batch, epoch_shuffle
 from .model import BranchedNetConfig, BranchedNetwork, build_branched_net
 from .tensor import (NonFiniteError, Tape, Tensor, residual_add, reverse_pass, scale,
@@ -55,6 +54,28 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+
+
+class CheckpointError(RuntimeError):
+    """Corrupt or incompatible checkpoint file."""
+
+
+@dataclass
+class Checkpoint:
+    """Everything a run needs to be scored or continued: its configs, the
+    number of finished epochs, and every model tensor and optimizer velocity
+    under its ``model/`` or ``optimizer/`` name (see ``_state_arrays``).
+    ``data.save_checkpoint`` writes it to disk."""
+    model_config: BranchedNetConfig
+    train_config: TrainConfig
+    augment_config: AugmentConfig
+    epoch: int
+    tensors: dict[str, np.ndarray]
+
+    @property
+    def rng_cursor(self) -> dict:
+        """Where the augmentation streams resume; they are keyed by seed and epoch."""
+        return {"global_seed": self.train_config.seed, "next_epoch": self.epoch}
 
 
 class OptimizerState:
@@ -110,7 +131,8 @@ def smooth_label_matrix(labels: Sequence[int], num_classes: int,
 def combined_branch_loss(branch_logits: Sequence[Tensor], targets: np.ndarray,
                          return_branch_losses: bool = False):
     """Arithmetic mean of the branches' ``softmax_cross_entropy`` against
-    the smoothed [N, K] target rows, checked once to sum to 1 within 1e-9.
+    the smoothed [N, K] target rows, checked once to be non-negative and to
+    sum to 1 within 1e-9.
 
     The trunk gradient is the mean of the branch contributions; each
     branch's own parameters see only their (1/K_b)-scaled loss gradient.
@@ -128,6 +150,10 @@ def combined_branch_loss(branch_logits: Sequence[Tensor], targets: np.ndarray,
         worst = int(np.abs(row_sums - 1.0).argmax())
         raise ValueError(
             f"target row {worst} sums to {row_sums[worst]!r}, not 1 within 1e-9")
+    nonnegative = targets >= 0  # False for NaN, and +inf breaks the sum
+    if not nonnegative.all():
+        row = int(np.flatnonzero(~nonnegative.all(axis=1))[0])
+        raise ValueError(f"target row {row} has a negative or NaN entry: {targets[row]!r}")
     losses = [softmax_cross_entropy(logits, targets) for logits in branch_logits]
     total = losses[0]
     for loss in losses[1:]:
@@ -209,7 +235,6 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
     params = net.params
     state = optimizer_state if optimizer_state is not None else OptimizerState(params)
     history = TrainHistory()
-    dtype = next(iter(params.values())).dtype if params else np.float64
     n = len(dataset.images)
     kb = net.config.num_branches
 
@@ -223,7 +248,7 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
             batch_idx = order[lo:lo + train_config.batch_size]
             streams = [RngStream(train_config.seed, epoch, int(i)) for i in batch_idx]
             batch = Tensor(augment_batch(dataset.images[batch_idx], augment_config,
-                                         streams, dtype))
+                                         streams, net.dtype))
             targets = smooth_label_matrix(dataset.labels[batch_idx],
                                           train_config.num_classes,
                                           train_config.smoothing_epsilon)
@@ -258,27 +283,21 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
             log(f"epoch {epoch:3d}  lr {lr:g}  branch losses {losses}  "
                 f"({record.wall_seconds:.1f}s)")
 
-    checkpoint = data_io.Checkpoint(
-        model_config=net.config,
-        train_config=train_config,
-        augment_config=augment_config,
-        epoch=train_config.total_epochs,
-        rng_cursor={"global_seed": train_config.seed,
-                    "next_epoch": train_config.total_epochs},
-        tensors=_collect_state(net, state))
+    checkpoint = Checkpoint(
+        model_config=net.config, train_config=train_config,
+        augment_config=augment_config, epoch=train_config.total_epochs,
+        tensors={key: array.copy() for key, array in _state_arrays(net, state).items()})
     return checkpoint, history
 
 
-def _collect_state(net: BranchedNetwork, state: OptimizerState) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {}
-    for name, t in net.state().items():
-        tensors[f"model/{name}"] = t.data.copy()
-    for name, v in state.velocities.items():
-        tensors[f"optimizer/{name}"] = v.copy()
-    return tensors
+def _state_arrays(net: BranchedNetwork, state: OptimizerState) -> dict[str, np.ndarray]:
+    """Checkpoint name -> live array of every model tensor and optimizer velocity."""
+    arrays = {f"model/{name}": t.data for name, t in net.state().items()}
+    arrays.update((f"optimizer/{name}", v) for name, v in state.velocities.items())
+    return arrays
 
 
-def restore_network(checkpoint) -> tuple[BranchedNetwork, OptimizerState]:
+def restore_network(checkpoint: Checkpoint) -> tuple[BranchedNetwork, OptimizerState]:
     """Rebuild a network and optimizer state from a checkpoint's tensors.
 
     The checkpoint must hold exactly one ``model/`` tensor per registry
@@ -287,30 +306,25 @@ def restore_network(checkpoint) -> tuple[BranchedNetwork, OptimizerState]:
     missing, extra, misshapen or of another dtype raises ``CheckpointError``
     naming the tensor.
     """
-    cfg: BranchedNetConfig = checkpoint.model_config
     sample = next((a for k, a in checkpoint.tensors.items() if k.startswith("model/")), None)
     dtype = sample.dtype if sample is not None else np.float64
-    net = build_branched_net(cfg, seed=checkpoint.train_config.seed, dtype=dtype)
+    net = build_branched_net(checkpoint.model_config, seed=checkpoint.train_config.seed,
+                             dtype=dtype)
     state = OptimizerState(net.params)
-    targets = {f"model/{name}": t.data for name, t in net.state().items()}
-    targets.update((f"optimizer/{name}", v) for name, v in state.velocities.items())
+    targets = _state_arrays(net, state)
     extra = sorted(k for k in checkpoint.tensors
                    if k.startswith(("model/", "optimizer/")) and k not in targets)
     if extra:
-        raise data_io.CheckpointError(
-            f"checkpoint tensor {extra[0]!r} is not in the model registry")
+        raise CheckpointError(f"checkpoint tensor {extra[0]!r} is not in the model registry")
     for key, target in targets.items():
         if key not in checkpoint.tensors:
-            raise data_io.CheckpointError(f"checkpoint is missing tensor {key!r}")
+            raise CheckpointError(f"checkpoint is missing tensor {key!r}")
         stored = checkpoint.tensors[key]
         if stored.shape != target.shape or stored.dtype != target.dtype:
-            raise data_io.CheckpointError(
+            raise CheckpointError(
                 f"checkpoint tensor {key!r} has shape {stored.shape} dtype {stored.dtype}, "
                 f"expected shape {target.shape} dtype {target.dtype}")
-    for name, t in net.state().items():
-        t.data = checkpoint.tensors[f"model/{name}"].copy()
-    for name in state.velocities:
-        state.velocities[name] = checkpoint.tensors[f"optimizer/{name}"].copy()
+        target[...] = stored
     return net, state
 
 

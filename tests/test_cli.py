@@ -314,8 +314,51 @@ class TestConfigStrictness:
         assert main(["inspect", "--config", str(path)]) == 2
         assert f"section '{section}' must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, message", [
+        ("model.bottleneck=False", 'bottleneck must be a boolean, got "False"'),
+        ("data.seed=x", 'seed must be an integer, got "x"'),
+        ("train.base_lr=fast", 'base_lr must be a number, got "fast"'),
+        ("train.momentum=high", 'momentum must be a number, got "high"'),
+        ("output.dir=5", "dir must be a string, got 5"),
+    ], ids=["bool-string", "int-string", "float-string", "float-word", "path-int"])
+    def test_value_of_wrong_json_type_rejected_before_any_output(
+            self, tmp_path, config_file, capsys, override, message):
+        assert main(["train", "--config", str(config_file), "--set", override]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_malformed_json_line_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"model": {,}}')
         assert main(["inspect", "--config", str(path)]) == 2
         assert "broken.json:1" in capsys.readouterr().err
+
+
+class TestCifar10Data:
+    @pytest.mark.parametrize("missing", ["train_files", "test_files"])
+    def test_each_split_needs_its_own_file_list(self, tmp_path, capsys, missing):
+        # without a list, the loader would read every .bin in the directory,
+        # test batch included, for that split
+        rng = np.random.default_rng(5)
+        bins = tmp_path / "bins"
+        bins.mkdir()
+        for name, count in (("data_batch_1.bin", 6), ("test_batch.bin", 4)):
+            records = rng.integers(0, 256, size=(count, 3073), dtype=np.uint8)
+            records[:, 0] = rng.integers(0, 10, size=count)
+            (bins / name).write_bytes(records.tobytes())
+        cfg = experiment_dict(tmp_path / "runs")
+        cfg["model"].update(num_classes=10, input_height=32, input_width=32)
+        cfg["augment"].update(crop_height=32, crop_width=32)
+        cfg["data"] = {"kind": "cifar10", "dir": str(bins),
+                       "train_files": ["data_batch_1.bin"], "test_files": ["test_batch.bin"]}
+        path = tmp_path / "cifar.json"
+        path.write_text(json.dumps({**cfg, "data": {
+            k: v for k, v in cfg["data"].items() if k != missing}}))
+        assert main(["train", "--config", str(path)]) == 2
+        assert f"cifar10 data needs key(s) {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 0
+        (run_dir,) = run_dirs(tmp_path)
+        assert "samples: 4 " in (run_dir / "report.txt").read_text()

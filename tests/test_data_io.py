@@ -291,11 +291,18 @@ class TestMalformedCheckpoint:
          "header rng_cursor"),
         (lambda raw: _edited_header(raw, lambda h: h["rng_cursor"].update(next_epoch=-2)),
          "header rng_cursor"),
+        (lambda raw: _edited_header(
+            raw, lambda h: h["rng_cursor"].update(next_epoch=h["epoch"] + 1)),
+         "header rng_cursor .* disagrees with the train seed and epoch"),
+        (lambda raw: _edited_header(
+            raw, lambda h: h["rng_cursor"].update(global_seed=h["train"]["seed"] + 1)),
+         "header rng_cursor .* disagrees with the train seed and epoch"),
     ], ids=["header-not-utf8", "header-not-json", "header-not-object", "missing-key",
             "tensor-count-type", "model-rejected", "train-rejected",
             "augment-missing-flag", "augment-rejected", "epoch-string", "epoch-negative",
             "epoch-bool", "epoch-float", "cursor-not-object", "cursor-missing-epoch",
-            "cursor-seed-string", "cursor-epoch-bool", "cursor-epoch-negative"])
+            "cursor-seed-string", "cursor-epoch-bool", "cursor-epoch-negative",
+            "cursor-epoch-ahead", "cursor-seed-other"])
     def test_header_rejected(self, tmp_path, checkpoint_bytes, make, match):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(make(checkpoint_bytes))

@@ -1,6 +1,6 @@
-"""The package imports only numpy, the standard library and itself, at
-module level except where a cycle forces otherwise, and exports only names
-it defines."""
+"""The package imports only numpy, the standard library and itself, all at
+module level and without a cycle between its modules, and exports only
+names it defines."""
 
 import ast
 import sys
@@ -49,10 +49,40 @@ def function_level_imports(path: Path):
     return sorted(found)
 
 
-def test_only_the_data_training_cycle_imports_inside_functions():
-    # data.py's checkpoint reader and writer need TrainConfig, and training
-    # imports data, so those two imports cannot move to the top; every other
-    # import belongs at module level, where the dependency graph shows it
-    found = [f"{path.name}: {source}"
-             for path in SOURCES for _, source in function_level_imports(path)]
-    assert found == ["data.py: from .training import TrainConfig"] * 2, found
+def test_no_import_inside_a_function():
+    # every import sits at module level, where the dependency graph shows it
+    found = [f"{path.name}:{line}: {source}"
+             for path in SOURCES for line, source in function_level_imports(path)]
+    assert not found, found
+
+
+def package_imports(path: Path) -> set[str]:
+    """Modules of the package that ``path`` imports, at any level of nesting."""
+    modules = {p.stem for p in SOURCES}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module.removeprefix("branchnet.")]
+        elif isinstance(node, ast.Import):
+            names = [a.name.removeprefix("branchnet.") for a in node.names]
+        else:
+            continue
+        found.update(name.split(".")[0] for name in names)
+    return found & modules
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = {path.stem: package_imports(path) for path in SOURCES}
+    done: set[str] = set()
+
+    def visit(module, trail):
+        assert module not in trail, " -> ".join(trail + [module])
+        if module not in done:
+            for imported in sorted(graph[module]):
+                visit(imported, trail + [module])
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module, [])

@@ -99,6 +99,13 @@ class TestSmoothedCrossEntropy:
         with pytest.raises(ValueError, match="sums to"):
             combined_branch_loss([logits], bad)
 
+    @pytest.mark.parametrize("row", [[np.nan, 1.0], [2.0, -1.0]], ids=["nan", "negative"])
+    def test_negative_or_nan_target_rejected(self, row):
+        # neither row trips the sum rule: NaN compares False, and 2 - 1 sums to 1
+        targets = np.array([[0.5, 0.5], row])
+        with pytest.raises(ValueError, match="target row 1 has a negative or NaN entry"):
+            combined_branch_loss([Tensor(np.zeros((2, 2)))], targets)
+
     def test_minimized_at_target_distribution(self, rng):
         # perturbing q away from p never decreases the loss
         p = np.array([[0.6, 0.3, 0.1]])
@@ -410,6 +417,15 @@ class TestRestoreNetwork:
         tensors = {**checkpoint.tensors, key: checkpoint.tensors[key].astype(np.float32)}
         with pytest.raises(CheckpointError, match=f"'{key}' has shape .* dtype float32"):
             restore_network(self.with_tensors(checkpoint, tensors))
+
+    def test_float32_net_and_its_restore_report_float32(self):
+        net, data, cfg, augment = _loop_setup(epochs=1)
+        net32 = build_branched_net(net.config, seed=cfg.seed, dtype=np.float32)
+        checkpoint, _ = train(net32, data, cfg, augment)
+        restored, state = restore_network(checkpoint)
+        assert net32.dtype == restored.dtype == np.float32
+        assert {t.dtype for t in restored.state().values()} == {np.dtype(np.float32)}
+        assert {v.dtype for v in state.velocities.values()} == {np.dtype(np.float32)}
 
 
 class TestHistoryCsv:
