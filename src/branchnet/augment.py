@@ -92,6 +92,8 @@ class AugmentConfig:
                 value = np.asarray(value, dtype=np.float64)
                 if value.shape != (3,):
                     raise ValueError(f"{name} must have shape (3,), got {value.shape}")
+                if not np.all(np.isfinite(value)):
+                    raise ValueError(f"{name} must be finite, got {value.tolist()}")
                 setattr(self, name, value)
         if self.channel_stds is not None and np.any(self.channel_stds <= 0):
             raise ValueError("channel_stds must be strictly positive")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -49,8 +50,12 @@ class BranchedNetConfig:
     stem_pool: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "stage_blocks", tuple(int(v) for v in self.stage_blocks))
-        object.__setattr__(self, "stage_widths", tuple(int(v) for v in self.stage_widths))
+        for name in ("stage_blocks", "stage_widths"):
+            values = tuple(getattr(self, name))
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise ValueError(f"{name} entries must be integers, got {v!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in values))
         if len(self.stage_blocks) != len(self.stage_widths):
             raise ValueError(
                 f"stage_blocks ({len(self.stage_blocks)}) and stage_widths "

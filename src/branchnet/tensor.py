@@ -7,8 +7,12 @@ scale, softmax_cross_entropy) used by the loss and the gradient checker.
 
 Gradients are recorded on an explicit :class:`Tape`: ops executed inside a
 ``with Tape() as tape:`` block append nodes in execution order, which is a
-valid topological order, and :func:`reverse_pass` walks it backwards.
-Outside a tape, ops run forward-only (evaluation mode, no graph memory).
+valid topological order, and :func:`reverse_pass` consumes it backwards,
+freeing each node (its backward closure and saved intermediates) once it
+has run. Outside a tape, or when no input needs a gradient, ops run
+forward-only and keep no graph memory; a forward-only conv2d also bounds
+its working set by building its im2col patch matrix one tile of images at
+a time, so evaluation never holds a whole batch's patches.
 
 Activations and their gradients are NHWC ([N, H, W, C]) throughout, so no op
 converts layouts; conv weights are OIHW ([Cout, Cin, kh, kw]).
@@ -25,6 +29,9 @@ import numpy as np
 
 DTYPE_REF = np.float64
 
+# Patch-matrix budget of one forward-only conv tile (see _conv_tiles).
+_PATCH_TILE_BYTES = 8 * 2**20
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes disagree; names the offending dimension."""
@@ -38,8 +45,10 @@ class Tensor:
     """Dense N-dimensional float array with optional gradient.
 
     ``grad`` is populated by :func:`reverse_pass` and always has the same
-    shape as ``data``. ``requires_grad`` marks leaves whose gradient is
-    wanted; it propagates to op outputs while a tape is active.
+    shape as ``data``. Only leaves (tensors no op produced) keep a
+    gradient after the pass; an op output's ``grad`` is dropped once its
+    node has run. ``requires_grad`` marks leaves whose gradient is wanted;
+    it propagates to op outputs while a tape is active.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -109,37 +118,53 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> bool:
+    """True when an op on ``inputs`` would be recorded on the active tape."""
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+
+
 def _record(op: str, inputs: tuple[Tensor, ...], output: Tensor,
             backward: Callable[[np.ndarray], tuple]) -> None:
-    if not _TAPE_STACK:
-        return
-    if not any(t.requires_grad for t in inputs):
+    if not _recording(inputs):
         return
     output.requires_grad = True
     _TAPE_STACK[-1].nodes.append(TapeNode(op, inputs, output, backward))
 
 
 def reverse_pass(tape: Tape, loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
-    Gradients accumulate (sum) across fan-out. The walk order is fixed
+    The pass consumes the tape: it pops each node, last-created first, so
+    the node's backward closure and what it saved (a conv's patch matrix)
+    are freed as soon as it has run, and it drops each op output's
+    ``grad`` once that node has used it. Afterwards ``len(tape) == 0`` and
+    only leaves hold a gradient. Gradients accumulate (sum) across fan-out,
+    in place into the first contribution's copy. The walk order is fixed
     (reverse execution order), so reference-mode results are bit-reproducible.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        out_grad = node.output.grad
-        if out_grad is None:
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
+        out_grad, node.output.grad = node.output.grad, None
+        if out_grad is not None:
+            _accumulate(node.inputs, node.backward(out_grad))
+
+
+def _accumulate(inputs: tuple[Tensor, ...], grads: tuple) -> None:
+    """Sum each input gradient into its tensor's ``grad``; the first
+    contribution is copied, so later ones can be added in place. (A function
+    of its own, so no loop variable keeps a gradient alive into the next
+    node's backward.)"""
+    for tensor, grad in zip(inputs, grads):
+        if grad is None or not tensor.requires_grad:
             continue
-        in_grads = node.backward(out_grad)
-        for tensor, grad in zip(node.inputs, in_grads):
-            if grad is None or not tensor.requires_grad:
-                continue
-            if tensor.grad is None:
-                tensor.grad = grad.astype(tensor.data.dtype, copy=True)
-            else:
-                tensor.grad = tensor.grad + grad
+        if tensor.grad is None:
+            tensor.grad = grad.astype(tensor.data.dtype, copy=True)
+        else:
+            tensor.grad += grad
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +196,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     [N,OH,OW,Cout] output.
 
     Output spatial size is floor((H + 2*pad - kh)/stride) + 1, same for W.
+    When nothing is recorded the GEMM runs in patch tiles (:func:`_conv_tiles`).
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-D [N,H,W,C], got {x.shape}")
@@ -192,8 +218,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
-    cols = _im2col(x.data, kh, kw, stride, pad).reshape(n * oh * ow, -1)
     w2 = weight.data.reshape(cout, -1)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    if not _recording(inputs):
+        out_data = _conv_tiles(x.data, w2, kh, kw, stride, pad, (n, oh, ow, cout))
+        return Tensor(out_data if bias is None else out_data + bias.data)
+
+    cols = _im2col(x.data, kh, kw, stride, pad).reshape(n * oh * ow, -1)
     out_data = cols @ w2.T
     if bias is not None:
         out_data = out_data + bias.data
@@ -206,8 +237,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         db = g2.sum(axis=0) if bias is not None else None
         return dx, dw, db
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
     _record("conv2d", inputs, out, backward)
+    return out
+
+
+def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
+                pad: int, out_shape: tuple[int, int, int, int]) -> np.ndarray:
+    """Forward-only conv GEMM over tiles of whole images.
+
+    The batch is split into the fewest near-equal tiles whose patch
+    matrices fit ``_PATCH_TILE_BYTES`` (at least one image per tile), and
+    each tile's GEMM writes straight into its rows of the preallocated
+    output. A GEMM row depends only on its own patch row as long as BLAS
+    runs the same kernel. Near-equal tiles keep each tile of a split batch
+    at about half the budget or more, too large for the small-matrix
+    kernels that some BLAS builds (OpenBLAS on AVX-512) pick for tiny
+    products and that sum in another order; a remainder tile of a few
+    images would change bits. The result therefore equals the one-GEMM
+    taped path bit for bit.
+    """
+    n, oh, ow, cout = out_shape
+    per_tile = max(1, _PATCH_TILE_BYTES // (oh * ow * w2.shape[1] * x.itemsize))
+    tiles = -(-n // per_tile)
+    out = np.empty(out_shape, dtype=np.result_type(x, w2))
+    rows = out.reshape(n * oh * ow, cout)
+    for t in range(tiles):
+        lo, hi = t * n // tiles, (t + 1) * n // tiles
+        cols = _im2col(x[lo:hi], kh, kw, stride, pad).reshape((hi - lo) * oh * ow, -1)
+        np.matmul(cols, w2.T, out=rows[lo * oh * ow:hi * oh * ow])
+        del cols   # free this tile's patches before the next tile builds its own
     return out
 
 

@@ -299,6 +299,12 @@ class TestNormalize:
         with pytest.raises(ValueError, match=rf"{field} must have shape \(3,\)"):
             AugmentConfig(**{field: [1.0, 2.0]})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["channel_means", "channel_stds"])
+    def test_non_finite_statistics_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AugmentConfig(**{field: [1.0, 2.0, value]})
+
 
 class TestEpochShuffle:
     @given(n=st.integers(1, 10_000), epoch=st.integers(0, 50), seed=st.integers(0, 2**31))

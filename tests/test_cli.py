@@ -327,6 +327,17 @@ class TestConfigStrictness:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("model.stage_widths=[4.5,8]", "stage_widths entries must be integers, got 4.5"),
+        ("augment.channel_stds=[1,2,null]", "channel_stds must be finite"),
+        ("augment.channel_means=[1e999,0,0]", "channel_means must be finite"),
+    ], ids=["width-fraction", "std-null", "mean-inf"])
+    def test_non_integral_or_non_finite_value_rejected_before_any_output(
+            self, tmp_path, config_file, capsys, override, message):
+        assert main(["train", "--config", str(config_file), "--set", override]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_malformed_json_line_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"model": {,}}')

@@ -1,0 +1,179 @@
+"""Memory behaviour of the autodiff core: forward-only convs run in patch
+tiles and equal the taped conv bit for bit, and the reverse pass consumes
+its tape, so nothing but leaf gradients outlives it."""
+
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import branchnet.model as model
+from branchnet import tensor
+from branchnet.augment import AugmentConfig, augment_batch
+from branchnet.data import SyntheticSpec, generate_synthetic
+from branchnet.evaluation import evaluate
+from branchnet.model import BranchedNetConfig, build_branched_net, mini_config
+from branchnet.tensor import Tape, Tensor, conv2d, reverse_pass, softmax
+from branchnet.training import combined_branch_loss, smooth_label_matrix
+
+MiB = 2**20
+
+# The nets of the three benchmark workloads (bench/workloads.py):
+# train_mini_f32, train_ref_fullaug_f64 and eval_wide_f64.
+WORKLOAD_NETS = (
+    mini_config(input_size=20),
+    BranchedNetConfig(stage_blocks=(1, 1), stage_widths=(8, 16), bottleneck=False,
+                      branch_after_block=1, num_branches=3, num_classes=10,
+                      input_height=32, input_width=32, stem_kernel=3, stem_stride=2,
+                      stem_pool=True),
+    mini_config(num_branches=4, branch_after_block=2),
+)
+
+
+def _conv_geometries():
+    """(input [H, W, Cin], weight OIHW shape, stride, pad) of every conv the
+    workload nets run, recorded from one forward of each."""
+    seen = set()
+    original = model.conv2d
+
+    def record(x, weight, bias=None, stride=1, pad=0):
+        seen.add((x.shape[1:], weight.shape, stride, pad))
+        return original(x, weight, bias, stride=stride, pad=pad)
+
+    model.conv2d = record
+    try:
+        for config in WORKLOAD_NETS:
+            net = build_branched_net(config, seed=0)
+            shape = (1, config.input_height, config.input_width, config.input_channels)
+            net.forward_all_branches(Tensor(np.zeros(shape)), mode="eval")
+    finally:
+        model.conv2d = original
+    return sorted(seen)
+
+
+GEOMETRIES = _conv_geometries()
+
+
+def _images_per_tile(hwc, weight_shape, stride, pad, dtype):
+    h, w, _ = hwc
+    cout, cin, kh, kw = weight_shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    per_image = oh * ow * cin * kh * kw * np.dtype(dtype).itemsize
+    return max(1, tensor._PATCH_TILE_BYTES // per_image)
+
+
+class TestTiledConvBitIdentity:
+    def test_workload_nets_cover_strided_projection_and_stem_convs(self):
+        kernels = {(w[2], stride) for _, w, stride, _ in GEOMETRIES}
+        assert {(3, 1), (3, 2), (1, 2)} <= kernels
+        assert len(GEOMETRIES) >= 15
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
+    def test_forward_only_equals_taped(self, geometry, dtype):
+        hwc, weight_shape, stride, pad = geometry
+        per_tile = _images_per_tile(hwc, weight_shape, stride, pad, dtype)
+        rng = np.random.default_rng(hash(geometry) % 2**32)
+        weight = Tensor(rng.standard_normal(weight_shape).astype(dtype), requires_grad=True)
+        # one image; one past a full tile (a 1-image remainder for a naive
+        # split); and more than two tiles with a remainder
+        for n in (1, per_tile + 1, 2 * per_tile + 3):
+            x = Tensor(rng.standard_normal((n,) + hwc).astype(dtype))
+            tiled = conv2d(x, weight, stride=stride, pad=pad)
+            with Tape() as tape:
+                taped = conv2d(x, weight, stride=stride, pad=pad)
+            assert len(tape) == 1
+            assert tiled.dtype == taped.dtype == dtype
+            assert np.array_equal(tiled.data, taped.data), (n, per_tile)
+
+    def test_forward_only_with_bias_equals_taped(self, rng):
+        x = Tensor(rng.standard_normal((20, 32, 32, 16)))
+        weight = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+        bias = Tensor(rng.standard_normal(16), requires_grad=True)
+        tiled = conv2d(x, weight, bias, pad=1)
+        with Tape():
+            taped = conv2d(x, weight, bias, pad=1)
+        assert np.array_equal(tiled.data, taped.data)
+
+    def test_evaluate_at_batch_256_equals_taped_forward(self):
+        # eval_wide_f64's net; nine images make one evaluate batch, which
+        # stage 1's 3x3 convs split into two tiles of 4 and 5 images
+        config = WORKLOAD_NETS[2]
+        net = build_branched_net(config, seed=3)
+        data = generate_synthetic(SyntheticSpec(num_classes=3, samples_per_class=3),
+                                  seed=4, split="test")
+        augment = AugmentConfig(enable_crop=False, enable_jitter=False,
+                                enable_pca=False, channel_means=np.full(3, 110.0))
+        assert _images_per_tile((32, 32, 16), (16, 16, 3, 3), 1, 1, np.float64) < 9
+        _, probs = evaluate(net, data, batch_size=256, augment_config=augment,
+                            dump_probs=True)
+
+        center = replace(augment, enable_flip=False)
+        batch = Tensor(augment_batch(data.images, center, (), np.float64))
+        with Tape() as tape:
+            logits = net.forward_all_branches(batch, mode="eval")
+            reference = [softmax(z).data for z in logits]
+        assert len(tape) > 0
+        for got, want in zip(probs, reference):
+            assert np.array_equal(got, want)
+
+
+def _traced_peak(fn):
+    """Peak traced bytes above the memory live when ``fn`` starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    def test_forward_only_conv_holds_one_patch_tile(self, rng):
+        x = Tensor(rng.standard_normal((64, 32, 32, 16)))
+        weight = Tensor(rng.standard_normal((16, 16, 3, 3)))
+        peak, out = _traced_peak(lambda: conv2d(x, weight, pad=1))
+        # the whole batch's patches would be 64 * 1024 * 144 * 8 B = 72 MiB
+        assert peak <= out.data.nbytes + tensor._PATCH_TILE_BYTES + 2 * MiB
+
+    def test_reverse_pass_peak_stays_near_memory_live_after_forward(self, rng):
+        net = build_branched_net(mini_config(num_branches=3, branch_after_block=2,
+                                             input_size=16), seed=1)
+        batch = Tensor(rng.standard_normal((8, 16, 16, 3)))
+        targets = smooth_label_matrix(rng.integers(0, 10, size=8), 10, 0.1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = combined_branch_loss(
+                    net.forward_all_branches(batch, mode="train"), targets)
+            live_after_forward = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            reverse_pass(tape, loss)
+            reverse_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the slack covers one node's backward temporaries (about 1 MiB here,
+        # a conv's patch gradient); keeping every node and intermediate
+        # gradient to the end of the pass costs about 20 MiB more
+        assert reverse_peak <= live_after_forward + 2 * MiB
+
+
+class TestReversePassConsumesTape:
+    def test_tape_emptied_and_only_leaves_keep_grad(self, rng):
+        net = build_branched_net(mini_config(num_branches=2, input_size=8), seed=2)
+        batch = Tensor(rng.standard_normal((4, 8, 8, 3)))
+        targets = smooth_label_matrix(rng.integers(0, 10, size=4), 10, 0.1)
+        with Tape() as tape:
+            loss = combined_branch_loss(net.forward_all_branches(batch, mode="train"),
+                                        targets)
+        outputs = [node.output for node in tape.nodes]
+        reverse_pass(tape, loss)
+        assert len(tape) == 0
+        assert loss in outputs
+        assert all(t.grad is None for t in outputs)
+        assert all(p.grad is not None and p.grad.shape == p.shape
+                   for p in net.params.values())

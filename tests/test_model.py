@@ -52,6 +52,24 @@ class TestBlockTopology:
         with pytest.raises(ValueError, match="branch_after_block"):
             mini_config(branch_after_block=7)
 
+    @pytest.mark.parametrize("field, values", [
+        ("stage_widths", (4.5, 8)), ("stage_widths", (4, 8.0)),
+        ("stage_blocks", (1, 1.5)), ("stage_blocks", (True, 1)),
+        ("stage_widths", ("4", 8)),
+    ], ids=["width-fraction", "width-float", "blocks-fraction", "blocks-bool", "width-str"])
+    def test_non_integer_stage_entry_rejected(self, field, values):
+        # int() used to truncate these: a 4.5 width built a width-4 net
+        stages = {"stage_blocks": (1, 1), "stage_widths": (4, 8), field: values}
+        with pytest.raises(ValueError, match=f"{field} entries must be integers"):
+            BranchedNetConfig(**stages, bottleneck=False, branch_after_block=1,
+                              num_branches=2, num_classes=3)
+
+    def test_numpy_integer_stage_entries_accepted(self):
+        cfg = BranchedNetConfig(stage_blocks=np.array([1, 1]), stage_widths=(np.int64(4), 8),
+                                bottleneck=False, branch_after_block=1,
+                                num_branches=2, num_classes=3)
+        assert cfg.stage_widths == (4, 8) and type(cfg.stage_widths[0]) is int
+
 
 class TestLayerCounts:
     def test_paper_scale_199_convs_200_weighted(self):
