@@ -171,22 +171,28 @@ def _accumulate(inputs: tuple[Tensor, ...], grads: tuple) -> None:
 # convolution
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """(N,H,W,C) input -> (N,OH,OW,C,kh,kw) patches; flattened to rows, the
-    columns are in the (C, kh, kw) order of an OIHW weight reshaped to (Cout, -1)."""
+    """(N,H,W,C) input -> (N,OH,OW,kh,kw,C) window view.
+
+    Flattened to (N*OH*OW, kh*kw*C) patch rows, the columns are in
+    (kh, kw, C) order: in each kernel row the kw*C inputs lie next to each
+    other in the NHWC input, so the copy moves kh contiguous runs per patch
+    row. An OIHW weight matches it as ``weight.transpose(0, 2, 3, 1)``.
+    """
     if pad > 0:
         x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    return windows[:, ::stride, ::stride]
+    return windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
 
 
 def _col2im(patches: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
-    """Fold (N,OH,OW,C,kh,kw) patch gradients onto the (N,H,W,C) input, summing overlaps."""
-    n, oh, ow, c, kh, kw = patches.shape
+    """Fold (N,OH,OW,kh,kw,C) patch gradients onto the (N,H,W,C) input,
+    summing overlaps; each kernel tap adds whole contiguous C runs."""
+    n, oh, ow, kh, kw, c = patches.shape
     h, w = x_shape[1:3]
     out = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=patches.dtype)
     for i in range(kh):
         for j in range(kw):
-            out[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += patches[..., i, j]
+            out[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += patches[:, :, :, i, j]
     return out[:, pad:pad + h, pad:pad + w]
 
 
@@ -196,7 +202,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     [N,OH,OW,Cout] output.
 
     Output spatial size is floor((H + 2*pad - kh)/stride) + 1, same for W.
-    When nothing is recorded the GEMM runs in patch tiles (:func:`_conv_tiles`).
+    The GEMM multiplies (kh, kw, Cin)-ordered patch rows (:func:`_im2col`)
+    by the weight viewed as [Cout, kh, kw, Cin]; the weight itself stays
+    OIHW, and so does its gradient. When nothing is recorded the GEMM runs
+    in patch tiles (:func:`_conv_tiles`).
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-D [N,H,W,C], got {x.shape}")
@@ -206,6 +215,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     cout, wcin, kh, kw = weight.shape
     if wcin != cin:
         raise ShapeError(f"conv2d channel mismatch: input Cin={cin}, weight Cin={wcin}")
+    if kh < 1 or kw < 1 or cin < 1:
+        raise ShapeError(f"conv2d kernel must be at least 1x1 over at least one input "
+                         f"channel, got {kh}x{kw} over Cin={cin}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if pad < 0:
@@ -218,7 +230,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
-    w2 = weight.data.reshape(cout, -1)
+    w2 = weight.data.transpose(0, 2, 3, 1).reshape(cout, -1)
     inputs = (x, weight) if bias is None else (x, weight, bias)
     if not _recording(inputs):
         out_data = _conv_tiles(x.data, w2, kh, kw, stride, pad, (n, oh, ow, cout))
@@ -232,8 +244,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     def backward(grad: np.ndarray):
         g2 = grad.reshape(-1, cout)
-        dw = (g2.T @ cols).reshape(weight.shape)
-        dx = _col2im((g2 @ w2).reshape(n, oh, ow, cin, kh, kw), x.shape, stride, pad)
+        dw = np.ascontiguousarray((g2.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+        dx = None
+        if x.requires_grad:   # the stem conv's input, the image batch, needs none
+            dx = _col2im((g2 @ w2).reshape(n, oh, ow, kh, kw, cin), x.shape, stride, pad)
         db = g2.sum(axis=0) if bias is not None else None
         return dx, dw, db
 
@@ -281,6 +295,10 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     Train mode uses batch statistics and updates the running buffers in
     place: running <- momentum*running + (1-momentum)*batch. Eval mode
     normalizes with the running buffers only.
+
+    The output is ``((x - mean) * inv_std) * gamma + beta``, computed in
+    place in one fresh buffer when nothing is recorded; a taped call keeps
+    the normalized input for backward and writes the output to a second.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -306,8 +324,16 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         var = running_var.data
 
     inv_std = 1.0 / np.sqrt(var + epsilon)
-    xhat = (x.data - mean) * inv_std
-    out = Tensor(gamma.data * xhat + beta.data)
+    inputs = (x, gamma, beta)
+    xhat = x.data - mean
+    xhat *= inv_std
+    if not _recording(inputs):
+        xhat *= gamma.data   # nothing keeps xhat: scale and shift it in place
+        xhat += beta.data
+        return Tensor(xhat)
+    out_data = xhat * gamma.data
+    out_data += beta.data
+    out = Tensor(out_data)
 
     def backward(grad: np.ndarray):
         dbeta = grad.sum(axis=(0, 1, 2))
@@ -319,7 +345,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 1, 2))
         return inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat), dgamma, dbeta
 
-    _record("batch_norm2d", (x, gamma, beta), out, backward)
+    _record("batch_norm2d", inputs, out, backward)
     return out
 
 
@@ -347,6 +373,8 @@ def pool2d(x: Tensor, kind: str, window: int, stride: Optional[int] = None) -> T
         raise ValueError(f"kind must be 'max' or 'avg', got {kind!r}")
     if x.data.ndim != 4:
         raise ShapeError(f"pool2d input must be 4-D [N,H,W,C], got {x.shape}")
+    if window < 1:
+        raise ValueError(f"pool window must be >= 1, got {window}")
     if stride is None:
         stride = window
     h, w = x.shape[1:3]
@@ -354,8 +382,13 @@ def pool2d(x: Tensor, kind: str, window: int, stride: Optional[int] = None) -> T
         raise ShapeError(f"pool window {window} exceeds input {h}x{w}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    windows = _im2col(x.data, window, window, stride, 0)
+    # (N,OH,OW,C,window,window): each channel's window last, in row-major order
+    windows = np.moveaxis(_im2col(x.data, window, window, stride, 0), 5, 3)
     flat = windows.reshape(windows.shape[:4] + (window * window,))
+
+    def fold(patch_grads: np.ndarray) -> np.ndarray:
+        patch_grads = patch_grads.reshape(windows.shape)
+        return _col2im(np.moveaxis(patch_grads, 3, 5), x.shape, stride, 0)
 
     if kind == "max":
         # argmax over the flattened window is row-major, first occurrence wins
@@ -363,14 +396,13 @@ def pool2d(x: Tensor, kind: str, window: int, stride: Optional[int] = None) -> T
         out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0])
 
         def backward(grad: np.ndarray):
-            routed = (np.arange(window * window) == idx[..., None]) * grad[..., None]
-            return (_col2im(routed.reshape(windows.shape), x.shape, stride, 0),)
+            return (fold((np.arange(window * window) == idx[..., None]) * grad[..., None]),)
     else:
         out = Tensor(flat.mean(axis=-1))
 
         def backward(grad: np.ndarray):
             share = grad[..., None, None] / (window * window)
-            return (_col2im(np.broadcast_to(share, windows.shape), x.shape, stride, 0),)
+            return (fold(np.broadcast_to(share, windows.shape)),)
 
     _record(f"pool2d_{kind}", (x,), out, backward)
     return out

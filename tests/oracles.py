@@ -31,6 +31,28 @@ def conv2d_loops(x, w, b=None, stride=1, pad=0):
     return out
 
 
+def conv2d_gemm_chw(x, w, stride=1, pad=0):
+    """NHWC im2col GEMM with patch columns in (C, kh, kw) order, the order of
+    an OIHW weight reshaped to (Cout, -1), as one GEMM over the whole batch.
+
+    This is the column order the conv used before its patch rows moved to
+    (kh, kw, C); the two sum each output over K in different orders, so they
+    agree to rounding, not bit for bit.
+    """
+    n, h, width, cin = x.shape
+    cout, _, kh, kw = w.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (width + 2 * pad - kw) // stride + 1
+    xp = np.zeros((n, h + 2 * pad, width + 2 * pad, cin), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + width] = x
+    cols = np.empty((n, oh, ow, cin, kh, kw), dtype=x.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            cols[..., ki, kj] = xp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+    out = cols.reshape(n * oh * ow, cin * kh * kw) @ w.reshape(cout, -1).T
+    return out.reshape(n, oh, ow, cout)
+
+
 def pool2d_loops(x, kind, window, stride):
     n, c, h, w = x.shape
     oh = (h - window) // stride + 1

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from branchnet.gradcheck import finite_diff_check
+from branchnet.model import BranchedNetConfig, build_branched_net
 from branchnet.tensor import (ShapeError, Tape, Tensor, batch_norm2d, conv2d,
                               global_avg_pool, linear, pool2d, relu,
                               residual_add, reverse_pass, softmax, sum_all,
                               weighted_sum)
+from branchnet.training import combined_branch_loss, smooth_label_matrix
 
 from layout import nhwc
 
@@ -111,6 +113,37 @@ class TestReversePass:
         report = finite_diff_check(loss_fn, [x, w, gamma, beta],
                                    names=["x", "w", "gamma", "beta"], tolerance=1e-4)
         assert report.passed, report.summary()
+
+
+class TestLeafGradients:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_parameter_gradient_is_c_contiguous_with_its_shape(self, rng, dtype):
+        # conv weight gradients come out of a (kh, kw, Cin)-ordered GEMM and
+        # are stored as C-contiguous OIHW, like the weights they update
+        config = BranchedNetConfig(stage_blocks=(1, 2), stage_widths=(4, 8), bottleneck=True,
+                                   branch_after_block=1, num_branches=2, num_classes=5,
+                                   input_height=16, input_width=16, stem_kernel=5,
+                                   stem_stride=2, stem_pool=True)
+        net = build_branched_net(config, seed=0, dtype=dtype)
+        batch = Tensor(rng.standard_normal((3, 16, 16, 3)).astype(dtype))
+        targets = smooth_label_matrix(rng.integers(0, 5, size=3), 5, 0.1)
+        with Tape() as tape:
+            loss = combined_branch_loss(net.forward_all_branches(batch, mode="train"), targets)
+        reverse_pass(tape, loss)
+        for name, p in net.params.items():
+            assert p.grad is not None, name
+            assert p.grad.shape == p.shape and p.grad.dtype == dtype, name
+            assert p.grad.flags.c_contiguous, name
+
+    def test_conv_computes_no_gradient_for_an_input_that_needs_none(self, rng):
+        # the stem conv's input is the image batch: folding its patch
+        # gradients back would be work nothing reads
+        x = Tensor(rng.standard_normal((2, 5, 5, 3)))
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            y = conv2d(x, w, pad=1)
+        dx, dw, _ = tape.nodes[0].backward(np.ones_like(y.data))
+        assert dx is None and dw.shape == w.shape
 
 
 def _probe_loss(op, probe):

@@ -14,6 +14,7 @@ from branchnet.model import (BranchedNetConfig, block_topology,
 from branchnet.tensor import Tensor
 
 from layout import nhwc
+from oracles import conv2d_gemm_chw
 
 
 def tiny_config(**overrides):
@@ -93,6 +94,22 @@ def state_digest(net) -> str:
     return h.hexdigest()
 
 
+def seed0_mini_forward():
+    """(label, array) of the seed-0 mini net's forward pass on a fixed input,
+    computed from the NCHW form of that input before activations became
+    NHWC: the logits in eval then train mode, then the BN running buffers
+    the train pass updated, per dtype."""
+    x = nhwc(np.random.default_rng(0).standard_normal((2, 3, 32, 32)))
+    for dtype in (np.float64, np.float32):
+        net = build_branched_net(mini_config(), seed=0, dtype=dtype)
+        batch = Tensor(x.astype(dtype))
+        for mode in ("eval", "train"):
+            for br, logits in enumerate(net.forward_all_branches(batch, mode=mode)):
+                yield f"{mode}|{br}", logits.data
+        for name, t in net.buffers.items():
+            yield name, t.data
+
+
 BOTTLENECK_POOL = BranchedNetConfig(
     stage_blocks=(1, 2), stage_widths=(4, 8), bottleneck=True,
     branch_after_block=1, num_branches=2, num_classes=5,
@@ -113,25 +130,31 @@ class TestBuilder:
     def test_same_seed_state_matches_golden_digest(self, config, dtype, digest):
         assert state_digest(build_branched_net(config, seed=0, dtype=dtype)) == digest
 
-    # pins the seed-0 mini forward pass, computed from the NCHW form of this
-    # input before activations became NHWC: logits in eval then train mode,
-    # then the BN running buffers the train pass updated, per dtype
+    # pins the seed-0 mini forward pass (seed0_mini_forward); re-recorded when
+    # conv patch columns moved from (C, kh, kw) to (kh, kw, C) order, which
+    # sums each conv output over K in another order (checked against the
+    # old order by the next test)
     def test_forward_matches_golden_digest(self):
-        x = nhwc(np.random.default_rng(0).standard_normal((2, 3, 32, 32)))
         h = hashlib.sha256()
-        for dtype in (np.float64, np.float32):
-            net = build_branched_net(mini_config(), seed=0, dtype=dtype)
-            batch = Tensor(x.astype(dtype))
-            for mode in ("eval", "train"):
-                for br, logits in enumerate(net.forward_all_branches(batch, mode=mode)):
-                    a = logits.data
-                    h.update(f"{mode}|{br}|{a.dtype.str}|{a.shape}\n".encode())
-                    h.update(a.tobytes())
-            for name, t in net.buffers.items():
-                h.update(f"{name}|{t.data.dtype.str}|{t.data.shape}\n".encode())
-                h.update(t.data.tobytes())
+        for label, a in seed0_mini_forward():
+            h.update(f"{label}|{a.dtype.str}|{a.shape}\n".encode())
+            h.update(a.tobytes())
         assert h.hexdigest() == \
-            "2293cb434e5cc5458a078787ea74d0d17f14d04348b27722a2cef6a1540c27af"
+            "bf81c18c1b9037e21c7d097b90c464b069b27a78147fe7ae8cfe2a9ee0eaab10"
+
+    def test_forward_within_rounding_of_chw_column_order(self, monkeypatch):
+        got = list(seed0_mini_forward())
+
+        def conv_chw(x, weight, stride, pad):   # the net's convs have no bias
+            return Tensor(conv2d_gemm_chw(x.data, weight.data, stride=stride, pad=pad))
+
+        monkeypatch.setattr(model, "conv2d", conv_chw)
+        want = list(seed0_mini_forward())
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (label, a), (_, ref) in zip(got, want):
+            assert a.dtype == ref.dtype and a.shape == ref.shape, label
+            bound = 1e-12 if a.dtype == np.float64 else 1e-5
+            assert np.max(np.abs(a - ref)) <= bound * np.max(np.abs(ref)), label
 
     def test_same_seed_bitwise_identical(self):
         a = build_branched_net(tiny_config(), seed=11)

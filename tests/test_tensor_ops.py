@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from branchnet.tensor import (NonFiniteError, ShapeError, Tensor, batch_norm2d,
+from branchnet.tensor import (NonFiniteError, ShapeError, Tape, Tensor, batch_norm2d,
                               conv2d, global_avg_pool, linear, pool2d, relu,
                               residual_add, softmax, softmax_cross_entropy)
 
@@ -61,6 +61,13 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="kernel"):
             conv2d(x, w)
 
+    @pytest.mark.parametrize("weight_shape", [(2, 1, 0, 3), (2, 1, 3, 0), (2, 0, 3, 3)],
+                             ids=["zero-height", "zero-width", "no-input-channels"])
+    def test_empty_kernel_rejected(self, weight_shape):
+        x = Tensor(np.ones((2, 4, 4, weight_shape[1])))
+        with pytest.raises(ShapeError, match="kernel must be at least 1x1"):
+            conv2d(x, Tensor(np.ones(weight_shape)))
+
 
 class TestBatchNorm:
     def _stats(self, c):
@@ -115,6 +122,33 @@ class TestBatchNorm:
         np.testing.assert_allclose(nchw(out.data), want, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(rm.data, [0.5, -0.5])  # unchanged
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_forward_only_equals_taped_and_unfused_expression(self, rng, mode, dtype):
+        # the forward-only path scales and shifts its one buffer in place;
+        # IEEE products commute, so both paths keep the bits of this expression
+        x = nhwc(rng.standard_normal((4, 3, 5, 5)) * 3.0 + 1.5).astype(dtype)
+        gamma, beta = (rng.standard_normal(3).astype(dtype) for _ in range(2))
+        mean0 = rng.standard_normal(3).astype(dtype)
+        var0 = (rng.random(3) + 0.5).astype(dtype)
+        outs = []
+        for recorded in (False, True):
+            rm, rv = Tensor(mean0.copy()), Tensor(var0.copy())
+            with Tape() as tape:
+                out = batch_norm2d(Tensor(x, requires_grad=recorded), Tensor(gamma),
+                                   Tensor(beta), rm, rv, mode=mode)
+            assert len(tape) == int(recorded)
+            outs.append(out.data)
+        if mode == "train":
+            mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
+        else:
+            mean, var = mean0, var0
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        want = gamma * ((x - mean) * inv_std) + beta
+        for got in outs:
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_single_element_train_mode_rejected(self):
         x = Tensor(np.ones((1, 1, 1, 3)))
         rm, rv = self._stats(3)
@@ -162,6 +196,11 @@ class TestPool2d:
     def test_oversized_window_rejected(self):
         with pytest.raises(ShapeError, match="window"):
             pool2d(Tensor(np.ones((1, 1, 2, 2))), "max", window=3)
+
+    @pytest.mark.parametrize("window, stride", [(0, None), (-1, None), (0, 1)])
+    def test_non_positive_window_rejected(self, window, stride):
+        with pytest.raises(ValueError, match=f"pool window must be >= 1, got {window}"):
+            pool2d(Tensor(np.ones((1, 2, 2, 1))), "max", window=window, stride=stride)
 
 
 class TestGlobalAvgPool:
