@@ -54,6 +54,15 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        for name in ("base_lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not (np.isfinite(self.lr_decay_factor) and self.lr_decay_factor > 0.0):
+            raise ValueError(f"lr_decay_factor must be finite and > 0, "
+                             f"got {self.lr_decay_factor}")
 
 
 class CheckpointError(RuntimeError):

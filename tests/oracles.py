@@ -53,6 +53,24 @@ def conv2d_gemm_chw(x, w, stride=1, pad=0):
     return out.reshape(n, oh, ow, cout)
 
 
+def conv2d_dx_col2im(grad, w, x_shape, stride=1, pad=0):
+    """NHWC conv input gradient as the conv computed it before it folded one
+    kernel tap at a time: the whole (N*OH*OW, kh*kw*Cin) patch-gradient
+    matrix in one GEMM against the (kh, kw, Cin)-ordered weight, then
+    folded onto the zero-padded input tap by tap in row-major order."""
+    n, oh, ow, cout = grad.shape
+    _, cin, kh, kw = w.shape
+    h, width = x_shape[1:3]
+    w2 = w.transpose(0, 2, 3, 1).reshape(cout, -1)
+    patches = (grad.reshape(-1, cout) @ w2).reshape(n, oh, ow, kh, kw, cin)
+    dx = np.zeros((n, h + 2 * pad, width + 2 * pad, cin), dtype=patches.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            dx[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
+                patches[:, :, :, ki, kj]
+    return dx[:, pad:pad + h, pad:pad + width]
+
+
 def pool2d_loops(x, kind, window, stride):
     n, c, h, w = x.shape
     oh = (h - window) // stride + 1
@@ -91,6 +109,33 @@ def batchnorm_twopass(x, gamma, beta, eps):
         var = ((vals - mean) ** 2).sum() / vals.size
         out[:, ci, :, :] = gamma[ci] * (x[:, ci, :, :] - mean) / np.sqrt(var + eps) + beta[ci]
     return out
+
+
+def batch_norm_sequential(x, gamma, beta, running_mean, running_var, mode,
+                          epsilon, momentum):
+    """NHWC batch norm whose train-mode statistics are numpy's sequential
+    per-channel reductions over (N, H, W), ``x.mean`` and ``x.var``, as
+    batch_norm2d took them before its channel sums became one BLAS product.
+    Train mode updates the running buffers in place."""
+    if mode == "train":
+        mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
+        running_mean[...] = momentum * running_mean + (1.0 - momentum) * mean
+        running_var[...] = momentum * running_var + (1.0 - momentum) * var
+    else:
+        mean, var = running_mean, running_var
+    return gamma * ((x - mean) / np.sqrt(var + epsilon)) + beta
+
+
+def batch_norm_backward_sequential(grad, x, gamma, epsilon):
+    """Train-mode NHWC batch norm gradients (dx, dgamma, dbeta) from
+    sequential per-channel sums: dbeta = sum(g), dgamma = sum(g * xhat), and
+    dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std."""
+    axes = (0, 1, 2)
+    std = np.sqrt(x.var(axis=axes) + epsilon)
+    xhat = (x - x.mean(axis=axes)) / std
+    dxhat = grad * gamma
+    dx = (dxhat - dxhat.mean(axis=axes) - xhat * (dxhat * xhat).mean(axis=axes)) / std
+    return dx, (grad * xhat).sum(axis=axes), grad.sum(axis=axes)
 
 
 def jacobi_eig3(a, sweeps=50):

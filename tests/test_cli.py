@@ -338,6 +338,24 @@ class TestConfigStrictness:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("train.base_lr=NaN", "base_lr must be finite and >= 0, got nan"),
+        ("train.base_lr=-0.02", "base_lr must be finite and >= 0, got -0.02"),
+        ("train.weight_decay=Infinity", "weight_decay must be finite and >= 0, got inf"),
+        ("train.weight_decay=-1e-4", "weight_decay must be finite and >= 0, got -0.0001"),
+        ("train.momentum=-2", "momentum must be in [0, 1), got -2"),
+        ("train.momentum=1", "momentum must be in [0, 1), got 1"),
+        ("train.momentum=NaN", "momentum must be in [0, 1), got nan"),
+        ("train.lr_decay_factor=0", "lr_decay_factor must be finite and > 0, got 0"),
+        ("train.lr_decay_factor=Infinity", "lr_decay_factor must be finite and > 0, got inf"),
+    ], ids=["lr-nan", "lr-negative", "decay-inf", "decay-negative", "momentum-negative",
+            "momentum-one", "momentum-nan", "factor-zero", "factor-inf"])
+    def test_invalid_optimizer_setting_rejected_before_any_output(
+            self, tmp_path, config_file, capsys, override, message):
+        assert main(["train", "--config", str(config_file), "--set", override]) == 2
+        assert f"section 'train': {message}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_malformed_json_line_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"model": {,}}')

@@ -1,5 +1,7 @@
 """Memory behaviour of the autodiff core: forward-only convs run in patch
-tiles and equal the taped conv bit for bit, and the reverse pass consumes
+tiles and equal the taped conv bit for bit, a conv's backward folds its
+input gradient per kernel tap without building the patch-gradient matrix
+(and equals folding that matrix bit for bit), and the reverse pass consumes
 its tape, so nothing but leaf gradients outlives it."""
 
 import tracemalloc
@@ -16,6 +18,8 @@ from branchnet.evaluation import evaluate
 from branchnet.model import BranchedNetConfig, build_branched_net, mini_config
 from branchnet.tensor import Tape, Tensor, conv2d, reverse_pass, softmax
 from branchnet.training import combined_branch_loss, smooth_label_matrix
+
+from oracles import conv2d_dx_col2im
 
 MiB = 2**20
 
@@ -53,6 +57,10 @@ def _conv_geometries():
 
 
 GEOMETRIES = _conv_geometries()
+
+# the convs whose input gradient a training step computes: all but the stem,
+# whose input is the 3-channel image batch
+DX_GEOMETRIES = [g for g in GEOMETRIES if g[0][2] != 3]
 
 
 def _images_per_tile(hwc, weight_shape, stride, pad, dtype):
@@ -120,6 +128,31 @@ class TestTiledConvBitIdentity:
             assert np.array_equal(got, want)
 
 
+class TestConvInputGradBitIdentity:
+    def test_geometries_cover_strided_and_projection_convs(self):
+        kernels = {(w[2], stride) for _, w, stride, _ in DX_GEOMETRIES}
+        assert {(3, 1), (3, 2), (1, 2)} <= kernels
+        assert len(DX_GEOMETRIES) >= 14
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("geometry", DX_GEOMETRIES, ids=str)
+    def test_per_tap_fold_equals_col2im_of_patch_gradients(self, geometry, dtype):
+        hwc, weight_shape, stride, pad = geometry
+        rng = np.random.default_rng(hash(geometry) % 2**32)
+        weight = Tensor(rng.standard_normal(weight_shape).astype(dtype), requires_grad=True)
+        for n in (1, 10, 32):   # one image, and the workloads' training batches
+            x = Tensor(rng.standard_normal((n,) + hwc).astype(dtype), requires_grad=True)
+            with Tape() as tape:
+                out = conv2d(x, weight, stride=stride, pad=pad)
+            grad = rng.standard_normal(out.shape).astype(dtype)
+            (node,) = tape.nodes
+            dx = node.backward(grad)[0]
+            want = conv2d_dx_col2im(grad, weight.data, x.shape, stride=stride, pad=pad)
+            assert dx.dtype == want.dtype == dtype
+            assert dx.shape == x.shape
+            assert dx.tobytes() == want.tobytes(), n
+
+
 def _traced_peak(fn):
     """Peak traced bytes above the memory live when ``fn`` starts."""
     tracemalloc.start()
@@ -138,6 +171,20 @@ class TestMemoryBounds:
         peak, out = _traced_peak(lambda: conv2d(x, weight, pad=1))
         # the whole batch's patches would be 64 * 1024 * 144 * 8 B = 72 MiB
         assert peak <= out.data.nbytes + tensor._PATCH_TILE_BYTES + 2 * MiB
+
+    def test_conv_backward_builds_no_patch_gradient_matrix(self, rng):
+        x = Tensor(rng.standard_normal((64, 32, 32, 16)), requires_grad=True)
+        weight = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            out = conv2d(x, weight, pad=1)
+        grad = rng.standard_normal(out.shape)
+        (node,) = tape.nodes
+        peak, (dx, dw, _) = _traced_peak(lambda: node.backward(grad))
+        assert dx.shape == x.shape and dw.shape == weight.shape
+        # the (N*OH*OW, 9*Cin) patch gradients: 64 * 1024 * 144 * 8 B = 72 MiB;
+        # the per-tap fold holds the padded input gradient (9.5 MB) and one
+        # tap's product (8.4 MB)
+        assert peak < 64 * 32 * 32 * 9 * 16 * 8
 
     def test_reverse_pass_peak_stays_near_memory_live_after_forward(self, rng):
         net = build_branched_net(mini_config(num_branches=3, branch_after_block=2,

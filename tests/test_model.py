@@ -14,7 +14,7 @@ from branchnet.model import (BranchedNetConfig, block_topology,
 from branchnet.tensor import Tensor
 
 from layout import nhwc
-from oracles import conv2d_gemm_chw
+from oracles import batch_norm_sequential, conv2d_gemm_chw
 
 
 def tiny_config(**overrides):
@@ -110,6 +110,16 @@ def seed0_mini_forward():
             yield name, t.data
 
 
+def assert_within_rounding(got, want):
+    """Each (label, array) of ``got`` is within rounding of ``want``'s:
+    max|d| <= bound * max|ref|, 1e-12 for float64 and 1e-5 for float32."""
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (label, a), (_, ref) in zip(got, want):
+        assert a.dtype == ref.dtype and a.shape == ref.shape, label
+        bound = 1e-12 if a.dtype == np.float64 else 1e-5
+        assert np.max(np.abs(a - ref)) <= bound * np.max(np.abs(ref)), label
+
+
 BOTTLENECK_POOL = BranchedNetConfig(
     stage_blocks=(1, 2), stage_widths=(4, 8), bottleneck=True,
     branch_after_block=1, num_branches=2, num_classes=5,
@@ -132,15 +142,17 @@ class TestBuilder:
 
     # pins the seed-0 mini forward pass (seed0_mini_forward); re-recorded when
     # conv patch columns moved from (C, kh, kw) to (kh, kw, C) order, which
-    # sums each conv output over K in another order (checked against the
-    # old order by the next test)
+    # sums each conv output over K in another order, and again when batch
+    # norm's channel sums became one BLAS product, which adds the train-mode
+    # statistics in another order (each checked against the old order by
+    # the next two tests)
     def test_forward_matches_golden_digest(self):
         h = hashlib.sha256()
         for label, a in seed0_mini_forward():
             h.update(f"{label}|{a.dtype.str}|{a.shape}\n".encode())
             h.update(a.tobytes())
         assert h.hexdigest() == \
-            "bf81c18c1b9037e21c7d097b90c464b069b27a78147fe7ae8cfe2a9ee0eaab10"
+            "64cf795cd841ce56ec2b3521383c3e198f1f42d1622abae580e85a96fe240779"
 
     def test_forward_within_rounding_of_chw_column_order(self, monkeypatch):
         got = list(seed0_mini_forward())
@@ -149,12 +161,18 @@ class TestBuilder:
             return Tensor(conv2d_gemm_chw(x.data, weight.data, stride=stride, pad=pad))
 
         monkeypatch.setattr(model, "conv2d", conv_chw)
-        want = list(seed0_mini_forward())
-        assert [label for label, _ in got] == [label for label, _ in want]
-        for (label, a), (_, ref) in zip(got, want):
-            assert a.dtype == ref.dtype and a.shape == ref.shape, label
-            bound = 1e-12 if a.dtype == np.float64 else 1e-5
-            assert np.max(np.abs(a - ref)) <= bound * np.max(np.abs(ref)), label
+        assert_within_rounding(got, list(seed0_mini_forward()))
+
+    def test_forward_within_rounding_of_sequential_batch_norm_sums(self, monkeypatch):
+        got = list(seed0_mini_forward())
+
+        def bn_sequential(x, gamma, beta, running_mean, running_var, mode):
+            return Tensor(batch_norm_sequential(x.data, gamma.data, beta.data,
+                                                running_mean.data, running_var.data,
+                                                mode, epsilon=1e-5, momentum=0.9))
+
+        monkeypatch.setattr(model, "batch_norm2d", bn_sequential)
+        assert_within_rounding(got, list(seed0_mini_forward()))
 
     def test_same_seed_bitwise_identical(self):
         a = build_branched_net(tiny_config(), seed=11)

@@ -8,7 +8,8 @@ from branchnet.tensor import (NonFiniteError, ShapeError, Tape, Tensor, batch_no
                               residual_add, softmax, softmax_cross_entropy)
 
 from layout import nchw, nhwc
-from oracles import batchnorm_twopass, conv2d_loops, linear_loops, pool2d_loops
+from oracles import (batch_norm_backward_sequential, batch_norm_sequential,
+                     batchnorm_twopass, conv2d_loops, linear_loops, pool2d_loops)
 
 
 class TestConv2d:
@@ -140,7 +141,12 @@ class TestBatchNorm:
             assert len(tape) == int(recorded)
             outs.append(out.data)
         if mode == "train":
-            mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
+            # statistics as one BLAS product each: ones @ [N*H*W, C] rows,
+            # the variance from the centred rows
+            rows = x.reshape(-1, 3)
+            ones = np.ones(len(rows), dtype=dtype)
+            mean = ones @ rows / len(rows)
+            var = ones @ np.square(rows - mean) / len(rows)
         else:
             mean, var = mean0, var0
         inv_std = 1.0 / np.sqrt(var + 1e-5)
@@ -148,6 +154,27 @@ class TestBatchNorm:
         for got in outs:
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype, bound", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_statistics_and_backward_sums_within_rounding_of_sequential_sums(
+            self, rng, dtype, bound):
+        x = (rng.standard_normal((32, 10, 10, 8)) * 3.0 + 1.5).astype(dtype)
+        gamma, beta = (rng.standard_normal(8).astype(dtype) for _ in range(2))
+        grad = rng.standard_normal(x.shape).astype(dtype)
+        buffers = [rng.standard_normal(8).astype(dtype), (rng.random(8) + 0.5).astype(dtype)]
+        rm, rv = Tensor(buffers[0].copy()), Tensor(buffers[1].copy())
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        with Tape() as tape:
+            out = batch_norm2d(xt, gt, bt, rm, rv, mode="train")
+        (node,) = tape.nodes
+        got = [out.data, rm.data, rv.data, *node.backward(grad)]
+        want_out = batch_norm_sequential(x, gamma, beta, *buffers, "train",
+                                         epsilon=1e-5, momentum=0.9)   # updates buffers
+        want = [want_out, *buffers, *batch_norm_backward_sequential(grad, x, gamma, 1e-5)]
+        for name, a, ref in zip(("out", "running_mean", "running_var", "dx", "dgamma",
+                                 "dbeta"), got, want):
+            assert a.dtype == ref.dtype == dtype, name
+            assert np.max(np.abs(a - ref)) <= bound * np.max(np.abs(ref)), name
 
     def test_single_element_train_mode_rejected(self):
         x = Tensor(np.ones((1, 1, 1, 3)))
