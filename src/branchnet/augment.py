@@ -20,6 +20,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .fields import check_fields
+
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
 # jitter ops, as the indices the per-image permutation draws
@@ -80,6 +82,7 @@ class AugmentConfig:
     pca_basis: Optional[PcaBasis] = None         # fitted from data when None
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError(f"flip_probability must be in [0,1], got {self.flip_probability}")
         if self.pca_sigma < 0 or self.jitter_strength < 0:

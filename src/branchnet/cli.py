@@ -15,7 +15,6 @@ import hashlib
 import json
 import sys
 import time
-import typing
 from pathlib import Path
 from typing import Optional
 
@@ -24,6 +23,7 @@ import numpy as np
 from . import data as data_io
 from .augment import AugmentConfig, RngStream, augment_batch, fit_augment_statistics
 from .evaluation import evaluate
+from .fields import fits, mistyped
 from .model import (BranchedNetConfig, block_topology, build_branched_net,
                     count_parameters, layer_counts)
 from .training import TrainConfig, history_csv, restore_network, timings_csv, train
@@ -42,33 +42,15 @@ def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown key(s) in section '{section}': {', '.join(unknown)}")
 
 
-_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
-               str: "a string", list[str]: "a list of strings"}
-
-
-def _fits(value, want) -> bool:
-    """JSON typing: only a boolean fits ``bool``, and an ``int`` or ``float``
-    field takes no boolean (a ``float`` field takes any other number)."""
-    if want == list[str]:
-        return isinstance(value, list) and all(isinstance(v, str) for v in value)
-    if want is bool or isinstance(value, bool):
-        return want is bool and isinstance(value, bool)
-    return isinstance(value, (int, float) if want is float else want)
-
-
 def _check_types(section: str, given: dict, types: dict) -> None:
-    """Reject a value whose JSON type does not fit its field; fields of
-    other types (tuples, arrays) are left to their dataclass."""
+    """Reject a value that does not fit its key's type (``fields.fits``)."""
     for key, value in given.items():
-        want = types[key]
-        if want in _JSON_TYPES and not _fits(value, want):
-            raise ConfigError(f"section '{section}': {key} must be {_JSON_TYPES[want]}, "
-                              f"got {json.dumps(value)}")
+        if not fits(value, types[key]):
+            raise ConfigError(f"section '{section}': {mistyped(key, value, types[key])}")
 
 
 def _dataclass_section(section: str, given: dict, cls):
     _check_keys(section, given, {f.name for f in dataclasses.fields(cls)})
-    _check_types(section, given, typing.get_type_hints(cls))
     try:
         return cls(**given)
     except (TypeError, ValueError) as exc:
@@ -326,7 +308,10 @@ def cmd_compare(args) -> int:
     cfg = load_experiment(args.config, args.set)
     total = cfg.model.total_blocks
     if args.branch_points:
-        points = sorted({int(tok) for tok in args.branch_points.split(",")})
+        try:
+            points = sorted({int(tok) for tok in args.branch_points.split(",")})
+        except ValueError as exc:   # int() names the bad token
+            raise ConfigError(f"--branch-points: {exc}") from None
     else:
         points = list(range(total + 1))
     bad = [b for b in points if not 0 <= b <= total]

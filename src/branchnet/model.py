@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
+from .fields import check_fields, fits
 from .tensor import (Tensor, batch_norm2d, conv2d, global_avg_pool, linear,
                      pool2d, relu, residual_add)
 
@@ -50,10 +50,11 @@ class BranchedNetConfig:
     stem_pool: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("stage_blocks", "stage_widths"):
             values = tuple(getattr(self, name))
             for v in values:
-                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                if not fits(v, int):
                     raise ValueError(f"{name} entries must be integers, got {v!r}")
             object.__setattr__(self, name, tuple(int(v) for v in values))
         if len(self.stage_blocks) != len(self.stage_widths):

@@ -12,10 +12,9 @@ freeing each node (its backward closure and saved intermediates) once it
 has run. Outside a tape, or when no input needs a gradient, ops run
 forward-only and keep no graph memory; a forward-only conv2d also bounds
 its working set by building its im2col patch matrix one tile of images at
-a time, so evaluation never holds a whole batch's patches. A taped conv2d's
-backward adds its input gradient one kernel tap at a time and never builds
-the patch-gradient matrix, and batch_norm2d takes every per-channel sum as
-one BLAS product.
+a time, so evaluation never holds a whole batch's patches. Nodes keep
+inputs, not what backward can rebuild (batch norm's normalized input), and
+conv2d and pool2d fold input gradients per window tap (:func:`_fold_taps`).
 
 Activations and their gradients are NHWC ([N, H, W, C]) throughout, so no op
 converts layouts; conv weights are OIHW ([Cout, Cin, kh, kw]).
@@ -187,20 +186,23 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     return windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
 
 
-def _col2im(patches: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
-    """Fold (N,OH,OW,kh,kw,C) window gradients onto the (N,H,W,C) input,
-    summing overlaps; each kernel tap adds whole contiguous C runs.
+def _fold_taps(tap_grad: Callable[[int], np.ndarray], x_shape, kh: int, kw: int,
+               stride: int, pad: int, dtype) -> np.ndarray:
+    """Input gradient of a window op (conv, pool) from per-tap gradients.
 
-    Only pool2d's backward uses it; conv2d folds its input gradient per
-    kernel tap without building the patch gradients (:func:`_conv_input_grad`).
+    ``tap_grad(t)`` is tap (i, j)'s (N,OH,OW,C) gradient, t = i*kw + j. In
+    row-major tap order each is added straight into the strided slice of
+    one zeroed, padded input gradient, in runs of OW*C values; overlapping
+    windows sum. No (N*OH*OW, kh*kw*C) window-gradient matrix is built.
     """
-    n, oh, ow, kh, kw, c = patches.shape
-    h, w = x_shape[1:3]
-    out = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=patches.dtype)
+    n, h, w, c = x_shape
+    dx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dtype)
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
     for i in range(kh):
         for j in range(kw):
-            out[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += patches[:, :, :, i, j]
-    return out[:, pad:pad + h, pad:pad + w]
+            dx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += tap_grad(i * kw + j)
+    return dx[:, pad:pad + h, pad:pad + w]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -212,8 +214,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     The GEMM multiplies (kh, kw, Cin)-ordered patch rows (:func:`_im2col`)
     by the weight viewed as [Cout, kh, kw, Cin]; the weight itself stays
     OIHW, and so does its gradient. When nothing is recorded the GEMM runs
-    in patch tiles (:func:`_conv_tiles`). The backward computes the input
-    gradient one kernel tap at a time (:func:`_conv_input_grad`).
+    in patch tiles (:func:`_conv_tiles`); a taped call keeps its patch rows
+    for the weight gradient and folds the input gradient per kernel tap
+    (:func:`_fold_taps`). (A float64 tap product of 3 columns can take
+    another BLAS kernel, but the 3-channel stem takes no input gradient.)
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-D [N,H,W,C], got {x.shape}")
@@ -255,42 +259,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         dw = np.ascontiguousarray((g2.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         dx = None
         if x.requires_grad:   # the stem conv's input, the image batch, needs none
-            dx = _conv_input_grad(g2, w2, (n, oh, ow), x.shape, kh, kw, stride, pad)
+            taps = w2.reshape(cout, kh * kw, cin)   # tap t's weight is taps[:, t]
+            dx = _fold_taps(lambda t: (g2 @ taps[:, t]).reshape(n, oh, ow, cin),
+                            x.shape, kh, kw, stride, pad, np.result_type(g2, w2))
         db = g2.sum(axis=0) if bias is not None else None
         return dx, dw, db
 
     _record("conv2d", inputs, out, backward)
     return out
-
-
-def _conv_input_grad(g2: np.ndarray, w2: np.ndarray, out_hw: tuple[int, int, int],
-                     x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Conv input gradient, one kernel tap at a time.
-
-    ``g2`` is the output gradient as (N*OH*OW, Cout) rows and ``w2`` the
-    [Cout, kh*kw*Cin] weight of the forward GEMM. Tap (i, j)'s gradient
-    ``g2 @ w2[:, tap's Cin columns]`` is added straight into the strided
-    slice of one zeroed, padded input gradient, in row-major tap order, so
-    runs of OW*Cin values are added at a time and the (N*OH*OW, kh*kw*Cin)
-    patch-gradient matrix is never built; the working set is the padded
-    input gradient plus one tap's product.
-
-    The taps' products are the column blocks of the whole ``g2 @ w2``, so
-    the result equals folding that matrix with :func:`_col2im`; it does so
-    bit for bit on every conv of the benchmark workload nets that takes an
-    input gradient. A float64 tap product with only 3 columns can take
-    another BLAS kernel and differ at rounding level, but the only
-    3-channel conv, the stem, takes none: its input is the image batch.
-    """
-    n, oh, ow = out_hw
-    h, w, cin = x_shape[1:]
-    dx = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), dtype=np.result_type(g2, w2))
-    for i in range(kh):
-        for j in range(kw):
-            tap = (i * kw + j) * cin
-            dx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
-                (g2 @ w2[:, tap:tap + cin]).reshape(n, oh, ow, cin)
-    return dx[:, pad:pad + h, pad:pad + w]
 
 
 def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
@@ -335,8 +311,9 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     normalizes with the running buffers only.
 
     The output is ``((x - mean) * inv_std) * gamma + beta``, computed in
-    place in one fresh buffer when nothing is recorded; a taped call keeps
-    the normalized input for backward and writes the output to a second.
+    place in one fresh buffer. The backward rebuilds the normalized input,
+    bit for bit, by the forward's two elementwise ops on ``x`` with this
+    call's ``mean`` (in eval mode a copy of the running mean) and ``inv_std``.
 
     Every per-channel sum over (N, H, W), the batch statistics and the
     backward's four sums, is one BLAS product (:func:`_channel_sums`). The
@@ -359,27 +336,23 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
             raise ValueError(
                 f"batch_norm2d train mode needs N*H*W >= 2, got {m} (degenerate variance)")
         mean = _channel_sums(x.data) / m
-        xhat = x.data - mean
-        var = _channel_sums(np.square(xhat)) / m
+        out_data = x.data - mean
+        var = _channel_sums(np.square(out_data)) / m
         running_mean.data[...] = momentum * running_mean.data + (1.0 - momentum) * mean
         running_var.data[...] = momentum * running_var.data + (1.0 - momentum) * var
     else:
-        mean = running_mean.data
-        var = running_var.data
-        xhat = x.data - mean
+        mean, var = running_mean.data.copy(), running_var.data
+        out_data = x.data - mean
 
     inv_std = 1.0 / np.sqrt(var + epsilon)
-    inputs = (x, gamma, beta)
-    xhat *= inv_std
-    if not _recording(inputs):
-        xhat *= gamma.data   # nothing keeps xhat: scale and shift it in place
-        xhat += beta.data
-        return Tensor(xhat)
-    out_data = xhat * gamma.data
+    out_data *= inv_std
+    out_data *= gamma.data
     out_data += beta.data
     out = Tensor(out_data)
 
     def backward(grad: np.ndarray):
+        xhat = x.data - mean
+        xhat *= inv_std
         dbeta = _channel_sums(grad)
         dgamma = _channel_sums(grad * xhat)
         if mode == "eval":
@@ -393,7 +366,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         dxhat *= inv_std
         return dxhat, dgamma, dbeta
 
-    _record("batch_norm2d", inputs, out, backward)
+    _record("batch_norm2d", (x, gamma, beta), out, backward)
     return out
 
 
@@ -424,7 +397,8 @@ def pool2d(x: Tensor, kind: str, window: int, stride: Optional[int] = None) -> T
     """Per-window max or mean of [N,H,W,C] over non-padded windows.
 
     Max ties go to the first index in row-major scan order; avg splits the
-    gradient uniformly across the window.
+    gradient uniformly across the window; both fold it per window tap
+    (:func:`_fold_taps`).
     """
     if kind not in ("max", "avg"):
         raise ValueError(f"kind must be 'max' or 'avg', got {kind!r}")
@@ -439,27 +413,23 @@ def pool2d(x: Tensor, kind: str, window: int, stride: Optional[int] = None) -> T
         raise ShapeError(f"pool window {window} exceeds input {h}x{w}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    # (N,OH,OW,C,window,window): each channel's window last, in row-major order
+    # (N,OH,OW,C,window*window): each channel's window last, in row-major order
     windows = np.moveaxis(_im2col(x.data, window, window, stride, 0), 5, 3)
     flat = windows.reshape(windows.shape[:4] + (window * window,))
-
-    def fold(patch_grads: np.ndarray) -> np.ndarray:
-        patch_grads = patch_grads.reshape(windows.shape)
-        return _col2im(np.moveaxis(patch_grads, 3, 5), x.shape, stride, 0)
-
     if kind == "max":
         # argmax over the flattened window is row-major, first occurrence wins
         idx = flat.argmax(axis=-1)
         out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0])
 
-        def backward(grad: np.ndarray):
-            return (fold((np.arange(window * window) == idx[..., None]) * grad[..., None]),)
+        def backward(grad: np.ndarray):   # each tap passes grad where it held the max
+            return (_fold_taps(lambda t: grad * (idx == t), x.shape, window, window,
+                               stride, 0, grad.dtype),)
     else:
         out = Tensor(flat.mean(axis=-1))
 
-        def backward(grad: np.ndarray):
-            share = grad[..., None, None] / (window * window)
-            return (fold(np.broadcast_to(share, windows.shape)),)
+        def backward(grad: np.ndarray):   # every tap takes an equal share
+            share = grad / (window * window)
+            return (_fold_taps(lambda t: share, x.shape, window, window, stride, 0, grad.dtype),)
 
     _record(f"pool2d_{kind}", (x,), out, backward)
     return out
@@ -473,7 +443,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     out = Tensor(x.data.mean(axis=(1, 2)))
 
     def backward(grad: np.ndarray):
-        return (np.broadcast_to(grad[:, None, None, :] / (h * w), x.shape).copy(),)
+        return (np.broadcast_to(grad[:, None, None, :] / (h * w), x.shape),)
 
     _record("global_avg_pool", (x,), out, backward)
     return out

@@ -18,6 +18,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .augment import AugmentConfig, RngStream, augment_batch, epoch_shuffle
+from .fields import check_fields
 from .model import BranchedNetConfig, BranchedNetwork, build_branched_net
 from .tensor import (NonFiniteError, Tape, Tensor, residual_add, reverse_pass, scale,
                      softmax_cross_entropy)
@@ -41,6 +42,7 @@ class TrainConfig:
     num_classes: int = 10
 
     def __post_init__(self):
+        check_fields(self)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.smoothing_epsilon <= 1.0:

@@ -71,6 +71,31 @@ def conv2d_dx_col2im(grad, w, x_shape, stride=1, pad=0):
     return dx[:, pad:pad + h, pad:pad + width]
 
 
+def pool2d_dx_onehot(x, grad, kind, window, stride):
+    """NHWC pool2d input gradient as pool2d computed it before it folded one
+    window tap at a time: every window's gradient row built whole as an
+    (N,OH,OW,C,window*window) array (max: a one-hot of the row-major first
+    maximum times ``grad``; avg: ``grad / window**2`` in every entry), then
+    folded onto the input tap by tap in row-major order."""
+    n, oh, ow, c = grad.shape
+    taps = window * window
+    windows = np.empty((n, oh, ow, c, taps), dtype=x.dtype)
+    for ki in range(window):
+        for kj in range(window):
+            windows[..., ki * window + kj] = \
+                x[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+    if kind == "max":
+        rows = (np.arange(taps) == windows.argmax(axis=-1)[..., None]) * grad[..., None]
+    else:
+        rows = np.broadcast_to(grad[..., None] / taps, windows.shape)
+    dx = np.zeros(x.shape, dtype=rows.dtype)
+    for ki in range(window):
+        for kj in range(window):
+            dx[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
+                rows[..., ki * window + kj]
+    return dx
+
+
 def pool2d_loops(x, kind, window, stride):
     n, c, h, w = x.shape
     oh = (h - window) // stride + 1

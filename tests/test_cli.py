@@ -219,6 +219,12 @@ class TestCompareCommand:
         assert f"total parameters: {int(compare_out[1]):,}" in inspect_out
         assert f"materialized {compare_out[3]}" in inspect_out
 
+    def test_non_integer_branch_point_is_a_config_error(self, config_file, capsys):
+        assert main(["compare", "--config", str(config_file),
+                     "--branch-points", "1,x"]) == 2
+        err = capsys.readouterr().err
+        assert "--branch-points" in err and "'x'" in err
+
     def test_out_writes_csv(self, tmp_path, config_file, capsys):
         assert main(["compare", "--config", str(config_file),
                      "--out", str(tmp_path / "sweep")]) == 0

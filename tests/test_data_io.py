@@ -273,6 +273,27 @@ class TestMalformedCheckpoint:
          "model section"),
         (lambda raw: _edited_header(raw, lambda h: h["train"].update(momentum_x=1)),
          "train section"),
+        (lambda raw: _edited_header(raw, lambda h: h["model"].update(stem_pool="false")),
+         "model section .*stem_pool must be a boolean"),
+        (lambda raw: _edited_header(raw, lambda h: h["model"].update(stem_pool=1)),
+         "model section .*stem_pool must be a boolean"),
+        (lambda raw: _edited_header(raw, lambda h: h["model"].update(num_branches=2.0)),
+         "model section .*num_branches must be an integer"),
+        (lambda raw: _edited_header(raw, lambda h: h["model"].update(stem_kernel=3.0)),
+         "model section .*stem_kernel must be an integer"),
+        (lambda raw: _edited_header(raw, lambda h: h["model"].update(num_classes=True)),
+         "model section .*num_classes must be an integer"),
+        (lambda raw: _edited_header(raw, lambda h: h["train"].update(
+            seed=float(h["train"]["seed"]))), "train section .*seed must be an integer"),
+        (lambda raw: _edited_header(raw, lambda h: h["train"].update(
+            batch_size=float(h["train"]["batch_size"]))),
+         "train section .*batch_size must be an integer"),
+        (lambda raw: _edited_header(raw, lambda h: h["train"].update(base_lr=True)),
+         "train section .*base_lr must be a number"),
+        (lambda raw: _edited_header(raw, lambda h: h["augment"].update(enable_flip=1)),
+         "augment section .*enable_flip must be a boolean"),
+        (lambda raw: _edited_header(raw, lambda h: h["augment"].update(crop_width=8.0)),
+         "augment section .*crop_width must be an integer"),
         (lambda raw: _edited_header(raw, lambda h: h["augment"].pop("pca_basis")),
          "augment section"),
         (lambda raw: _edited_header(
@@ -299,6 +320,9 @@ class TestMalformedCheckpoint:
          "header rng_cursor .* disagrees with the train seed and epoch"),
     ], ids=["header-not-utf8", "header-not-json", "header-not-object", "missing-key",
             "tensor-count-type", "model-rejected", "train-rejected",
+            "stem-pool-string", "stem-pool-int", "branches-float", "stem-kernel-float",
+            "classes-bool", "seed-float", "batch-size-float", "base-lr-bool", "augment-flag-int",
+            "crop-width-float",
             "augment-missing-flag", "augment-rejected", "epoch-string", "epoch-negative",
             "epoch-bool", "epoch-float", "cursor-not-object", "cursor-missing-epoch",
             "cursor-seed-string", "cursor-epoch-bool", "cursor-epoch-negative",

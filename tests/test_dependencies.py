@@ -1,8 +1,12 @@
 """The package imports only numpy, the standard library and itself, all at
-module level and without a cycle between its modules, and exports only
-names it defines."""
+module level and without a cycle between its modules, exports only names
+it defines, and its docstrings name only functions and classes that
+exist."""
 
 import ast
+import functools
+import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -86,3 +90,30 @@ def test_package_import_graph_has_no_cycle():
 
     for module in sorted(graph):
         visit(module, [])
+
+
+DOC_TARGET = re.compile(r":(?:func|class):`~?([\w.]+)`")
+
+
+def docstring_targets(path: Path) -> list[str]:
+    """Every ``:func:``/``:class:`` target named in a docstring of ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += DOC_TARGET.findall(ast.get_docstring(node) or "")
+    return found
+
+
+def test_docstrings_name_targets():
+    # the check below is not vacuous: tensor.py alone names several
+    assert len(docstring_targets(SOURCES[0].parent / "tensor.py")) >= 5
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_docstring_targets_resolve_in_their_module(path):
+    # a refactor that deletes or renames a helper must not leave a stale reference
+    module = importlib.import_module(f"branchnet.{path.stem}")
+    missing = [name for name in docstring_targets(path)
+               if functools.reduce(lambda obj, attr: getattr(obj, attr, None),
+                                   name.split("."), module) is None]
+    assert not missing, f"{path.name} docstrings name undefined targets: {missing}"

@@ -1,8 +1,10 @@
 """Memory behaviour of the autodiff core: forward-only convs run in patch
-tiles and equal the taped conv bit for bit, a conv's backward folds its
-input gradient per kernel tap without building the patch-gradient matrix
-(and equals folding that matrix bit for bit), and the reverse pass consumes
-its tape, so nothing but leaf gradients outlives it."""
+tiles and equal the taped conv bit for bit; conv and pool backwards fold
+their input gradients per window tap without building a window-gradient
+matrix (and equal folding that matrix bit for bit); a taped batch norm
+keeps only its output and rebuilds the normalized input in backward; and
+the reverse pass consumes its tape, so nothing but leaf gradients outlives
+it."""
 
 import tracemalloc
 from dataclasses import replace
@@ -16,10 +18,11 @@ from branchnet.augment import AugmentConfig, augment_batch
 from branchnet.data import SyntheticSpec, generate_synthetic
 from branchnet.evaluation import evaluate
 from branchnet.model import BranchedNetConfig, build_branched_net, mini_config
-from branchnet.tensor import Tape, Tensor, conv2d, reverse_pass, softmax
+from branchnet.tensor import (Tape, Tensor, batch_norm2d, conv2d, pool2d, reverse_pass,
+                              softmax)
 from branchnet.training import combined_branch_loss, smooth_label_matrix
 
-from oracles import conv2d_dx_col2im
+from oracles import conv2d_dx_col2im, pool2d_dx_onehot
 
 MiB = 2**20
 
@@ -151,6 +154,82 @@ class TestConvInputGradBitIdentity:
             assert dx.dtype == want.dtype == dtype
             assert dx.shape == x.shape
             assert dx.tobytes() == want.tobytes(), n
+
+
+class TestPoolInputGradBitIdentity:
+    # (H, W, window, stride): the stem pool (2, 2), overlapping windows
+    # (stride < window), windows that skip input rows and columns
+    # (stride > window), and the 1x1 and whole-input windows
+    GEOMETRIES = [(8, 8, 2, 2), (9, 7, 3, 2), (6, 6, 3, 1), (5, 5, 2, 1),
+                  (7, 9, 2, 3), (4, 4, 4, 1), (6, 5, 1, 1)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["max", "avg"])
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
+    def test_per_tap_fold_equals_one_hot_fold(self, geometry, kind, dtype):
+        h, w, window, stride = geometry
+        rng = np.random.default_rng([*geometry, int(kind == "max")])
+        for ties in (False, True):
+            x = rng.standard_normal((3, h, w, 4))
+            if ties:   # integer values: most windows hold a tied maximum
+                x = np.round(x)
+            x = Tensor(x.astype(dtype), requires_grad=True)
+            with Tape() as tape:
+                out = pool2d(x, kind, window, stride)
+            grad = rng.standard_normal(out.shape).astype(dtype)
+            (node,) = tape.nodes
+            dx = node.backward(grad)[0]
+            want = pool2d_dx_onehot(x.data, grad, kind, window, stride)
+            assert dx.dtype == want.dtype == dtype
+            assert dx.tobytes() == want.tobytes(), ties
+
+
+class TestBatchNormRebuildsNormalizedInput:
+    @staticmethod
+    def _bn_args(rng, c, dtype=np.float64):
+        gamma = Tensor(rng.standard_normal(c).astype(dtype), requires_grad=True)
+        beta = Tensor(rng.standard_normal(c).astype(dtype), requires_grad=True)
+        running = (Tensor(rng.standard_normal(c).astype(dtype)),
+                   Tensor(rng.random(c).astype(dtype) + 0.5))
+        return gamma, beta, running
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_taped_forward_keeps_one_output_sized_buffer(self, rng, mode):
+        x = Tensor(rng.standard_normal((16, 32, 32, 16)), requires_grad=True)
+        gamma, beta, running = self._bn_args(rng, 16)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = batch_norm2d(x, gamma, beta, *running, mode=mode)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        # the output (2 MiB) plus per-channel arrays and the node; keeping the
+        # normalized input for backward as well would double it
+        assert live < 1.25 * out.data.nbytes
+
+    def test_eval_gradients_are_those_of_its_own_forward(self, rng):
+        x_data = rng.standard_normal((4, 5, 5, 3))
+        grad = rng.standard_normal(x_data.shape)
+
+        def gradients(update_buffers_before_backward):
+            gamma, beta, running = self._bn_args(np.random.default_rng(1), 3)
+            x = Tensor(x_data, requires_grad=True)
+            with Tape() as tape:
+                out = batch_norm2d(x, gamma, beta, *running, mode="eval")
+            if update_buffers_before_backward:
+                # a train-mode call updates the running buffers in place
+                batch_norm2d(Tensor(x_data * 3.0 + 2.0), gamma, beta, *running)
+            (node,) = tape.nodes
+            return out.data, node.backward(grad)
+
+        out, grads = gradients(False)
+        updated_out, updated_grads = gradients(True)
+        assert np.array_equal(out, updated_out)
+        for got, want in zip(updated_grads, grads):
+            assert np.array_equal(got, want)
 
 
 def _traced_peak(fn):

@@ -68,8 +68,9 @@ class TestBlockTopology:
     def test_numpy_integer_stage_entries_accepted(self):
         cfg = BranchedNetConfig(stage_blocks=np.array([1, 1]), stage_widths=(np.int64(4), 8),
                                 bottleneck=False, branch_after_block=1,
-                                num_branches=2, num_classes=3)
+                                num_branches=np.int64(2), num_classes=3)
         assert cfg.stage_widths == (4, 8) and type(cfg.stage_widths[0]) is int
+        assert cfg.num_branches == 2 and type(cfg.num_branches) is int
 
 
 class TestLayerCounts:
