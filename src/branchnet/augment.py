@@ -85,8 +85,10 @@ class AugmentConfig:
         check_fields(self)
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError(f"flip_probability must be in [0,1], got {self.flip_probability}")
-        if self.pca_sigma < 0 or self.jitter_strength < 0:
-            raise ValueError("noise strengths must be >= 0")
+        for name in ("pca_sigma", "jitter_strength"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:   # False for NaN as well
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.crop_height < 1 or self.crop_width < 1:
             raise ValueError("crop size must be positive")
         for name in ("channel_means", "channel_stds"):

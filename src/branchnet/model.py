@@ -26,8 +26,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .fields import check_fields, fits
-from .tensor import (Tensor, batch_norm2d, conv2d, global_avg_pool, linear,
-                     pool2d, relu, residual_add)
+from .tensor import (BN_EPSILON, Tensor, batch_norm2d, conv2d, global_avg_pool,
+                     linear, pool2d, relu, residual_add)
 
 BOTTLENECK_EXPANSION = 4
 
@@ -275,26 +275,40 @@ class BranchedNetwork:
     # -- forward -----------------------------------------------------------
 
     def _conv_bn(self, scope: str, conv: ConvSpec, x: Tensor, mode: str) -> Tensor:
+        """Conv then batch norm. In eval mode the batch norm is a fixed
+        per-channel affine map, folded into the conv from the live tensors
+        on every call: output channel o's weight is scaled by
+        s[o] = gamma[o] / sqrt(var[o] + eps) and its bias is
+        beta[o] - mean[o] * s[o]. Nothing is cached, so training cannot
+        leave the fold stale."""
+        weight = self.params[f"{scope}.{conv.tag}.weight"]
         bn = f"{scope}.{conv.bn}"
-        out = conv2d(x, self.params[f"{scope}.{conv.tag}.weight"],
-                     stride=conv.stride, pad=conv.pad)
-        return batch_norm2d(out, self.params[f"{bn}.gamma"], self.params[f"{bn}.beta"],
-                            self.buffers[f"{bn}.running_mean"],
-                            self.buffers[f"{bn}.running_var"], mode=mode)
+        gamma, beta = self.params[f"{bn}.gamma"], self.params[f"{bn}.beta"]
+        mean, var = self.buffers[f"{bn}.running_mean"], self.buffers[f"{bn}.running_var"]
+        if mode == "eval":
+            s = gamma.data / np.sqrt(var.data + BN_EPSILON)
+            return conv2d(x, Tensor(weight.data * s[:, None, None, None]),
+                          Tensor(beta.data - mean.data * s), stride=conv.stride, pad=conv.pad)
+        return batch_norm2d(conv2d(x, weight, stride=conv.stride, pad=conv.pad),
+                            gamma, beta, mean, var, mode=mode)
 
     def _run_unit(self, unit: Unit, x: Tensor, mode: str) -> Tensor:
         if unit.kind == "head":
             return linear(global_avg_pool(x), self.params[f"{unit.scope}.head.weight"],
                           self.params[f"{unit.scope}.head.bias"])
+        # eval mode writes relu and the residual add into the conv output
+        # this unit has just made, never into x, which may be the trunk
+        # output that every branch reads
+        act, add = (_relu_into, _add_into) if mode == "eval" else (relu, residual_add)
         out = x
         for conv in unit.convs[:-1]:
-            out = relu(self._conv_bn(unit.scope, conv, out, mode))
+            out = act(self._conv_bn(unit.scope, conv, out, mode))
         out = self._conv_bn(unit.scope, unit.convs[-1], out, mode)
         if unit.kind == "stem":
-            out = relu(out)
+            out = act(out)
             return pool2d(out, "max", window=2, stride=2) if unit.pool else out
         shortcut = x if unit.proj is None else self._conv_bn(unit.scope, unit.proj, x, mode)
-        return relu(residual_add(out, shortcut))
+        return act(add(out, shortcut))
 
     def _run_path(self, branch: Optional[int], x: Tensor, mode: str) -> Tensor:
         for unit in self.units:
@@ -309,7 +323,12 @@ class BranchedNetwork:
         return self._run_path(br, trunk_out, mode)
 
     def forward_all_branches(self, batch: Tensor, mode: str = "eval") -> list[Tensor]:
-        """Evaluate the trunk once and every branch on the shared trunk output."""
+        """Evaluate the trunk once and every branch on the shared trunk output.
+
+        Train mode runs the differentiable ops and updates the batch norm
+        running buffers. Eval mode is inference, not differentiable: each
+        batch norm is folded into its conv (``_conv_bn``), and relu and the
+        residual adds run in place."""
         cfg = self.config
         want = (cfg.input_height, cfg.input_width, cfg.input_channels)
         if batch.shape[1:] != want:
@@ -318,6 +337,18 @@ class BranchedNetwork:
         trunk_out = self.forward_trunk(batch, mode)
         return [self.forward_branch(br, trunk_out, mode)
                 for br in range(cfg.num_branches)]
+
+
+def _relu_into(x: Tensor) -> Tensor:
+    """relu written into ``x``'s own buffer (eval mode only)."""
+    np.maximum(x.data, 0.0, out=x.data)
+    return x
+
+
+def _add_into(out: Tensor, shortcut: Tensor) -> Tensor:
+    """``out + shortcut`` written into ``out``'s own buffer (eval mode only)."""
+    out.data += shortcut.data
+    return out
 
 
 def build_branched_net(config: BranchedNetConfig, seed: int,

@@ -12,9 +12,16 @@ freeing each node (its backward closure and saved intermediates) once it
 has run. Outside a tape, or when no input needs a gradient, ops run
 forward-only and keep no graph memory; a forward-only conv2d also bounds
 its working set by building its im2col patch matrix one tile of images at
-a time, so evaluation never holds a whole batch's patches. Nodes keep
-inputs, not what backward can rebuild (batch norm's normalized input), and
-conv2d and pool2d fold input gradients per window tap (:func:`_fold_taps`).
+a time, and adds its bias in place, so evaluation never holds a whole
+batch's patches or a second output. Nodes keep inputs, not what backward
+can rebuild (batch norm's normalized input), and conv2d and pool2d fold
+input gradients per window tap (:func:`_fold_taps`).
+
+Evaluation does not run batch_norm2d, relu or residual_add: the network
+folds each eval-mode batch norm into the conv before it and writes relu
+and the residual add into that conv's output (``branchnet.model``).
+Eval-mode batch_norm2d stays the differentiable reference it is checked
+against.
 
 Activations and their gradients are NHWC ([N, H, W, C]) throughout, so no op
 converts layouts; conv weights are OIHW ([Cout, Cin, kh, kw]).
@@ -33,6 +40,9 @@ DTYPE_REF = np.float64
 
 # Patch-matrix budget of one forward-only conv tile (see _conv_tiles).
 _PATCH_TILE_BYTES = 8 * 2**20
+
+# Variance floor of every batch norm, also used when one is folded into a conv.
+BN_EPSILON = 1e-5
 
 
 class ShapeError(ValueError):
@@ -214,7 +224,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     The GEMM multiplies (kh, kw, Cin)-ordered patch rows (:func:`_im2col`)
     by the weight viewed as [Cout, kh, kw, Cin]; the weight itself stays
     OIHW, and so does its gradient. When nothing is recorded the GEMM runs
-    in patch tiles (:func:`_conv_tiles`); a taped call keeps its patch rows
+    in patch tiles (:func:`_conv_tiles`) and the bias is added in place, so
+    evaluation's folded convs (weight and bias with batch norm folded in)
+    hold one output-sized buffer; a taped call keeps its patch rows
     for the weight gradient and folds the input gradient per kernel tap
     (:func:`_fold_taps`). (A float64 tap product of 3 columns can take
     another BLAS kernel, but the 3-channel stem takes no input gradient.)
@@ -246,7 +258,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     inputs = (x, weight) if bias is None else (x, weight, bias)
     if not _recording(inputs):
         out_data = _conv_tiles(x.data, w2, kh, kw, stride, pad, (n, oh, ow, cout))
-        return Tensor(out_data if bias is None else out_data + bias.data)
+        if bias is not None:
+            out_data += bias.data
+        return Tensor(out_data)
 
     cols = _im2col(x.data, kh, kw, stride, pad).reshape(n * oh * ow, -1)
     out_data = cols @ w2.T
@@ -302,13 +316,16 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: Tensor, running_var: Tensor,
-                 mode: str = "train", epsilon: float = 1e-5,
+                 mode: str = "train", epsilon: float = BN_EPSILON,
                  momentum: float = 0.9) -> Tensor:
     """Per-channel normalization of [N,H,W,C] over (N,H,W); population variance.
 
     Train mode uses batch statistics and updates the running buffers in
     place: running <- momentum*running + (1-momentum)*batch. Eval mode
-    normalizes with the running buffers only.
+    normalizes with the running buffers only. The network's evaluation
+    does not call eval mode: it folds the same affine map into the conv
+    before it. Eval mode is the taped, gradient-checked reference that
+    folding is bounded against.
 
     The output is ``((x - mean) * inv_std) * gamma + beta``, computed in
     place in one fresh buffer. The backward rebuilds the normalized input,

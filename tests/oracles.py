@@ -1,11 +1,63 @@
-"""Independent reference implementations used to derive expected values.
+"""Independent reference implementations used to derive expected values,
+and the rounding bound a result must meet against them.
 
 Everything here is deliberately written the slow, obvious way (explicit
 loop nests, two-pass statistics, cyclic Jacobi rotations) and shares no
-code with the implementations under test.
+code with the implementations under test, except the network's unfolded
+eval forward, which runs the gradient-checked Tensor ops.
 """
 
 import numpy as np
+
+from branchnet.tensor import (Tensor, batch_norm2d, conv2d, global_avg_pool, linear,
+                              pool2d, relu, residual_add)
+
+
+def assert_within_rounding(got, want):
+    """Each (label, array) of ``got`` is within rounding of ``want``'s:
+    max|d| <= bound * max|ref|, 1e-12 for float64 and 1e-5 for float32."""
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (label, a), (_, ref) in zip(got, want):
+        assert a.dtype == ref.dtype and a.shape == ref.shape, label
+        bound = 1e-12 if a.dtype == np.float64 else 1e-5
+        assert np.max(np.abs(a - ref)) <= bound * np.max(np.abs(ref)), label
+
+
+def unfused_eval_forward(net, batch):
+    """Per-branch eval logits of a ``BranchedNetwork`` as its forward ran
+    before batch norm was folded into the convs: every unit of the layer
+    table through the Tensor ops, conv2d -> eval-mode batch_norm2d -> relu,
+    and residual_add before a block's last relu, each into a fresh buffer."""
+    def conv_bn(scope, conv, x):
+        bn = f"{scope}.{conv.bn}"
+        out = conv2d(x, net.params[f"{scope}.{conv.tag}.weight"],
+                     stride=conv.stride, pad=conv.pad)
+        return batch_norm2d(out, net.params[f"{bn}.gamma"], net.params[f"{bn}.beta"],
+                            net.buffers[f"{bn}.running_mean"],
+                            net.buffers[f"{bn}.running_var"], mode="eval")
+
+    def unit_forward(unit, x):
+        if unit.kind == "head":
+            return linear(global_avg_pool(x), net.params[f"{unit.scope}.head.weight"],
+                          net.params[f"{unit.scope}.head.bias"])
+        out = x
+        for conv in unit.convs[:-1]:
+            out = relu(conv_bn(unit.scope, conv, out))
+        out = conv_bn(unit.scope, unit.convs[-1], out)
+        if unit.kind == "stem":
+            out = relu(out)
+            return pool2d(out, "max", window=2, stride=2) if unit.pool else out
+        shortcut = x if unit.proj is None else conv_bn(unit.scope, unit.proj, x)
+        return relu(residual_add(out, shortcut))
+
+    def path(branch, x):
+        for unit in net.units:
+            if unit.branch == branch:
+                x = unit_forward(unit, x)
+        return x
+
+    trunk = path(None, Tensor(batch))
+    return [path(br, trunk).data for br in range(net.config.num_branches)]
 
 
 def conv2d_loops(x, w, b=None, stride=1, pad=0):

@@ -305,6 +305,13 @@ class TestNormalize:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             AugmentConfig(**{field: [1.0, 2.0, value]})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1],
+                             ids=["nan", "inf", "-inf", "negative"])
+    @pytest.mark.parametrize("field", ["pca_sigma", "jitter_strength"])
+    def test_non_finite_or_negative_noise_strength_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0, got {value}"):
+            AugmentConfig(**{field: value})
+
 
 class TestEpochShuffle:
     @given(n=st.integers(1, 10_000), epoch=st.integers(0, 50), seed=st.integers(0, 2**31))

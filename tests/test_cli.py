@@ -362,6 +362,16 @@ class TestConfigStrictness:
         assert f"section 'train': {message}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("augment.jitter_strength=NaN", "jitter_strength must be finite and >= 0, got nan"),
+        ("augment.pca_sigma=Infinity", "pca_sigma must be finite and >= 0, got inf"),
+    ], ids=["jitter-nan", "pca-inf"])
+    def test_non_finite_noise_strength_rejected_before_any_output(
+            self, tmp_path, config_file, capsys, override, message):
+        assert main(["train", "--config", str(config_file), "--set", override]) == 2
+        assert f"section 'augment': {message}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_malformed_json_line_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"model": {,}}')

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -298,6 +299,11 @@ class TestMalformedCheckpoint:
          "augment section"),
         (lambda raw: _edited_header(
             raw, lambda h: h["augment"].update(flip_probability=2.0)), "augment section"),
+        (lambda raw: _edited_header(raw, lambda h: h["augment"].update(pca_sigma=math.nan)),
+         "augment section .*pca_sigma must be finite and >= 0, got nan"),
+        (lambda raw: _edited_header(
+            raw, lambda h: h["augment"].update(jitter_strength=math.inf)),
+         "augment section .*jitter_strength must be finite and >= 0, got inf"),
         (lambda raw: _edited_header(raw, lambda h: h.update(epoch="1")), "header epoch"),
         (lambda raw: _edited_header(raw, lambda h: h.update(epoch=-1)), "header epoch"),
         (lambda raw: _edited_header(raw, lambda h: h.update(epoch=True)), "header epoch"),
@@ -323,7 +329,8 @@ class TestMalformedCheckpoint:
             "stem-pool-string", "stem-pool-int", "branches-float", "stem-kernel-float",
             "classes-bool", "seed-float", "batch-size-float", "base-lr-bool", "augment-flag-int",
             "crop-width-float",
-            "augment-missing-flag", "augment-rejected", "epoch-string", "epoch-negative",
+            "augment-missing-flag", "augment-rejected", "augment-pca-nan",
+            "augment-jitter-inf", "epoch-string", "epoch-negative",
             "epoch-bool", "epoch-float", "cursor-not-object", "cursor-missing-epoch",
             "cursor-seed-string", "cursor-epoch-bool", "cursor-epoch-negative",
             "cursor-epoch-ahead", "cursor-seed-other"])

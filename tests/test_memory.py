@@ -1,5 +1,7 @@
-"""Memory behaviour of the autodiff core: forward-only convs run in patch
-tiles and equal the taped conv bit for bit; conv and pool backwards fold
+"""Memory behaviour of the autodiff core and of evaluation: forward-only
+convs run in patch tiles and equal the taped conv bit for bit; evaluation,
+which folds batch norm into the convs and writes in place, stays within
+rounding of the unfolded forward; conv and pool backwards fold
 their input gradients per window tap without building a window-gradient
 matrix (and equal folding that matrix bit for bit); a taped batch norm
 keeps only its output and rebuilds the normalized input in backward; and
@@ -22,7 +24,8 @@ from branchnet.tensor import (Tape, Tensor, batch_norm2d, conv2d, pool2d, revers
                               softmax)
 from branchnet.training import combined_branch_loss, smooth_label_matrix
 
-from oracles import conv2d_dx_col2im, pool2d_dx_onehot
+from oracles import (assert_within_rounding, conv2d_dx_col2im, pool2d_dx_onehot,
+                     unfused_eval_forward)
 
 MiB = 2**20
 
@@ -108,11 +111,39 @@ class TestTiledConvBitIdentity:
             taped = conv2d(x, weight, bias, pad=1)
         assert np.array_equal(tiled.data, taped.data)
 
-    def test_evaluate_at_batch_256_equals_taped_forward(self):
+
+def _randomize_batch_norms(net, rng):
+    """Move every batch norm's affine parameters and running statistics off
+    their initial values (gamma = var = 1, beta = mean = 0), which fold into
+    a near-identity scale and a zero bias."""
+    for name, t in net.state().items():
+        field = name.rsplit(".", 1)[1]
+        if field in ("gamma", "running_var"):
+            t.data[...] = rng.uniform(0.5, 2.0, t.shape)
+        elif field in ("beta", "running_mean"):
+            t.data[...] = rng.standard_normal(t.shape)
+
+
+class TestFoldedEval:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("index", range(len(WORKLOAD_NETS)))
+    def test_workload_nets_within_rounding_of_unfused_forward(self, index, dtype):
+        config = WORKLOAD_NETS[index]
+        rng = np.random.default_rng(index)
+        net = build_branched_net(config, seed=index, dtype=dtype)
+        _randomize_batch_norms(net, rng)
+        shape = (9, config.input_height, config.input_width, config.input_channels)
+        batch = rng.standard_normal(shape).astype(dtype)
+        logits = net.forward_all_branches(Tensor(batch), mode="eval")
+        assert_within_rounding([(br, z.data) for br, z in enumerate(logits)],
+                               list(enumerate(unfused_eval_forward(net, batch))))
+
+    def test_evaluate_at_batch_256_within_rounding_of_unfused_forward(self, rng):
         # eval_wide_f64's net; nine images make one evaluate batch, which
         # stage 1's 3x3 convs split into two tiles of 4 and 5 images
         config = WORKLOAD_NETS[2]
         net = build_branched_net(config, seed=3)
+        _randomize_batch_norms(net, rng)
         data = generate_synthetic(SyntheticSpec(num_classes=3, samples_per_class=3),
                                   seed=4, split="test")
         augment = AugmentConfig(enable_crop=False, enable_jitter=False,
@@ -122,13 +153,9 @@ class TestTiledConvBitIdentity:
                             dump_probs=True)
 
         center = replace(augment, enable_flip=False)
-        batch = Tensor(augment_batch(data.images, center, (), np.float64))
-        with Tape() as tape:
-            logits = net.forward_all_branches(batch, mode="eval")
-            reference = [softmax(z).data for z in logits]
-        assert len(tape) > 0
-        for got, want in zip(probs, reference):
-            assert np.array_equal(got, want)
+        batch = augment_batch(data.images, center, (), np.float64)
+        reference = [softmax(Tensor(z)).data for z in unfused_eval_forward(net, batch)]
+        assert_within_rounding(list(enumerate(probs)), list(enumerate(reference)))
 
 
 class TestConvInputGradBitIdentity:
@@ -249,6 +276,16 @@ class TestMemoryBounds:
         weight = Tensor(rng.standard_normal((16, 16, 3, 3)))
         peak, out = _traced_peak(lambda: conv2d(x, weight, pad=1))
         # the whole batch's patches would be 64 * 1024 * 144 * 8 B = 72 MiB
+        assert peak <= out.data.nbytes + tensor._PATCH_TILE_BYTES + 2 * MiB
+
+    def test_forward_only_conv_adds_its_bias_in_place(self, rng):
+        # evaluation's folded convs all carry a bias; ``out + bias`` would
+        # hold a second 32 MiB output
+        x = Tensor(rng.standard_normal((64, 32, 32, 16)))
+        weight = Tensor(rng.standard_normal((64, 16, 3, 3)))
+        bias = Tensor(rng.standard_normal(64))
+        peak, out = _traced_peak(lambda: conv2d(x, weight, bias, pad=1))
+        assert out.data.nbytes == 32 * MiB
         assert peak <= out.data.nbytes + tensor._PATCH_TILE_BYTES + 2 * MiB
 
     def test_conv_backward_builds_no_patch_gradient_matrix(self, rng):

@@ -11,10 +11,11 @@ from branchnet import model
 from branchnet.model import (BranchedNetConfig, block_topology,
                              build_branched_net, count_parameters,
                              layer_counts, mini_config, paper_scale_config)
-from branchnet.tensor import Tensor
+from branchnet.tensor import Tape, Tensor
 
 from layout import nhwc
-from oracles import batch_norm_sequential, conv2d_gemm_chw
+from oracles import (assert_within_rounding, batch_norm_sequential, conv2d_gemm_chw,
+                     unfused_eval_forward)
 
 
 def tiny_config(**overrides):
@@ -111,16 +112,6 @@ def seed0_mini_forward():
             yield name, t.data
 
 
-def assert_within_rounding(got, want):
-    """Each (label, array) of ``got`` is within rounding of ``want``'s:
-    max|d| <= bound * max|ref|, 1e-12 for float64 and 1e-5 for float32."""
-    assert [label for label, _ in got] == [label for label, _ in want]
-    for (label, a), (_, ref) in zip(got, want):
-        assert a.dtype == ref.dtype and a.shape == ref.shape, label
-        bound = 1e-12 if a.dtype == np.float64 else 1e-5
-        assert np.max(np.abs(a - ref)) <= bound * np.max(np.abs(ref)), label
-
-
 BOTTLENECK_POOL = BranchedNetConfig(
     stage_blocks=(1, 2), stage_widths=(4, 8), bottleneck=True,
     branch_after_block=1, num_branches=2, num_classes=5,
@@ -143,23 +134,25 @@ class TestBuilder:
 
     # pins the seed-0 mini forward pass (seed0_mini_forward); re-recorded when
     # conv patch columns moved from (C, kh, kw) to (kh, kw, C) order, which
-    # sums each conv output over K in another order, and again when batch
-    # norm's channel sums became one BLAS product, which adds the train-mode
-    # statistics in another order (each checked against the old order by
-    # the next two tests)
+    # sums each conv output over K in another order, when batch norm's
+    # channel sums became one BLAS product, which adds the train-mode
+    # statistics in another order, and when eval mode folded batch norm
+    # into the convs, which moves only the eval logits (each checked
+    # against the old computation by the next three tests)
     def test_forward_matches_golden_digest(self):
         h = hashlib.sha256()
         for label, a in seed0_mini_forward():
             h.update(f"{label}|{a.dtype.str}|{a.shape}\n".encode())
             h.update(a.tobytes())
         assert h.hexdigest() == \
-            "64cf795cd841ce56ec2b3521383c3e198f1f42d1622abae580e85a96fe240779"
+            "e96e6a32e84878405b7d06b6a222d7af46a25d6acaf12d5a5bc9829e8b9c1723"
 
     def test_forward_within_rounding_of_chw_column_order(self, monkeypatch):
         got = list(seed0_mini_forward())
 
-        def conv_chw(x, weight, stride, pad):   # the net's convs have no bias
-            return Tensor(conv2d_gemm_chw(x.data, weight.data, stride=stride, pad=pad))
+        def conv_chw(x, weight, bias=None, stride=1, pad=0):   # bias: eval's folded BN
+            out = conv2d_gemm_chw(x.data, weight.data, stride=stride, pad=pad)
+            return Tensor(out if bias is None else out + bias.data)
 
         monkeypatch.setattr(model, "conv2d", conv_chw)
         assert_within_rounding(got, list(seed0_mini_forward()))
@@ -174,6 +167,23 @@ class TestBuilder:
 
         monkeypatch.setattr(model, "batch_norm2d", bn_sequential)
         assert_within_rounding(got, list(seed0_mini_forward()))
+
+    def test_forward_within_rounding_of_unfused_eval(self, monkeypatch):
+        got = list(seed0_mini_forward())
+        folded = model.BranchedNetwork.forward_all_branches
+
+        def unfused(net, batch, mode="eval"):
+            if mode != "eval":
+                return folded(net, batch, mode)
+            return [Tensor(z) for z in unfused_eval_forward(net, batch.data)]
+
+        monkeypatch.setattr(model.BranchedNetwork, "forward_all_branches", unfused)
+        want = list(seed0_mini_forward())
+        assert_within_rounding(got, want)
+        # folding moves the eval logits only: train logits and buffers keep their bits
+        moved = {label for (label, a), (_, ref) in zip(got, want)
+                 if a.tobytes() != ref.tobytes()}
+        assert moved and all(label.startswith("eval|") for label in moved)
 
     def test_same_seed_bitwise_identical(self):
         a = build_branched_net(tiny_config(), seed=11)
@@ -290,6 +300,29 @@ class TestForward:
         net.forward_all_branches(Tensor(nhwc(rng.standard_normal((2, 3, 8, 8)))), mode="eval")
         # stem + two trunk convs once; two convs + projection per branch
         assert len(calls) == 3 + 3 * kb
+
+    def test_eval_writes_into_no_input_trunk_output_or_state(self, rng):
+        # eval mode runs relu and residual adds in place, into conv outputs it
+        # has just made; the stem reads the caller's batch, and every branch's
+        # first block (here with an identity shortcut) the shared trunk output
+        net = build_branched_net(mini_config(num_branches=4, branch_after_block=1,
+                                             input_size=16), seed=6)
+        batch = Tensor(rng.standard_normal((3, 16, 16, 3)))
+        before = batch.data.tobytes(), state_digest(net)
+        trunk_out = net.forward_trunk(batch, "eval")
+        trunk_bytes = trunk_out.data.tobytes()
+        logits = [net.forward_branch(br, trunk_out, "eval").data for br in range(4)]
+        assert trunk_out.data.tobytes() == trunk_bytes
+        assert (batch.data.tobytes(), state_digest(net)) == before
+        for got, want in zip(logits, net.forward_all_branches(batch, mode="eval")):
+            assert got.tobytes() == want.data.tobytes()
+
+    def test_eval_records_no_conv_or_batch_norm(self, rng):
+        net = build_branched_net(tiny_config(), seed=2)
+        with Tape() as tape:
+            net.forward_all_branches(Tensor(nhwc(rng.standard_normal((2, 3, 8, 8)))))
+        # only the heads' linear layers, whose parameters need a gradient
+        assert [node.op for node in tape.nodes] == ["linear", "linear"]
 
     def test_shape_mismatch_rejected(self, rng):
         net = build_branched_net(tiny_config(), seed=2)

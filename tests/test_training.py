@@ -1,6 +1,7 @@
 """Loss exactness, optimizer recurrences, the schedule, and the epoch loop."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -9,10 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchnet import training
-from branchnet.augment import AugmentConfig, RngStream, augment_batch, fit_pca_basis
-from branchnet.data import CheckpointError, SyntheticSpec, generate_synthetic
+from branchnet.augment import (AugmentConfig, RngStream, augment_batch,
+                               fit_augment_statistics, fit_pca_basis)
+from branchnet.data import (CheckpointError, SyntheticSpec, generate_synthetic,
+                            save_checkpoint)
+from branchnet.evaluation import evaluate
 from branchnet.gradcheck import finite_diff_check
-from branchnet.model import BranchedNetConfig, build_branched_net
+from branchnet.model import BranchedNetConfig, build_branched_net, mini_config
 from branchnet.tensor import Tape, Tensor, reverse_pass, softmax_cross_entropy
 from branchnet.training import (OptimizerState, TrainConfig, TrainingDivergedError,
                                 combined_branch_loss, history_csv, lr_at_epoch,
@@ -438,3 +442,43 @@ class TestHistoryCsv:
         row = lines[1].split(",")
         assert float(row[1]) == history.epochs[0].lr
         assert float(row[2]) == history.epochs[0].branch_losses[0]
+
+
+class TestTrainingAfterEvaluate:
+    """Evaluation folds batch norm into the convs and writes relu and the
+    residual adds in place, but only into buffers it made itself, so
+    training right after it ends in the same bytes. This is the eval
+    benchmark's cycle: restore a checkpoint, evaluate, train on."""
+
+    # sha256 of history.csv then final.ckpt, recorded while evaluation still
+    # ran the unfolded Tensor ops
+    DIGEST = "2c2c00b4bca0fe9212d4f32fdbce4740e27eff763439e6f4dc40f33cb53057a4"
+
+    @staticmethod
+    def _history_and_checkpoint(tmp_path, evaluate_first: bool) -> str:
+        config = mini_config(num_branches=4, branch_after_block=2)
+        train_set = generate_synthetic(SyntheticSpec(samples_per_class=1), seed=5,
+                                       split="train")
+        test_set = generate_synthetic(SyntheticSpec(samples_per_class=2), seed=6,
+                                      split="test")
+        augment = fit_augment_statistics(
+            AugmentConfig(enable_crop=False, enable_jitter=False, enable_pca=False),
+            train_set.images)
+        start, _ = train(build_branched_net(config, seed=5), train_set,
+                         TrainConfig(batch_size=10, total_epochs=0, seed=5), augment)
+        net, state = restore_network(start)
+        if evaluate_first:
+            evaluate(net, test_set, augment_config=augment)
+        checkpoint, history = train(net, train_set,
+                                    TrainConfig(batch_size=10, total_epochs=2, seed=5),
+                                    augment, optimizer_state=state)
+        path = tmp_path / f"final-{evaluate_first}.ckpt"
+        save_checkpoint(path, checkpoint)
+        h = hashlib.sha256(history_csv(history, config.num_branches).encode())
+        h.update(path.read_bytes())
+        return h.hexdigest()
+
+    def test_history_and_checkpoint_bytes_unchanged(self, tmp_path):
+        digest = self._history_and_checkpoint(tmp_path, evaluate_first=True)
+        assert digest == self._history_and_checkpoint(tmp_path, evaluate_first=False)
+        assert digest == self.DIGEST
