@@ -244,14 +244,23 @@ def _desk_scale_errors(epsilon, seeds, train_set, test_set, augment):
 class TestCriterion7DeskScaleEnsembleEffect:
     """Statistical trend on the synthetic dataset (no CIFAR-10 archive is
     bundled): mean ensemble error <= mean branch error, and smoothed
-    training <= hard-label training on the branch mean, over 5 seeds.
+    training <= hard-label training on the branch mean, over 20 seeds.
+
+    The seed count sets how often working code fails the test. Over seeds
+    5-30 of this recipe under ``SeedSequence``-seeded PCG64 augmentation
+    draws, the per-seed effects (mean, SD, in error points) were 0.65, 1.05
+    for smoothing on the branch mean, and 0.34, 0.68 (hard) and 0.51, 0.74
+    (smoothed) for the ensemble against the branch mean. By a normal
+    approximation a 20-seed mean of each falls below zero with probability
+    0.3%, 1.3% and 0.1%, so the test fails working code less than 2% of
+    the time, against about 25% (8%, 13%, 6%) over 5 seeds.
 
     The paper-scale absolute error numbers are explicitly NOT targets here;
     only the qualitative trend is asserted.
     """
 
     NOISE = 130.0
-    SEEDS = (5, 6, 7, 8, 9)
+    SEEDS = tuple(range(5, 25))
 
     def test_ensemble_and_smoothing_trends(self):
         train_set = generate_synthetic(
