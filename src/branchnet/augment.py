@@ -2,9 +2,15 @@
 
 ``augment_batch`` turns [N, H, W, 3] source images (uint8, or float in
 [0, 255]) into the [N, h, w, 3] network input, already in the network's
-channel-last layout. Every random draw is keyed by (global_seed, epoch,
-sample_index, technique) through the row's own ``RngStream``, so a row does
-not depend on batch composition or order.
+channel-last layout.
+
+Randomness is counter-based, in the style of Salmon et al. 2011 (*Parallel
+Random Numbers: As Easy as 1, 2, 3*): draw k of a technique for a row keyed
+by (global_seed, epoch, sample_index) is the pure function
+``keyed_bits(seed, epoch, index, technique, k)``, a splitmix64 chain over
+those five words in uint64 arrays. No generator object holds state, so a
+whole batch draws at once, a row does not depend on batch composition or
+order, and a resumed run draws what an uninterrupted one draws.
 
 Stage order is fixed: random crop -> horizontal flip -> color jitter ->
 PCA color noise -> normalize; each stage has its own enable flag and is an
@@ -15,34 +21,75 @@ noise clamp back into range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fields import check_fields
+from .fields import check_fields, fits
 
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
 # jitter ops, as the indices the per-image permutation draws
 BRIGHTNESS, CONTRAST, SATURATION = range(3)
 
+# the words a key hashes are uint64: seeds, epochs and sample indices lie in [0, 2**64)
+KEY_LIMIT = 2**64
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# the technique word of a key, one per kind of draw, numbered from 1 in stage order
+_TECHNIQUES = {"crop": 1, "flip": 2, "color_jitter": 3, "pca_noise": 4, "epoch_shuffle": 5}
+# Box-Muller's log1p and cos through the C library's scalar functions: numpy's
+# own kernels are chosen per CPU and can differ from each other in the last bit
+_log1p = np.frompyfunc(math.log1p, 1, 1)
+_cos = np.frompyfunc(math.cos, 1, 1)
+
+
+def _check_key(name: str, value) -> None:
+    if not (fits(value, int) and 0 <= value < KEY_LIMIT):
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+
 
 @dataclass(frozen=True)
 class RngStream:
-    """Derivation key for all augmentation randomness.
-
-    Identical keys give identical draw sequences; distinct technique tags
-    give independent streams.
-    """
+    """Derivation key for all augmentation randomness of one row: draw k of
+    a technique is ``keyed_bits(global_seed, epoch, sample_index, technique,
+    k)``. Identical keys give identical draws; distinct technique tags give
+    independent ones. Each field is an integer in [0, 2**64)."""
 
     global_seed: int
     epoch: int = 0
     sample_index: int = 0
 
-    def generator(self, technique: str) -> np.random.Generator:
-        entropy = (self.global_seed, self.epoch, self.sample_index) + tuple(technique.encode())
-        return np.random.default_rng(np.random.SeedSequence(entropy))
+    def __post_init__(self):
+        for name in ("global_seed", "epoch", "sample_index"):
+            _check_key(name, getattr(self, name))
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output function (Steele, Lea & Flood 2014), a bijection of uint64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def keyed_bits(seed, epoch, index, technique: str, draws: int) -> np.ndarray:
+    """uint64 draws 0..draws-1 of ``technique`` for every key: an array of
+    the broadcast shape of ``seed``, ``epoch`` and ``index`` (integers in
+    [0, 2**64)) plus a last axis of ``draws``. Starting from h = 0, each
+    word w of (seed, epoch, index, technique tag, k) is absorbed as
+    h <- mix((h ^ w) + golden), so the result is a pure function of the
+    five words, and a bijection of each one with the others fixed."""
+    shape = np.broadcast_shapes(np.shape(seed), np.shape(epoch), np.shape(index))
+    h = np.zeros(shape + (1,), np.uint64)
+    for word in (seed, epoch, index, _TECHNIQUES[technique]):
+        h = _mix((h ^ np.asarray(word, np.uint64)[..., None]) + _GOLDEN)
+    return _mix((h ^ np.arange(draws, dtype=np.uint64)) + _GOLDEN)
+
+
+def keyed_uniforms(seed, epoch, index, technique: str, draws: int) -> np.ndarray:
+    """``keyed_bits`` as float64 uniforms in [0, 1): the top 53 bits times 2**-53."""
+    return (keyed_bits(seed, epoch, index, technique, draws) >> np.uint64(11)) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -175,14 +222,17 @@ def augment_batch(images: np.ndarray, config: AugmentConfig,
     """Apply the enabled stages in the fixed order to [N, H, W, 3] sources
     and return the [N, h, w, 3] network input as ``dtype``.
 
-    ``streams[i]`` keys every draw of row i: the crop offset, the flip, the
-    jitter order and factors (U[1-s, 1+s]) and the PCA weights
-    alpha ~ N(0, sigma^2), which shift every pixel by
-    sum_i alpha_i * lambda_i * p_i. Only the random stages read the
-    streams, so a call with all of them disabled may pass none.
-    Normalization subtracts ``channel_means`` and divides by
-    ``channel_stds``, each where set; with it disabled the output is the
-    augmented pixels, still in [0, 255].
+    ``streams[i]`` keys every draw of row i, and each stage draws for all
+    rows at once as ``keyed_uniforms`` u in [0, 1): the crop offsets
+    floor(u * (H - h + 1)) and floor(u * (W - w + 1)), taken by one gather;
+    the flip, u < p; the jitter order, the stable argsort of three
+    uniforms, and its factors 1 - s + 2s * u; the PCA weights
+    alpha = sigma * sqrt(-2 log(1 - u1)) * cos(2 pi u2) ~ N(0, sigma^2)
+    (Box-Muller), which shift every pixel by sum_i alpha_i * lambda_i * p_i.
+    Only the random stages read the streams, so a call with all of them
+    disabled may pass none. Normalization subtracts ``channel_means`` and
+    divides by ``channel_stds``, each where set; with it disabled the
+    output is the augmented pixels, still in [0, 255].
     """
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[3] != 3:
@@ -191,41 +241,40 @@ def augment_batch(images: np.ndarray, config: AugmentConfig,
     if (config.enable_crop or config.enable_flip or config.enable_jitter
             or config.enable_pca) and len(streams) != n:
         raise ValueError(f"{n} images need {n} RngStreams, got {len(streams)}")
+    keys = np.array([(s.global_seed, s.epoch, s.sample_index) for s in streams],
+                    dtype=np.uint64).reshape(-1, 3).T
 
     if config.enable_crop:
         h, w = config.crop_height, config.crop_width
         if h > src_h or w > src_w:
             raise ValueError(f"crop {h}x{w} exceeds source {src_h}x{src_w}")
-        x = np.empty((n, h, w, 3))
-        for i, stream in enumerate(streams):
-            g = stream.generator("crop")
-            oy = int(g.integers(0, src_h - h + 1))
-            ox = int(g.integers(0, src_w - w + 1))
-            x[i] = images[i, oy:oy + h, ox:ox + w]
+        u = keyed_uniforms(*keys, "crop", 2)
+        oy = (u[:, 0] * (src_h - h + 1)).astype(np.intp)
+        ox = (u[:, 1] * (src_w - w + 1)).astype(np.intp)
+        x = images[np.arange(n)[:, None, None], (oy[:, None] + np.arange(h))[:, :, None],
+                   (ox[:, None] + np.arange(w))[:, None, :]].astype(np.float64, copy=False)
     else:
         x = images.astype(np.float64)
     if config.enable_flip and config.flip_probability > 0:
-        flip = np.array([s.generator("flip").uniform() < config.flip_probability
-                         for s in streams], dtype=bool)
+        flip = keyed_uniforms(*keys, "flip", 1)[:, 0] < config.flip_probability
         x[flip] = x[flip, :, ::-1]
     if config.enable_jitter and config.jitter_strength > 0:
-        ops = np.empty((n, 3), dtype=np.int64)
-        factors = np.empty((n, 3))
+        u = keyed_uniforms(*keys, "color_jitter", 6)
         low, high = 1.0 - config.jitter_strength, 1.0 + config.jitter_strength
-        for i, stream in enumerate(streams):
-            g = stream.generator("color_jitter")
-            ops[i] = g.permutation(3)
-            factors[i] = g.uniform(low, high, size=3)
-        x = jitter_blend(x, ops, factors)
+        x = jitter_blend(x, np.argsort(u[:, :3], axis=1, kind="stable"),
+                         low + (high - low) * u[:, 3:])
     if config.enable_pca:
         basis = config.pca_basis
         if basis is None:
             raise ValueError("enable_pca requires a fitted pca_basis in the config")
         if config.pca_sigma > 0 and np.any(basis.eigenvalues):
-            shifts = np.empty((n, 3))
-            for i, stream in enumerate(streams):
-                alpha = stream.generator("pca_noise").normal(0.0, config.pca_sigma, size=3)
-                shifts[i] = (alpha * basis.eigenvalues) @ basis.eigenvectors
+            u = keyed_uniforms(*keys, "pca_noise", 6)
+            alpha = (config.pca_sigma * np.sqrt(-2.0 * _log1p(-u[:, :3]).astype(np.float64))
+                     * _cos(2.0 * np.pi * u[:, 3:]).astype(np.float64))
+            # three terms added in a fixed order: no BLAS kernel choice can
+            # make a row's shift depend on the batch size
+            a, p = alpha * basis.eigenvalues, basis.eigenvectors
+            shifts = a[:, 0, None] * p[0] + a[:, 1, None] * p[1] + a[:, 2, None] * p[2]
             x += shifts[:, None, None, :]
             np.clip(x, 0.0, 255.0, out=x)
     if config.enable_normalize:
@@ -237,9 +286,12 @@ def augment_batch(images: np.ndarray, config: AugmentConfig,
 
 
 def epoch_shuffle(n: int, epoch: int, seed: int) -> np.ndarray:
-    """Fresh permutation of 0..n-1, deterministic in (n, epoch, seed)."""
+    """Fresh permutation of 0..n-1, deterministic in (n, epoch, seed): the
+    argsort of ``keyed_bits(seed, epoch, i, "epoch_shuffle", 0)`` over
+    i = 0..n-1. The hash is a bijection of i, so the sort meets no ties.
+    ``seed`` and ``epoch`` are integers in [0, 2**64)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    entropy = (seed, epoch) + tuple(b"epoch_shuffle")
-    g = np.random.default_rng(np.random.SeedSequence(entropy))
-    return g.permutation(n)
+    _check_key("seed", seed)
+    _check_key("epoch", epoch)
+    return np.argsort(keyed_bits(seed, epoch, np.arange(n), "epoch_shuffle", 1)[:, 0])

@@ -14,6 +14,8 @@ TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
 
 
 def fits(value, want) -> bool:
+    if type(value) is want:   # the common case, decided without the ABC checks below
+        return True
     if want == list[str]:
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
     if want is bool or isinstance(value, bool):

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .augment import AugmentConfig, RngStream, augment_batch, epoch_shuffle
+from .augment import KEY_LIMIT, AugmentConfig, RngStream, augment_batch, epoch_shuffle
 from .fields import check_fields
 from .model import BranchedNetConfig, BranchedNetwork, build_branched_net
 from .tensor import (NonFiniteError, Tape, Tensor, residual_add, reverse_pass, scale,
@@ -52,8 +52,8 @@ class TrainConfig:
             raise ValueError(f"total_epochs must be >= 0, got {self.total_epochs}")
         if self.lr_decay_interval_epochs < 1:
             raise ValueError("lr_decay_interval_epochs must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= self.seed < KEY_LIMIT:   # the augmentation hash takes it as a uint64
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         for name in ("base_lr", "weight_decay"):
@@ -230,12 +230,13 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
     """Run the epoch loop and return (Checkpoint, TrainHistory). Training
     only: score the trained ``net`` with ``evaluation.evaluate``.
 
-    Each epoch: fresh permutation, per-sample augmentation keyed by
-    (seed, epoch, dataset index), forward of all branches, mean branch
-    loss, reverse pass, SGD step at the scheduled rate. The last incomplete
-    batch is kept. ``start_epoch``/``optimizer_state`` resume a checkpointed
-    run; augmentation streams are keyed by epoch, so a resumed run is
-    bitwise identical to an uninterrupted one.
+    Each epoch: fresh permutation (``epoch_shuffle``), per-sample
+    augmentation whose every draw is a hash of (seed, epoch, dataset index,
+    technique, draw number), forward of all branches, mean branch loss,
+    reverse pass, SGD step at the scheduled rate. The last incomplete batch
+    is kept. ``start_epoch``/``optimizer_state`` resume a checkpointed run;
+    no draw depends on an earlier one, so a resumed run is bitwise
+    identical to an uninterrupted one.
     """
     if len(dataset.images) == 0:
         raise ValueError("training dataset is empty")

@@ -264,3 +264,16 @@ def template_classify(images, templates):
         d = [np.sum((img.astype(np.float64) - t) ** 2) for t in templates]
         preds.append(int(np.argmin(d)))
     return np.asarray(preds)
+
+
+def splitmix64_chain(words):
+    """Absorb each word w as h <- mix((h ^ w) + golden) from h = 0, in
+    Python integers reduced mod 2**64, with splitmix64's finaliser as mix."""
+    mask = 2**64 - 1
+    h = 0
+    for w in words:
+        z = ((h ^ w) + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        h = z ^ (z >> 31)
+    return h

@@ -1,6 +1,9 @@
 """Augmentation identities, distribution checks, and the PCA basis oracle."""
 
+import functools
 import hashlib
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchnet import augment
 from branchnet.augment import (BRIGHTNESS, CONTRAST, SATURATION, AugmentConfig,
                                PcaBasis, RngStream, augment_batch, epoch_shuffle,
-                               fit_pca_basis, jitter_blend)
+                               fit_pca_basis, jitter_blend, keyed_bits, keyed_uniforms)
 from branchnet.data import SyntheticSpec, generate_synthetic
 
-from oracles import jacobi_eig3
+from oracles import jacobi_eig3, splitmix64_chain
+
+
+# the technique tags, whose words are their places here counted from 1
+TECHNIQUES = ["crop", "flip", "color_jitter", "pca_noise", "epoch_shuffle"]
 
 
 def stream(seed=77, epoch=0, sample=0):
@@ -63,19 +71,52 @@ def normalize(img, means, stds=None):
 
 class TestRngStream:
     def test_identical_keys_identical_draws(self):
-        a = stream(1, 2, 3).generator("crop").integers(0, 1000, 10)
-        b = stream(1, 2, 3).generator("crop").integers(0, 1000, 10)
+        a = keyed_bits(1, 2, 3, "crop", 10)
+        b = keyed_bits(1, 2, 3, "crop", 10)
+        assert a.dtype == np.uint64 and a.shape == (10,)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_technique_tags_independent(self):
-        a = stream(1, 2, 3).generator("crop").integers(0, 10**6, 8)
-        b = stream(1, 2, 3).generator("flip").integers(0, 10**6, 8)
-        assert not np.array_equal(a, b)
+        a = keyed_bits(1, 2, 3, "crop", 8)
+        b = keyed_bits(1, 2, 3, "flip", 8)
+        assert not np.intersect1d(a, b).size
 
     def test_distinct_samples_differ(self):
-        a = stream(1, 0, 0).generator("crop").integers(0, 10**6, 8)
-        b = stream(1, 0, 1).generator("crop").integers(0, 10**6, 8)
-        assert not np.array_equal(a, b)
+        a = keyed_bits(1, 0, 0, "crop", 8)
+        b = keyed_bits(1, 0, 1, "crop", 8)
+        assert not np.intersect1d(a, b).size
+
+    @given(words=st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3),
+           technique=st.sampled_from(TECHNIQUES), draws=st.integers(1, 6))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_splitmix64_chain_oracle(self, words, technique, draws):
+        tag = TECHNIQUES.index(technique) + 1
+        want = [splitmix64_chain([*words, tag, k]) for k in range(draws)]
+        assert keyed_bits(*words, technique, draws).tolist() == want
+        u = keyed_uniforms(*words, technique, draws)
+        assert u.tolist() == [(b >> 11) * 2.0**-53 for b in want]
+        assert np.all((0.0 <= u) & (u < 1.0))
+
+    def test_batch_of_keys_draws_each_key_alone(self):
+        seeds = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
+        batch = keyed_bits(seeds, 7, np.array([3, 1, 4]), "pca_noise", 6)
+        assert batch.shape == (3, 6)
+        for row, seed, index in zip(batch, [0, 5, 2**64 - 1], [3, 1, 4]):
+            np.testing.assert_array_equal(row, keyed_bits(seed, 7, index, "pca_noise", 6))
+
+    @pytest.mark.parametrize("field", ["global_seed", "epoch", "sample_index"])
+    @pytest.mark.parametrize("value", [-1, 2**64, True, 1.0],
+                             ids=["negative", "2**64", "bool", "float"])
+    def test_key_outside_uint64_rejected(self, field, value):
+        key = {"global_seed": 1, "epoch": 2, "sample_index": 3, field: value}
+        with pytest.raises(ValueError, match=rf"{field} must be an integer in \[0, 2\*\*64\)"):
+            RngStream(**key)
+
+    def test_largest_key_accepted(self):
+        top = 2**64 - 1
+        s = RngStream(top, top, top)
+        img = np.arange(4 * 4 * 3, dtype=np.float64).reshape(4, 4, 3)
+        assert random_crop(img, (2, 2), s).shape == (2, 2, 3)
 
 
 class TestFitPcaBasis:
@@ -213,15 +254,12 @@ class TestRandomCrop:
 
     def test_known_offset_topleft(self, rng):
         img = random_image(rng, 4, 4)
-        # find a stream that lands on offset (0, 0)
-        for i in range(200):
-            s = stream(seed=13, sample=i)
-            g = s.generator("crop")
-            if int(g.integers(0, 3)) == 0 and int(g.integers(0, 3)) == 0:
-                out = random_crop(img, (2, 2), stream(seed=13, sample=i))
-                np.testing.assert_array_equal(out, img[:2, :2])
-                return
-        pytest.fail("no stream landing on offset (0,0) found")
+        # the first sample whose two keyed crop uniforms both fall in [0, 1/3)
+        u = keyed_uniforms(13, 0, np.arange(200), "crop", 2)
+        hits = np.flatnonzero(np.all(u < 1 / 3, axis=1))
+        assert hits.size, "no key landing on offset (0, 0) among 200"
+        out = random_crop(img, (2, 2), stream(seed=13, sample=int(hits[0])))
+        np.testing.assert_array_equal(out, img[:2, :2])
 
     def test_offsets_uniform_over_nine_positions(self, rng):
         img = np.arange(4 * 4 * 3, dtype=np.float64).reshape(4, 4, 3)
@@ -328,6 +366,13 @@ class TestEpochShuffle:
         assert not np.array_equal(epoch_shuffle(10_000, 0, 42),
                                   epoch_shuffle(10_000, 1, 42))
 
+    @pytest.mark.parametrize("field", ["seed", "epoch"])
+    @pytest.mark.parametrize("value", [-1, 2**64, 1.0], ids=["negative", "2**64", "float"])
+    def test_key_outside_uint64_rejected(self, field, value):
+        key = {"seed": 42, "epoch": 3, field: value}
+        with pytest.raises(ValueError, match=rf"{field} must be an integer in \[0, 2\*\*64\)"):
+            epoch_shuffle(10, **key)
+
 
 class TestPipeline:
     def _full_config(self, rng, crop=8):
@@ -380,11 +425,89 @@ class TestPipeline:
             augment_one(random_image(rng, 12, 12), config)
 
 
+@functools.lru_cache(maxsize=None)
+def synthetic_sources():
+    return generate_synthetic(SyntheticSpec(num_classes=4, samples_per_class=4,
+                                            image_size=12, noise_std=60.0),
+                              seed=31, split="train")
+
+
+class TestKeyedDraws:
+    """Every draw is a hash of the row's key, so the batch changes nothing."""
+
+    @given(rows=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 2**64 - 1),
+                                   st.integers(0, 2**64 - 1)),
+                         min_size=1, max_size=8, unique_by=lambda row: row[0]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           jitter=st.sampled_from([0.4, 2.5]), sigma=st.sampled_from([0.1, 3.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_row_equals_row_augmented_alone(self, rows, dtype, jitter, sigma):
+        data = synthetic_sources()
+        config = AugmentConfig(crop_height=9, crop_width=10, jitter_strength=jitter,
+                               pca_sigma=sigma, channel_means=[118.0, 121.5, 109.25],
+                               channel_stds=[50.0, 60.0, 70.0],
+                               pca_basis=fit_pca_basis(data.images))
+        indices = [index for index, _, _ in rows]
+        streams = [stream(seed, epoch, index) for index, seed, epoch in rows]
+        batch = augment_batch(data.images[indices], config, streams, dtype)
+        assert batch.dtype == dtype and batch.shape == (len(rows), 9, 10, 3)
+        for row, index, s in zip(batch, indices, streams):
+            alone = augment_batch(data.images[index][None], config, [s], dtype)[0]
+            assert row.tobytes() == alone.tobytes()
+
+    def test_jitter_order_uniform_over_six_permutations(self, monkeypatch):
+        seen = []
+
+        def spy(x, ops, factors):
+            seen.append((ops, factors))
+            return jitter_blend(x, ops, factors)
+
+        monkeypatch.setattr(augment, "jitter_blend", spy)
+        draws = 10_000
+        augment_batch(np.zeros((draws, 1, 1, 3)), only("jitter", jitter_strength=0.4),
+                      [stream(seed=34, sample=i) for i in range(draws)])
+        ((ops, factors),) = seen
+        perms, counts = np.unique(ops, axis=0, return_counts=True)
+        assert [tuple(p) for p in perms] == list(itertools.permutations(range(3)))
+        assert np.all(np.abs(counts / draws - 1 / 6) <= 0.02)
+        assert factors.shape == (draws, 3)
+        assert 0.6 <= factors.min() and factors.max() < 1.4
+
+    def test_pca_weights_are_normal_with_sigma(self):
+        draws, sigma = 10_000, 2.0
+        # unit eigenvalues along the RGB axes: each channel's shift is one alpha_i
+        basis = PcaBasis(eigenvalues=np.ones(3), eigenvectors=np.eye(3),
+                         channel_means=np.zeros(3))
+        out = augment_batch(np.full((draws, 1, 1, 3), 128.0),
+                            only("pca", pca_basis=basis, pca_sigma=sigma),
+                            [stream(seed=35, sample=i) for i in range(draws)])
+        alpha = out.reshape(draws, 3) - 128.0
+        assert np.all(np.abs(alpha.mean(axis=0)) <= 0.05 * sigma)
+        assert np.all(np.abs(alpha.std(axis=0) / sigma - 1.0) <= 0.05)
+
+    def test_pca_weights_match_scalar_box_muller_oracle(self):
+        draws, sigma = 64, 1.5
+        basis = PcaBasis(eigenvalues=np.ones(3), eigenvectors=np.eye(3),
+                         channel_means=np.zeros(3))
+        keys = [(2**64 - 1 - i, i % 3, 5 * i) for i in range(draws)]
+        out = augment_batch(np.full((draws, 1, 1, 3), 128.0),
+                            only("pca", pca_basis=basis, pca_sigma=sigma),
+                            [stream(*key) for key in keys])
+        tag = TECHNIQUES.index("pca_noise") + 1
+        want = []
+        for key in keys:
+            u = [(splitmix64_chain([*key, tag, k]) >> 11) * 2.0**-53 for k in range(6)]
+            want.append([128.0 + sigma * math.sqrt(-2.0 * math.log1p(-u[c]))
+                         * math.cos(2.0 * math.pi * u[3 + c]) for c in range(3)])
+        assert out.reshape(draws, 3).tolist() == want
+
+
 class TestGoldenBatches:
-    """sha256 of augmented batches, recorded from the per-image pipeline
-    that ``augment_batch`` replaced: seed 11, epoch 3, one stream per
-    dataset index. The black-image case keeps the sign of zero that a
-    negative brightness factor leaves on a 0 pixel."""
+    """sha256 of augmented batches under the keyed draws (``keyed_bits``):
+    seed 11, epoch 3, one stream per dataset index. The black-image case
+    keeps the sign of zero that a negative brightness factor leaves on a 0
+    pixel. The PCA weights pass through the C library's scalar log1p and
+    cos, not numpy's per-CPU kernels."""
 
     MEANS = [118.0, 121.5, 109.25]
     STDS = [50.0, 60.0, 70.0]
@@ -392,26 +515,26 @@ class TestGoldenBatches:
     @pytest.mark.parametrize("source, fields, dtype, indices, digest", [
         ("synthetic", dict(crop_height=9, crop_width=10, channel_means=MEANS),
          np.float64, [5, 0, 17, 9, 22, 3],
-         "9843b43c77e1532a86b61bfa073ba808c45ee3c3a0e1cacfabfb0e101446d5ef"),
+         "2af4e5be3c5839ba1e8a71f8f06ccaebc59ef3ee36e2bd5579e79f88cb404a3b"),
         ("synthetic", dict(crop_height=8, crop_width=8, enable_jitter=False,
                            enable_pca=False, channel_means=MEANS),
          np.float32, [5, 0, 17, 9, 22, 3],
-         "8a97a2a4b1437bf801bbe2c1cb235f0ea04e4fd2c15949526d6a726e6e788076"),
+         "4b4fa13dbabee937ef702609c44caa8587fdac1812151f5e9d19ddc44d29a20a"),
         ("synthetic", dict(crop_height=10, crop_width=10, enable_pca=False,
                            jitter_strength=1.5, channel_stds=STDS),
          np.float64, [1, 2, 3, 4, 5, 6, 7, 8],
-         "4b74ab4be4204a0e195a632a991fca788cf0b3b1e1b0146a1ca768e319fe57e8"),
+         "a32ae26daf8197e23f00cebc18511e5e7aaa57b34375f57b697768cf305d83f5"),
         ("synthetic", dict(crop_height=12, crop_width=12, channel_means=MEANS,
                            channel_stds=STDS),
          np.float32, [23, 11],
-         "0c3e8c4ef1be29d3267c218edcd8f34ca876a24eee39954c4773ad9d068d6df9"),
+         "bc34dbd6b5b894fe9b1c7020891913529203edaf827641c2cfdcdb6660fcc1ab"),
         ("synthetic", dict(crop_height=7, crop_width=9, channel_means=MEANS),
          np.float64, [13],
-         "75820606881cda8c682c0bd9c07c4109cf507b0ee8997a90c7deef8577ba599c"),
+         "97319d4493bceb1092b269a0d762c52c993e297e21680ee5efce62cd5c112c43"),
         ("black", dict(enable_crop=False, enable_flip=False, enable_pca=False,
                        jitter_strength=2.5),
          np.float64, [0, 1, 2, 3, 4, 5, 6, 7],
-         "f36f18760a1722127c0178039eaf04150cd7a7182e1f99cc8fdfcef60a1e4637"),
+         "3bef822263257f822d2df99b477e08a8bb8a4aea8c4ae311bbfb1ffb08b9ad8d"),
     ], ids=["full-f64", "crop-flip-f32", "stds-strong-jitter-f64", "stds-means-f32",
             "single-row-f64", "black-jitter-2.5-f64"])
     def test_batch_matches_golden_digest(self, source, fields, dtype, indices, digest):
@@ -423,4 +546,6 @@ class TestGoldenBatches:
         batch = augment_batch(images[indices], config,
                               [stream(seed=11, epoch=3, sample=i) for i in indices], dtype)
         assert batch.dtype == dtype
+        if source == "black":   # the case is there for the sign of zero: rows 1 and 3 keep -0.0
+            assert np.signbit(batch).any()
         assert hashlib.sha256(batch.tobytes()).hexdigest() == digest

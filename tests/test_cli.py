@@ -372,6 +372,14 @@ class TestConfigStrictness:
         assert f"section 'augment': {message}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_seed_outside_uint64_rejected_before_any_output(self, tmp_path, config_file,
+                                                            capsys):
+        assert main(["train", "--config", str(config_file),
+                     "--set", "train.seed=18446744073709551616"]) == 2
+        assert ("section 'train': seed must be in [0, 2**64), got 18446744073709551616"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
     def test_malformed_json_line_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"model": {,}}')

@@ -304,6 +304,9 @@ class TestMalformedCheckpoint:
         (lambda raw: _edited_header(
             raw, lambda h: h["augment"].update(jitter_strength=math.inf)),
          "augment section .*jitter_strength must be finite and >= 0, got inf"),
+        (lambda raw: _edited_header(raw, lambda h: (h["train"].update(seed=2**64),
+                                                    h["rng_cursor"].update(global_seed=2**64))),
+         r"train section .*seed must be in \[0, 2\*\*64\)"),
         (lambda raw: _edited_header(raw, lambda h: h.update(epoch="1")), "header epoch"),
         (lambda raw: _edited_header(raw, lambda h: h.update(epoch=-1)), "header epoch"),
         (lambda raw: _edited_header(raw, lambda h: h.update(epoch=True)), "header epoch"),
@@ -330,7 +333,7 @@ class TestMalformedCheckpoint:
             "classes-bool", "seed-float", "batch-size-float", "base-lr-bool", "augment-flag-int",
             "crop-width-float",
             "augment-missing-flag", "augment-rejected", "augment-pca-nan",
-            "augment-jitter-inf", "epoch-string", "epoch-negative",
+            "augment-jitter-inf", "seed-2**64", "epoch-string", "epoch-negative",
             "epoch-bool", "epoch-float", "cursor-not-object", "cursor-missing-epoch",
             "cursor-seed-string", "cursor-epoch-bool", "cursor-epoch-negative",
             "cursor-epoch-ahead", "cursor-seed-other"])

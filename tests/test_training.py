@@ -323,6 +323,21 @@ class TestTrainLoop:
         np.testing.assert_array_equal(batch[::-1], reversed_batch)
         assert not np.array_equal(batch[0], batch[1])
 
+    def test_seed_outside_uint64_rejected(self):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\), "
+                                             r"got 18446744073709551616"):
+            TrainConfig(seed=2**64)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            TrainConfig(seed=-1)
+
+    def test_largest_seed_trains_deterministically(self):
+        net, data, cfg, augment = _loop_setup(epochs=1, seed=2**64 - 1)
+        _, history = train(net, data, cfg, augment)
+        net2, data2, cfg2, augment2 = _loop_setup(epochs=1, seed=2**64 - 1)
+        _, history2 = train(net2, data2, cfg2, augment2)
+        assert history_csv(history, 2) == history_csv(history2, 2)
+        assert np.all(np.isfinite(history.epochs[0].branch_losses))
+
     def test_history_one_record_per_epoch_with_schedule(self):
         net, data, cfg, augment = _loop_setup(epochs=3)
         _, history = train(net, data, cfg, augment)
@@ -450,9 +465,9 @@ class TestTrainingAfterEvaluate:
     training right after it ends in the same bytes. This is the eval
     benchmark's cycle: restore a checkpoint, evaluate, train on."""
 
-    # sha256 of history.csv then final.ckpt, recorded while evaluation still
-    # ran the unfolded Tensor ops
-    DIGEST = "2c2c00b4bca0fe9212d4f32fdbce4740e27eff763439e6f4dc40f33cb53057a4"
+    # sha256 of history.csv then final.ckpt under the keyed flip and shuffle
+    # draws, recorded once the evaluate-first run equalled the train-only one
+    DIGEST = "d55717edb8ae194ed6eff1d9f9e619840a4276057b3cccc8f3b770f6ae8ccd2f"
 
     @staticmethod
     def _history_and_checkpoint(tmp_path, evaluate_first: bool) -> str:
