@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fields import check_fields, fits
+from .fields import bounded, check_fields, fits
 
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
@@ -114,11 +114,11 @@ class PcaBasis:
 
 @dataclass
 class AugmentConfig:
-    crop_height: int = 32
-    crop_width: int = 32
-    flip_probability: float = 0.5
-    pca_sigma: float = 0.1
-    jitter_strength: float = 0.4
+    crop_height: int = bounded(1, default=32)
+    crop_width: int = bounded(1, default=32)
+    flip_probability: float = bounded(0, 1, default=0.5)
+    pca_sigma: float = bounded(0, default=0.1)
+    jitter_strength: float = bounded(0, default=0.4)
     enable_crop: bool = True
     enable_flip: bool = True
     enable_jitter: bool = True
@@ -130,14 +130,6 @@ class AugmentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if not 0.0 <= self.flip_probability <= 1.0:
-            raise ValueError(f"flip_probability must be in [0,1], got {self.flip_probability}")
-        for name in ("pca_sigma", "jitter_strength"):
-            value = getattr(self, name)
-            if not 0.0 <= value < np.inf:   # False for NaN as well
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.crop_height < 1 or self.crop_width < 1:
-            raise ValueError("crop size must be positive")
         for name in ("channel_means", "channel_stds"):
             value = getattr(self, name)
             if value is not None:

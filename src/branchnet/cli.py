@@ -90,6 +90,8 @@ def _parse_data_section(given: dict) -> dict:
     if missing:
         raise ConfigError(f"section 'data': cifar10 data needs key(s) {', '.join(missing)}")
     _check_types("data", given, types)
+    for split in ("train", "test") if kind == "synthetic" else ():
+        _synthetic_spec(given, split)   # checked even by commands that build no data
     return dict(given)
 
 
@@ -170,21 +172,25 @@ def load_experiment(path, overrides: list[str]) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # data and run-dir helpers
 
-def build_dataset(data_cfg: dict, split: str) -> data_io.Dataset:
-    """The ``split`` ("train" or "test") of the configured dataset. Synthetic
-    settings the config leaves out take ``SyntheticSpec``'s defaults, except
-    that the test split has 20 samples per class; its seed is one above the
-    training split's."""
-    if data_cfg["kind"] == "cifar10":
-        return data_io.load_cifar10_binary(data_cfg["dir"], data_cfg[f"{split}_files"],
-                                           split=split)
+def _synthetic_spec(data_cfg: dict, split: str) -> data_io.SyntheticSpec:
+    """The synthetic data section's ``split`` ("train" or "test"). Settings it leaves
+    out take the spec's defaults, except that the test split has 20 samples per class."""
     keys = {"num_classes": "num_classes", f"{split}_samples_per_class": "samples_per_class",
             "image_size": "image_size", "noise_std": "noise_std"}
     given = {name: data_cfg[key] for key, name in keys.items() if key in data_cfg}
     if split == "test":
         given.setdefault("samples_per_class", 20)
+    return _dataclass_section("data", given, data_io.SyntheticSpec)
+
+
+def build_dataset(data_cfg: dict, split: str) -> data_io.Dataset:
+    """The ``split`` ("train" or "test") of the configured dataset. The
+    synthetic test split's seed is one above the training split's."""
+    if data_cfg["kind"] == "cifar10":
+        return data_io.load_cifar10_binary(data_cfg["dir"], data_cfg[f"{split}_files"],
+                                           split=split)
     seed = data_cfg.get("seed", 1234) + (1 if split == "test" else 0)
-    return data_io.generate_synthetic(data_io.SyntheticSpec(**given), seed, split=split)
+    return data_io.generate_synthetic(_synthetic_spec(data_cfg, split), seed, split=split)
 
 
 def _validate_shapes(cfg: ExperimentConfig, train_set: data_io.Dataset) -> None:

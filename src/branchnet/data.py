@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .augment import AugmentConfig, PcaBasis
+from .fields import bounded, check_fields
 from .model import BranchedNetConfig
 from .training import Checkpoint, CheckpointError, TrainConfig
 
@@ -97,18 +98,13 @@ def load_cifar10_binary(directory, files: Optional[Sequence[str]] = None,
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    num_classes: int = 10
-    samples_per_class: int = 50
-    image_size: int = 32
-    noise_std: float = 8.0
+    num_classes: int = bounded(2, default=10)
+    samples_per_class: int = bounded(1, default=50)
+    image_size: int = bounded(8, default=32)
+    noise_std: float = bounded(0, default=8.0)
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.samples_per_class < 1 or self.image_size < 8:
-            raise ValueError("samples_per_class must be >= 1 and image_size >= 8")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        check_fields(self)
 
 
 def class_template(c: int, spec: SyntheticSpec) -> np.ndarray:

@@ -1,11 +1,15 @@
-"""One type rule for config values, in JSON's terms: only a boolean fits
-``bool``, an ``int`` takes an integral value and a ``float`` a real one, and
-neither takes a boolean. The model, train and augment config dataclasses
-check their fields by it when built, from the CLI or from a checkpoint
-header; the CLI checks its data and output sections by it."""
+"""One type rule and one range rule for config values. The type rule is
+JSON's: only a boolean fits ``bool``, an ``int`` takes an integral value and a
+``float`` a real one, and neither takes a boolean. The range rule reads the
+interval that ``bounded`` declares in a field's metadata; every such interval
+is finite, so NaN and ±inf lie outside all of them. The model, train, augment
+and synthetic-data dataclasses check their fields by both rules when built,
+from the CLI or from a checkpoint header; the CLI checks its data and output
+sections by the type rule."""
 
 import dataclasses
 import json
+import math
 import numbers
 import typing
 
@@ -27,13 +31,42 @@ def mistyped(name: str, value, want) -> str:
     return f"{name} must be {TYPE_NAMES[want]}, got {json.dumps(value, default=repr)}"
 
 
+def bounded(lo, hi=math.inf, *, lo_open=False, hi_open=False, **field_args):
+    """A dataclass field whose value must lie between ``lo`` and ``hi``, each
+    end closed unless marked open; without ``hi`` it need only be finite."""
+    bounds = (lo, hi, lo_open, hi_open or hi == math.inf)
+    return dataclasses.field(metadata={"bounds": bounds}, **field_args)
+
+
+def _shown(end) -> str:   # a power of two past 2**32 reads as 2**k
+    big = isinstance(end, int) and end > 2**32 and end & (end - 1) == 0
+    return f"2**{end.bit_length() - 1}" if big else f"{end}"
+
+
+def out_of_bounds(name: str, value, want, bounds) -> typing.Optional[str]:
+    """Why ``value`` lies outside ``bounds``, or None (NaN compares False)."""
+    lo, hi, lo_open, hi_open = bounds
+    if (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi):
+        return None
+    if hi == math.inf:
+        finite = "finite and " if want is float else ""
+        return f"{name} must be {finite}{'>' if lo_open else '>='} {_shown(lo)}, got {value}"
+    return (f"{name} must be in {'(' if lo_open else '['}{_shown(lo)}, {_shown(hi)}"
+            f"{')' if hi_open else ']'}, got {value}")
+
+
 def check_fields(config) -> None:
     """Raise ValueError naming the first ``bool``, ``int`` or ``float`` field
-    that does not fit; store a numpy integer in an ``int`` field as ``int``."""
+    that does not fit its type or lies outside its declared bounds; store a
+    numpy integer in an ``int`` field as ``int``."""
     hints = typing.get_type_hints(type(config))
     for f in dataclasses.fields(config):
         value, want = getattr(config, f.name), hints[f.name]
         if want in (bool, int, float) and not fits(value, want):
             raise ValueError(mistyped(f.name, value, want))
         if want is int:
-            object.__setattr__(config, f.name, int(value))
+            value = int(value)
+            object.__setattr__(config, f.name, value)
+        error = "bounds" in f.metadata and out_of_bounds(f.name, value, want, f.metadata["bounds"])
+        if error:
+            raise ValueError(error)

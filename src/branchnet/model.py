@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .fields import check_fields, fits
+from .fields import bounded, check_fields, fits
 from .tensor import (BN_EPSILON, Tensor, batch_norm2d, conv2d, global_avg_pool,
                      linear, pool2d, relu, residual_add)
 
@@ -39,14 +39,14 @@ class BranchedNetConfig:
     stage_blocks: tuple[int, ...]
     stage_widths: tuple[int, ...]
     bottleneck: bool
-    branch_after_block: int
-    num_branches: int
-    num_classes: int
-    input_channels: int = 3
-    input_height: int = 32
-    input_width: int = 32
-    stem_kernel: int = 3
-    stem_stride: int = 1
+    branch_after_block: int   # in [0, total_blocks], checked below
+    num_branches: int = bounded(1)
+    num_classes: int = bounded(2)
+    input_channels: int = bounded(1, default=3)
+    input_height: int = bounded(1, default=32)
+    input_width: int = bounded(1, default=32)
+    stem_kernel: int = bounded(1, default=3)
+    stem_stride: int = bounded(1, default=1)
     stem_pool: bool = False
 
     def __post_init__(self):
@@ -69,14 +69,6 @@ class BranchedNetConfig:
             raise ValueError(
                 f"branch_after_block must be in [0, {self.total_blocks}], "
                 f"got {self.branch_after_block}")
-        if self.num_branches < 1:
-            raise ValueError(f"num_branches must be >= 1, got {self.num_branches}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        for name in ("input_channels", "input_height", "input_width",
-                     "stem_kernel", "stem_stride"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
 
     @property
     def total_blocks(self) -> int:

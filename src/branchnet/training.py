@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .augment import KEY_LIMIT, AugmentConfig, RngStream, augment_batch, epoch_shuffle
-from .fields import check_fields
+from .fields import bounded, check_fields
 from .model import BranchedNetConfig, BranchedNetwork, build_branched_net
 from .tensor import (NonFiniteError, Tape, Tensor, residual_add, reverse_pass, scale,
                      softmax_cross_entropy)
@@ -30,41 +30,19 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 128
-    total_epochs: int = 95
-    base_lr: float = 0.05
-    lr_decay_factor: float = 0.1
-    lr_decay_interval_epochs: int = 30
-    weight_decay: float = 0.0001
-    momentum: float = 0.9
-    smoothing_epsilon: float = 0.1
-    seed: int = 0
-    num_classes: int = 10
+    batch_size: int = bounded(1, default=128)
+    total_epochs: int = bounded(0, default=95)
+    base_lr: float = bounded(0, default=0.05)
+    lr_decay_factor: float = bounded(0, lo_open=True, default=0.1)
+    lr_decay_interval_epochs: int = bounded(1, default=30)
+    weight_decay: float = bounded(0, default=0.0001)
+    momentum: float = bounded(0, 1, hi_open=True, default=0.9)
+    smoothing_epsilon: float = bounded(0, 1, default=0.1)
+    seed: int = bounded(0, KEY_LIMIT, hi_open=True, default=0)   # hashed as a uint64
+    num_classes: int = bounded(2, default=10)
 
     def __post_init__(self):
         check_fields(self)
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.smoothing_epsilon <= 1.0:
-            raise ValueError(
-                f"smoothing_epsilon must be in [0,1], got {self.smoothing_epsilon}")
-        if self.total_epochs < 0:
-            raise ValueError(f"total_epochs must be >= 0, got {self.total_epochs}")
-        if self.lr_decay_interval_epochs < 1:
-            raise ValueError("lr_decay_interval_epochs must be >= 1")
-        if not 0 <= self.seed < KEY_LIMIT:   # the augmentation hash takes it as a uint64
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        for name in ("base_lr", "weight_decay"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not (np.isfinite(self.lr_decay_factor) and self.lr_decay_factor > 0.0):
-            raise ValueError(f"lr_decay_factor must be finite and > 0, "
-                             f"got {self.lr_decay_factor}")
 
 
 class CheckpointError(RuntimeError):

@@ -8,6 +8,23 @@ import pytest
 from branchnet.cli import main
 from branchnet.data import read_ppm, write_ppm
 
+from bounds import SECTIONS, rejected_cases
+
+
+# the data-section keys that set a SyntheticSpec field, where they differ from its name
+_SPEC_KEYS = {"samples_per_class": ("train_samples_per_class", "test_samples_per_class")}
+
+
+def _bound_overrides():
+    """A ``--set`` outside each declared bound, and the start of its message (which
+    names the config key, or the SyntheticSpec field that the key sets)."""
+    for case in rejected_cases():
+        cls, name, value = case.values
+        section = SECTIONS[cls]
+        for key in _SPEC_KEYS.get(name, (name,)) if section == "data" else (name,):
+            yield pytest.param(f"{section}.{key}={json.dumps(value)}", f"{name} must be",
+                               id=f"{section}.{key}={value!r}")
+
 
 def experiment_dict(out_dir, epochs=1):
     return {
@@ -379,6 +396,21 @@ class TestConfigStrictness:
         assert ("section 'train': seed must be in [0, 2**64), got 18446744073709551616"
                 in capsys.readouterr().err)
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("override, message", _bound_overrides())
+    def test_value_outside_declared_bounds_rejected_before_any_output(
+            self, tmp_path, config_file, capsys, override, message):
+        assert main(["train", "--config", str(config_file), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert f"section '{override.split('.')[0]}': " in err and message in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("override", [
+        "data.noise_std=NaN", "data.image_size=4", "data.test_samples_per_class=0"])
+    def test_data_section_checked_by_a_command_that_reads_no_data(self, config_file, capsys,
+                                                                  override):
+        assert main(["inspect", "--config", str(config_file), "--set", override]) == 2
+        assert "section 'data': " in capsys.readouterr().err
 
     def test_malformed_json_line_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

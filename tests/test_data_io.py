@@ -18,6 +18,7 @@ from branchnet.data import (CheckpointError, Dataset, SyntheticSpec, class_templ
 from branchnet.model import BranchedNetConfig, build_branched_net
 from branchnet.training import TrainConfig, train
 
+from bounds import SECTIONS, accepted_cases, rejected_cases
 from oracles import template_classify
 
 
@@ -260,6 +261,21 @@ def _edited_header(raw, edit):
     return _with_header(raw, json.dumps(header, sort_keys=True).encode())
 
 
+def _section_edit(cls, name, value):
+    """A header edit setting ``name`` in the section that holds ``cls``."""
+    return lambda raw: _edited_header(raw, lambda h: h[SECTIONS[cls]].update({name: value}))
+
+
+# the configs a checkpoint header holds, as the Checkpoint attributes they load into
+_HEADER_CONFIGS = {BranchedNetConfig: "model_config", TrainConfig: "train_config",
+                   AugmentConfig: "augment_config"}
+_BOUND_CASES = rejected_cases(_HEADER_CONFIGS)
+_BOUND_EDITS = [(_section_edit(*case.values),
+                 f"{SECTIONS[case.values[0]]} section .*{case.values[1]} must be")
+                for case in _BOUND_CASES]
+_BOUND_EDIT_IDS = [case.id for case in _BOUND_CASES]
+
+
 class TestMalformedCheckpoint:
     """Every malformed part of a file raises CheckpointError, nothing else."""
 
@@ -327,7 +343,8 @@ class TestMalformedCheckpoint:
         (lambda raw: _edited_header(
             raw, lambda h: h["rng_cursor"].update(global_seed=h["train"]["seed"] + 1)),
          "header rng_cursor .* disagrees with the train seed and epoch"),
-    ], ids=["header-not-utf8", "header-not-json", "header-not-object", "missing-key",
+    ] + _BOUND_EDITS,
+        ids=["header-not-utf8", "header-not-json", "header-not-object", "missing-key",
             "tensor-count-type", "model-rejected", "train-rejected",
             "stem-pool-string", "stem-pool-int", "branches-float", "stem-kernel-float",
             "classes-bool", "seed-float", "batch-size-float", "base-lr-bool", "augment-flag-int",
@@ -336,12 +353,21 @@ class TestMalformedCheckpoint:
             "augment-jitter-inf", "seed-2**64", "epoch-string", "epoch-negative",
             "epoch-bool", "epoch-float", "cursor-not-object", "cursor-missing-epoch",
             "cursor-seed-string", "cursor-epoch-bool", "cursor-epoch-negative",
-            "cursor-epoch-ahead", "cursor-seed-other"])
+            "cursor-epoch-ahead", "cursor-seed-other"] + _BOUND_EDIT_IDS)
     def test_header_rejected(self, tmp_path, checkpoint_bytes, make, match):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(make(checkpoint_bytes))
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("cls, name, value", accepted_cases(_HEADER_CONFIGS))
+    def test_header_closed_end_accepted(self, tmp_path, checkpoint_bytes, cls, name, value):
+        raw = _section_edit(cls, name, value)(checkpoint_bytes)
+        if name == "seed":   # the cursor follows the train seed
+            raw = _edited_header(raw, lambda h: h["rng_cursor"].update(global_seed=value))
+        (tmp_path / "ends.ckpt").write_bytes(raw)
+        config = getattr(load_checkpoint(tmp_path / "ends.ckpt"), _HEADER_CONFIGS[cls])
+        assert getattr(config, name) == value
 
     def test_tensor_name_not_utf8_rejected(self, tmp_path, checkpoint_bytes):
         first_name = 16 + len(_header_blob(checkpoint_bytes)) + 4
