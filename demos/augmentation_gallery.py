@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from branchnet import (AugmentConfig, RngStream, SyntheticSpec, augment_batch,
-                       fit_pca_basis, generate_synthetic, write_ppm)
+from branchnet import (AugmentConfig, SyntheticSpec, augment_batch, fit_pca_basis,
+                       generate_synthetic, write_ppm)
 from branchnet.augment import BRIGHTNESS, CONTRAST, SATURATION, jitter_blend
 
 
@@ -37,22 +37,22 @@ def main():
                            enable_normalize=False, pca_basis=basis)
     none = replace(config, enable_crop=False, enable_flip=False,
                    enable_jitter=False, enable_pca=False)
-    stream = [RngStream(global_seed=11, epoch=0, sample_index=0)]
 
     def one(stage_config):
-        return augment_batch(image[None], stage_config, stream)[0]
+        return augment_batch(image[None], stage_config, 11, 0, [0])[0]
 
     write_ppm(out_dir / "crop.ppm", one(replace(none, enable_crop=True)))
     write_ppm(out_dir / "flip.ppm", one(replace(none, enable_flip=True, flip_probability=1.0)))
     for name, op, factor in (("brightness", BRIGHTNESS, 1.35),
                              ("saturation", SATURATION, 0.2),
                              ("contrast", CONTRAST, 1.6)):
-        write_ppm(out_dir / f"{name}.ppm", jitter_blend(image[None], [[op]], [[factor]])[0])
+        blended = jitter_blend(image[None].copy(), [[op]], [[factor]])   # blends in place
+        write_ppm(out_dir / f"{name}.ppm", blended[0])
     write_ppm(out_dir / "jitter_all.ppm", one(replace(none, enable_jitter=True)))
     write_ppm(out_dir / "pca_noise.ppm", one(replace(none, enable_pca=True, pca_sigma=0.15)))
 
-    draws = [RngStream(global_seed=11, epoch=0, sample_index=i) for i in range(4)]
-    pixels = augment_batch(np.broadcast_to(image, (4,) + image.shape), config, draws)
+    pixels = augment_batch(np.broadcast_to(image, (4,) + image.shape), config,
+                           11, 0, np.arange(4))
     for i, row in enumerate(pixels):
         write_ppm(out_dir / f"pipeline_{i}.ppm", row)
 

@@ -7,8 +7,8 @@ image-augmentation pipeline (crop, flip, color jitter, PCA color noise,
 normalization).
 """
 
-from .augment import (AugmentConfig, PcaBasis, RngStream, augment_batch,
-                      epoch_shuffle, fit_augment_statistics, fit_pca_basis)
+from .augment import (AugmentConfig, PcaBasis, augment_batch, epoch_shuffle,
+                      fit_augment_statistics, fit_pca_basis)
 from .data import (Dataset, SyntheticSpec, generate_synthetic, load_checkpoint,
                    load_cifar10_binary, read_ppm, save_checkpoint, write_ppm)
 from .evaluation import (EvalReport, ensemble_probs, evaluate,
@@ -30,7 +30,7 @@ from .training import (Checkpoint, OptimizerState, TrainConfig, TrainHistory,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentConfig", "PcaBasis", "RngStream", "augment_batch", "epoch_shuffle",
+    "AugmentConfig", "PcaBasis", "augment_batch", "epoch_shuffle",
     "fit_augment_statistics", "fit_pca_basis",
     "Dataset", "SyntheticSpec", "generate_synthetic", "load_checkpoint",
     "load_cifar10_binary", "read_ppm", "save_checkpoint", "write_ppm",

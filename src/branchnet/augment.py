@@ -5,12 +5,12 @@
 channel-last layout.
 
 Randomness is counter-based, in the style of Salmon et al. 2011 (*Parallel
-Random Numbers: As Easy as 1, 2, 3*): draw k of a technique for a row keyed
-by (global_seed, epoch, sample_index) is the pure function
-``keyed_bits(seed, epoch, index, technique, k)``, a splitmix64 chain over
-those five words in uint64 arrays. No generator object holds state, so a
-whole batch draws at once, a row does not depend on batch composition or
-order, and a resumed run draws what an uninterrupted one draws.
+Random Numbers: As Easy as 1, 2, 3*): draw k of a technique for the row of
+dataset index i, under a run's seed in a given epoch, is the pure function
+``keyed_bits(seed, epoch, i, technique, k)``, a splitmix64 chain over those
+five words in uint64 arrays. No generator object holds state, so a whole
+batch draws at once, a row does not depend on batch composition or order,
+and a resumed run draws what an uninterrupted one draws.
 
 Stage order is fixed: random crop -> horizontal flip -> color jitter ->
 PCA color noise -> normalize; each stage has its own enable flag and is an
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -45,25 +45,21 @@ _log1p = np.frompyfunc(math.log1p, 1, 1)
 _cos = np.frompyfunc(math.cos, 1, 1)
 
 
-def _check_key(name: str, value) -> None:
-    if not (fits(value, int) and 0 <= value < KEY_LIMIT):
-        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Derivation key for all augmentation randomness of one row: draw k of
-    a technique is ``keyed_bits(global_seed, epoch, sample_index, technique,
-    k)``. Identical keys give identical draws; distinct technique tags give
-    independent ones. Each field is an integer in [0, 2**64)."""
-
-    global_seed: int
-    epoch: int = 0
-    sample_index: int = 0
-
-    def __post_init__(self):
-        for name in ("global_seed", "epoch", "sample_index"):
-            _check_key(name, getattr(self, name))
+def check_key(name: str, value, shape=()) -> np.ndarray:
+    """``value`` as uint64 words of ``shape``, or ValueError naming ``name`` unless
+    each element is an integer in [0, 2**64). Only an integer array is checked as
+    an array: numpy reads the list [1, 2**64 - 1] as float64, so the rest stays
+    exact Python objects, checked one by one."""
+    if np.shape(value) != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {np.shape(value)}")
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        words, bad = value, value[value < 0].tolist()
+    else:
+        words = np.asarray(value, dtype=object)
+        bad = [v for v in words.flat if not (fits(v, int) and 0 <= v < KEY_LIMIT)]
+    if bad:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {bad[0]!r}")
+    return words.astype(np.uint64)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -189,12 +185,11 @@ def fit_augment_statistics(config: AugmentConfig, images: np.ndarray) -> Augment
 # the batch pipeline
 
 def jitter_blend(x: np.ndarray, ops, factors) -> np.ndarray:
-    """Blend each row of an [N, h, w, 3] batch toward its jitter centers,
-    position by position: x <- f*x + (1-f)*c with f = factors[i, k] and c =
-    0 (BRIGHTNESS), the row's mean luma (CONTRAST) or each pixel's luma
-    (SATURATION) for op = ops[i, k]. Returns a new array, clamped once at
-    the end."""
-    x = np.array(x, dtype=np.float64)
+    """Blend each row of a float64 [N, h, w, 3] batch toward its jitter
+    centers, position by position: x <- f*x + (1-f)*c with f = factors[i, k]
+    and c = 0 (BRIGHTNESS), the row's mean luma (CONTRAST) or each pixel's
+    luma (SATURATION) for op = ops[i, k]. Works in place on ``x``, which it
+    returns clamped once at the end: pass a copy to keep the input."""
     ops = np.asarray(ops)
     factors = np.asarray(factors, dtype=np.float64)
     for k in range(ops.shape[1]):
@@ -209,19 +204,20 @@ def jitter_blend(x: np.ndarray, ops, factors) -> np.ndarray:
     return np.clip(x, 0.0, 255.0, out=x)
 
 
-def augment_batch(images: np.ndarray, config: AugmentConfig,
-                  streams: Sequence[RngStream], dtype=np.float64) -> np.ndarray:
+def augment_batch(images: np.ndarray, config: AugmentConfig, seed=0, epoch=0,
+                  indices=(), dtype=np.float64) -> np.ndarray:
     """Apply the enabled stages in the fixed order to [N, H, W, 3] sources
     and return the [N, h, w, 3] network input as ``dtype``.
 
-    ``streams[i]`` keys every draw of row i, and each stage draws for all
-    rows at once as ``keyed_uniforms`` u in [0, 1): the crop offsets
+    Row i's draws are keyed by (``seed``, ``epoch``, ``indices[i]``), each
+    an integer in [0, 2**64), and each stage draws for all rows at once as
+    ``keyed_uniforms`` u in [0, 1): the crop offsets
     floor(u * (H - h + 1)) and floor(u * (W - w + 1)), taken by one gather;
     the flip, u < p; the jitter order, the stable argsort of three
     uniforms, and its factors 1 - s + 2s * u; the PCA weights
     alpha = sigma * sqrt(-2 log(1 - u1)) * cos(2 pi u2) ~ N(0, sigma^2)
     (Box-Muller), which shift every pixel by sum_i alpha_i * lambda_i * p_i.
-    Only the random stages read the streams, so a call with all of them
+    Only the random stages read the key, so a call with all of them
     disabled may pass none. Normalization subtracts ``channel_means`` and
     divides by ``channel_stds``, each where set; with it disabled the
     output is the augmented pixels, still in [0, 255].
@@ -230,17 +226,16 @@ def augment_batch(images: np.ndarray, config: AugmentConfig,
     if images.ndim != 4 or images.shape[3] != 3:
         raise ValueError(f"images must be [N, H, W, 3] RGB, got shape {images.shape}")
     n, src_h, src_w, _ = images.shape
-    if (config.enable_crop or config.enable_flip or config.enable_jitter
-            or config.enable_pca) and len(streams) != n:
-        raise ValueError(f"{n} images need {n} RngStreams, got {len(streams)}")
-    keys = np.array([(s.global_seed, s.epoch, s.sample_index) for s in streams],
-                    dtype=np.uint64).reshape(-1, 3).T
+    if config.enable_crop or config.enable_flip or config.enable_jitter or config.enable_pca:
+        key = (check_key("seed", seed), check_key("epoch", epoch),
+               check_key("index", indices, (n,)))
 
+    # x is this call's own float64 buffer (the gather's or astype's), so stages write into it
     if config.enable_crop:
         h, w = config.crop_height, config.crop_width
         if h > src_h or w > src_w:
             raise ValueError(f"crop {h}x{w} exceeds source {src_h}x{src_w}")
-        u = keyed_uniforms(*keys, "crop", 2)
+        u = keyed_uniforms(*key, "crop", 2)
         oy = (u[:, 0] * (src_h - h + 1)).astype(np.intp)
         ox = (u[:, 1] * (src_w - w + 1)).astype(np.intp)
         x = images[np.arange(n)[:, None, None], (oy[:, None] + np.arange(h))[:, :, None],
@@ -248,10 +243,10 @@ def augment_batch(images: np.ndarray, config: AugmentConfig,
     else:
         x = images.astype(np.float64)
     if config.enable_flip and config.flip_probability > 0:
-        flip = keyed_uniforms(*keys, "flip", 1)[:, 0] < config.flip_probability
+        flip = keyed_uniforms(*key, "flip", 1)[:, 0] < config.flip_probability
         x[flip] = x[flip, :, ::-1]
     if config.enable_jitter and config.jitter_strength > 0:
-        u = keyed_uniforms(*keys, "color_jitter", 6)
+        u = keyed_uniforms(*key, "color_jitter", 6)
         low, high = 1.0 - config.jitter_strength, 1.0 + config.jitter_strength
         x = jitter_blend(x, np.argsort(u[:, :3], axis=1, kind="stable"),
                          low + (high - low) * u[:, 3:])
@@ -260,7 +255,7 @@ def augment_batch(images: np.ndarray, config: AugmentConfig,
         if basis is None:
             raise ValueError("enable_pca requires a fitted pca_basis in the config")
         if config.pca_sigma > 0 and np.any(basis.eigenvalues):
-            u = keyed_uniforms(*keys, "pca_noise", 6)
+            u = keyed_uniforms(*key, "pca_noise", 6)
             alpha = (config.pca_sigma * np.sqrt(-2.0 * _log1p(-u[:, :3]).astype(np.float64))
                      * _cos(2.0 * np.pi * u[:, 3:]).astype(np.float64))
             # three terms added in a fixed order: no BLAS kernel choice can
@@ -284,6 +279,5 @@ def epoch_shuffle(n: int, epoch: int, seed: int) -> np.ndarray:
     ``seed`` and ``epoch`` are integers in [0, 2**64)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_key("seed", seed)
-    _check_key("epoch", epoch)
+    seed, epoch = check_key("seed", seed), check_key("epoch", epoch)
     return np.argsort(keyed_bits(seed, epoch, np.arange(n), "epoch_shuffle", 1)[:, 0])

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import data as data_io
-from .augment import AugmentConfig, RngStream, augment_batch, fit_augment_statistics
+from .augment import AugmentConfig, augment_batch, check_key, fit_augment_statistics
 from .evaluation import evaluate
 from .fields import fits, mistyped
 from .model import (BranchedNetConfig, block_topology, build_branched_net,
@@ -173,14 +173,19 @@ def load_experiment(path, overrides: list[str]) -> ExperimentConfig:
 # data and run-dir helpers
 
 def _synthetic_spec(data_cfg: dict, split: str) -> data_io.SyntheticSpec:
-    """The synthetic data section's ``split`` ("train" or "test"). Settings it leaves
-    out take the spec's defaults, except that the test split has 20 samples per class."""
-    keys = {"num_classes": "num_classes", f"{split}_samples_per_class": "samples_per_class",
-            "image_size": "image_size", "noise_std": "noise_std"}
-    given = {name: data_cfg[key] for key, name in keys.items() if key in data_cfg}
+    """The synthetic data section's ``split`` ("train" or "test"), its seed checked. Settings
+    it leaves out take the spec's defaults, except that the test split has 20 per class."""
+    names = {"num_classes": "num_classes", "samples_per_class": f"{split}_samples_per_class",
+             "image_size": "image_size", "noise_std": "noise_std"}
+    given = {name: data_cfg[key] for name, key in names.items() if key in data_cfg}
     if split == "test":
         given.setdefault("samples_per_class", 20)
-    return _dataclass_section("data", given, data_io.SyntheticSpec)
+    try:
+        check_key("seed", data_cfg.get("seed", 0))
+        return data_io.SyntheticSpec(**given)
+    except ValueError as exc:   # each rule names the field first: name it by its key
+        name, _, reason = str(exc).partition(" ")
+        raise ConfigError(f"section 'data': {names.get(name, name)} {reason}") from exc
 
 
 def build_dataset(data_cfg: dict, split: str) -> data_io.Dataset:
@@ -341,6 +346,8 @@ def cmd_compare(args) -> int:
 
 def cmd_augment_preview(args) -> int:
     cfg = load_experiment(args.config, args.set)
+    if args.count < 0:
+        raise ConfigError(f"--count must be >= 0, got {args.count}")
     image = data_io.read_ppm(args.image)
     # dump pre-normalization pixels: PPM is 8-bit, normalized tensors are not
     augment = fit_augment_statistics(
@@ -349,10 +356,8 @@ def cmd_augment_preview(args) -> int:
     if args.count > 0:
         out_dir.mkdir(parents=True, exist_ok=True)
         data_io.write_ppm(out_dir / "original.ppm", image)
-    streams = [RngStream(global_seed=cfg.train.seed, epoch=0, sample_index=i)
-               for i in range(args.count)]
     previews = augment_batch(np.broadcast_to(image, (args.count,) + image.shape),
-                             augment, streams)
+                             augment, cfg.train.seed, 0, np.arange(args.count))
     for i, preview in enumerate(previews):
         data_io.write_ppm(out_dir / f"augment{i:03d}.ppm", preview)
     return 0

@@ -140,7 +140,7 @@ def evaluate(net: BranchedNetwork, dataset, batch_size: int = 256, *,
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
         batch = augment_batch(dataset.images[lo:hi, oy:oy + in_h, ox:ox + in_w],
-                              center, (), net.dtype)
+                              center, dtype=net.dtype)
         logits = net.forward_all_branches(Tensor(batch), mode="eval")
         for br in range(kb):
             branch_probs[br][lo:hi] = softmax(logits[br]).data

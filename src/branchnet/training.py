@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .augment import KEY_LIMIT, AugmentConfig, RngStream, augment_batch, epoch_shuffle
+from .augment import KEY_LIMIT, AugmentConfig, augment_batch, epoch_shuffle
 from .fields import bounded, check_fields
 from .model import BranchedNetConfig, BranchedNetwork, build_branched_net
 from .tensor import (NonFiniteError, Tape, Tensor, residual_add, reverse_pass, scale,
@@ -63,7 +63,7 @@ class Checkpoint:
 
     @property
     def rng_cursor(self) -> dict:
-        """Where the augmentation streams resume; they are keyed by seed and epoch."""
+        """Where the augmentation draws resume; they are keyed by seed and epoch."""
         return {"global_seed": self.train_config.seed, "next_epoch": self.epoch}
 
 
@@ -236,9 +236,8 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
         batches = 0
         for lo in range(0, n, train_config.batch_size):
             batch_idx = order[lo:lo + train_config.batch_size]
-            streams = [RngStream(train_config.seed, epoch, int(i)) for i in batch_idx]
             batch = Tensor(augment_batch(dataset.images[batch_idx], augment_config,
-                                         streams, net.dtype))
+                                         train_config.seed, epoch, batch_idx, net.dtype))
             targets = smooth_label_matrix(dataset.labels[batch_idx],
                                           train_config.num_classes,
                                           train_config.smoothing_epsilon)

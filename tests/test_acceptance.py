@@ -12,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from branchnet.augment import (AugmentConfig, PcaBasis, RngStream,
-                               augment_batch, fit_pca_basis)
+from branchnet.augment import AugmentConfig, PcaBasis, augment_batch, fit_pca_basis
 from branchnet.cli import main
 from branchnet.data import (SyntheticSpec, generate_synthetic,
                             load_checkpoint, save_checkpoint)
@@ -348,33 +347,35 @@ class TestCriterion9AugmentationProperties:
     def test_property_suite(self, rng):
         img = rng.uniform(0, 255, size=(12, 12, 3))
 
-        def one(image, stream, **fields):
-            """A batch of one through the stages ``fields`` enables."""
+        def one(image, key, **fields):
+            """A batch of one, keyed by ``key`` = (seed, epoch, index), through
+            the stages ``fields`` enables."""
             off = dict(enable_crop=False, enable_flip=False, enable_jitter=False,
                        enable_pca=False, enable_normalize=False)
+            seed, epoch, index = key
             return augment_batch(image[None], AugmentConfig(**{**off, **fields}),
-                                 [stream])[0]
+                                 seed, epoch, [index])[0]
 
-        stream = RngStream(global_seed=3, epoch=0, sample_index=0)
+        key = (3, 0, 0)
         flip = dict(enable_flip=True, flip_probability=1.0)
-        np.testing.assert_array_equal(one(img, stream, **flip), img[:, ::-1])
-        np.testing.assert_array_equal(one(one(img, stream, **flip), stream, **flip), img)
+        np.testing.assert_array_equal(one(img, key, **flip), img[:, ::-1])
+        np.testing.assert_array_equal(one(one(img, key, **flip), key, **flip), img)
         np.testing.assert_array_equal(
-            one(img, stream, enable_flip=True, flip_probability=0.0), img)
+            one(img, key, enable_flip=True, flip_probability=0.0), img)
         np.testing.assert_array_equal(
-            one(img, stream, enable_crop=True, crop_height=12, crop_width=12), img)
+            one(img, key, enable_crop=True, crop_height=12, crop_width=12), img)
 
         basis0 = PcaBasis(eigenvalues=np.zeros(3), eigenvectors=np.eye(3),
                           channel_means=np.zeros(3))
         np.testing.assert_array_equal(
-            one(img, stream, enable_pca=True, pca_basis=basis0, pca_sigma=0.0), img)
+            one(img, key, enable_pca=True, pca_basis=basis0, pca_sigma=0.0), img)
         np.testing.assert_array_equal(
-            one(img, stream, enable_jitter=True, jitter_strength=0.0), img)
+            one(img, key, enable_jitter=True, jitter_strength=0.0), img)
 
         # crop output shape equals configured size over source sizes
         for size in (16, 24, 33):
             src = rng.uniform(0, 255, size=(size, size + 1, 3))
-            out = one(src, RngStream(3, 0, size), enable_crop=True,
+            out = one(src, (3, 0, size), enable_crop=True,
                       crop_height=9, crop_width=11)
             assert out.shape == (9, 11, 3)
 
@@ -383,7 +384,7 @@ class TestCriterion9AugmentationProperties:
         counts = np.zeros(9)
         draws = 10_000
         for i in range(draws):
-            out = one(base, RngStream(21, 0, i), enable_crop=True,
+            out = one(base, (21, 0, i), enable_crop=True,
                       crop_height=2, crop_width=2)
             flat = int(out[0, 0, 0])
             counts[(flat // 12) * 3 + (flat % 12) // 3] += 1
@@ -402,7 +403,7 @@ class TestCriterion9AugmentationProperties:
 
         # post-normalization pooled channel mean -> 0
         means = px.mean(axis=0)
-        pooled = np.stack([one(im, stream, enable_normalize=True, channel_means=means)
+        pooled = np.stack([one(im, key, enable_normalize=True, channel_means=means)
                            for im in images]).mean(axis=(0, 1, 2))
         np.testing.assert_allclose(pooled, 0.0, atol=1e-6)
 

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 from branchnet import augment
 from branchnet.augment import (BRIGHTNESS, CONTRAST, SATURATION, AugmentConfig,
-                               PcaBasis, RngStream, augment_batch, epoch_shuffle,
-                               fit_pca_basis, jitter_blend, keyed_bits, keyed_uniforms)
+                               PcaBasis, augment_batch, epoch_shuffle, fit_pca_basis,
+                               jitter_blend, keyed_bits, keyed_uniforms)
 from branchnet.data import SyntheticSpec, generate_synthetic
 
 from oracles import jacobi_eig3, splitmix64_chain
@@ -24,8 +25,9 @@ from oracles import jacobi_eig3, splitmix64_chain
 TECHNIQUES = ["crop", "flip", "color_jitter", "pca_noise", "epoch_shuffle"]
 
 
-def stream(seed=77, epoch=0, sample=0):
-    return RngStream(global_seed=seed, epoch=epoch, sample_index=sample)
+def key(seed=77, epoch=0, sample=0):
+    """The (seed, epoch, index) key of one row."""
+    return seed, epoch, sample
 
 
 def random_image(rng, h=12, w=12):
@@ -39,9 +41,10 @@ def only(stage, **fields):
     return AugmentConfig(**flags, **fields)
 
 
-def augment_one(img, config, s=None, dtype=np.float64):
-    """``augment_batch`` on a batch of one."""
-    return augment_batch(img[None], config, [stream() if s is None else s], dtype)[0]
+def augment_one(img, config, k=None, dtype=np.float64):
+    """``augment_batch`` on a batch of one, keyed by ``k`` = (seed, epoch, index)."""
+    seed, epoch, index = key() if k is None else k
+    return augment_batch(img[None], config, seed, epoch, [index], dtype)[0]
 
 
 def pca_noise(img, basis, s, sigma):
@@ -53,8 +56,8 @@ def color_jitter(img, s, strength):
 
 
 def blend(img, op, factor):
-    """One jitter op at a fixed factor, on a batch of one."""
-    return jitter_blend(img[None], [[op]], [[factor]])[0]
+    """One jitter op at a fixed factor, on a float64 copy of a batch of one."""
+    return jitter_blend(img[None].astype(np.float64), [[op]], [[factor]])[0]
 
 
 def random_crop(img, size, s):
@@ -69,7 +72,7 @@ def normalize(img, means, stds=None):
     return augment_one(img, only("normalize", channel_means=means, channel_stds=stds))
 
 
-class TestRngStream:
+class TestKeyedBits:
     def test_identical_keys_identical_draws(self):
         a = keyed_bits(1, 2, 3, "crop", 10)
         b = keyed_bits(1, 2, 3, "crop", 10)
@@ -104,19 +107,58 @@ class TestRngStream:
         for row, seed, index in zip(batch, [0, 5, 2**64 - 1], [3, 1, 4]):
             np.testing.assert_array_equal(row, keyed_bits(seed, 7, index, "pca_noise", 6))
 
-    @pytest.mark.parametrize("field", ["global_seed", "epoch", "sample_index"])
-    @pytest.mark.parametrize("value", [-1, 2**64, True, 1.0],
-                             ids=["negative", "2**64", "bool", "float"])
-    def test_key_outside_uint64_rejected(self, field, value):
-        key = {"global_seed": 1, "epoch": 2, "sample_index": 3, field: value}
-        with pytest.raises(ValueError, match=rf"{field} must be an integer in \[0, 2\*\*64\)"):
-            RngStream(**key)
 
-    def test_largest_key_accepted(self):
+KEY_WORDS = {"seed": 1, "epoch": 2, "indices": [3]}
+OUTSIDE_UINT64 = pytest.mark.parametrize("value", [-1, 2**64, True, 1.0],
+                                         ids=["negative", "2**64", "bool", "float"])
+
+
+def outside_uint64(word, value):
+    return rf"{word} must be an integer in \[0, 2\*\*64\), got {re.escape(repr(value))}"
+
+
+class TestKeyWords:
+    """``augment_batch`` takes one seed, one epoch and one index per row, and
+    ``epoch_shuffle`` one seed and one epoch, each an integer in [0, 2**64)."""
+
+    @pytest.mark.parametrize("word", ["seed", "epoch", "index"])
+    @OUTSIDE_UINT64
+    def test_word_outside_uint64_rejected(self, word, value):
+        words = {**KEY_WORDS, **({"indices": [3, value]} if word == "index" else {word: value})}
+        with pytest.raises(ValueError, match=outside_uint64(word, value)):
+            augment_batch(np.zeros((len(words["indices"]), 2, 2, 3)), only("flip"), **words)
+
+    @pytest.mark.parametrize("indices, bad", [
+        (np.array([3, -1]), -1), (np.array([3.0, 1.0]), 3.0), (np.array([True, False]), True),
+        (np.array([3, 2**64], dtype=object), 2**64)], ids=["int64", "float64", "bool", "object"])
+    def test_index_array_outside_uint64_rejected(self, indices, bad):
+        with pytest.raises(ValueError, match=outside_uint64("index", bad)):
+            augment_batch(np.zeros((2, 2, 2, 3)), only("flip"), 1, 2, indices)
+
+    @pytest.mark.parametrize("words, message", [
+        (dict(seed=[1, 2]), r"seed must have shape \(\), got \(2,\)"),
+        (dict(epoch=np.array([0, 0])), r"epoch must have shape \(\), got \(2,\)"),
+        (dict(indices=[3]), r"index must have shape \(2,\), got \(1,\)"),
+        (dict(indices=[[3], [4]]), r"index must have shape \(2,\), got \(2, 1\)"),
+    ], ids=["per-row-seeds", "per-row-epochs", "too-few-indices", "2-d-indices"])
+    def test_key_of_wrong_shape_rejected(self, words, message):
+        with pytest.raises(ValueError, match=message):
+            augment_batch(np.zeros((2, 2, 2, 3)), only("flip"), **{**KEY_WORDS, **words})
+
+    def test_largest_words_accepted_and_never_passed_through_float(self):
         top = 2**64 - 1
-        s = RngStream(top, top, top)
-        img = np.arange(4 * 4 * 3, dtype=np.float64).reshape(4, 4, 3)
-        assert random_crop(img, (2, 2), s).shape == (2, 2, 3)
+        images = np.arange(2 * 4 * 4 * 3, dtype=np.float64).reshape(2, 4, 4, 3)
+        config = only("crop", crop_height=2, crop_width=2)
+        # numpy reads this list as float64, where 2**64 - 1 rounds to 2**64
+        out = augment_batch(images, config, top, top, [1, top])
+        want = augment_batch(images, config, top, top, np.array([1, top], dtype=np.uint64))
+        assert out.shape == (2, 2, 2, 3)
+        np.testing.assert_array_equal(out, want)
+        u = keyed_uniforms(top, top, np.array([1, top], dtype=np.uint64), "crop", 2)
+        oy, ox = (u * 3).astype(int).T
+        for row, image, y, x in zip(out, images, oy, ox):
+            np.testing.assert_array_equal(row, image[y:y + 2, x:x + 2])
+        assert sorted(epoch_shuffle(5, top, top)) == list(range(5))
 
 
 class TestFitPcaBasis:
@@ -169,13 +211,13 @@ class TestPcaNoise:
     def test_sigma_zero_identity(self, rng):
         img = random_image(rng)
         basis = fit_pca_basis([img])
-        np.testing.assert_array_equal(pca_noise(img, basis, stream(), 0.0), img)
+        np.testing.assert_array_equal(pca_noise(img, basis, key(), 0.0), img)
 
     def test_zero_eigenvalues_identity(self, rng):
         img = random_image(rng)
         basis = PcaBasis(eigenvalues=np.zeros(3), eigenvectors=np.eye(3),
                          channel_means=np.zeros(3))
-        np.testing.assert_array_equal(pca_noise(img, basis, stream(), 2.0), img)
+        np.testing.assert_array_equal(pca_noise(img, basis, key(), 2.0), img)
 
     def test_monte_carlo_mean_shift_near_zero(self, rng):
         draws = 10_000
@@ -185,7 +227,7 @@ class TestPcaNoise:
         img = np.full((2, 2, 3), 128.0)
         shifts = np.empty((draws, 3))
         for i in range(draws):
-            out = pca_noise(img, basis, stream(seed=5, sample=i), sigma)
+            out = pca_noise(img, basis, key(seed=5, sample=i), sigma)
             shifts[i] = (out - img).mean(axis=(0, 1))
         bound = 3.0 * sigma * basis.eigenvalues[0] / np.sqrt(draws)
         assert np.all(np.abs(shifts.mean(axis=0)) < bound)
@@ -195,7 +237,7 @@ class TestPcaNoise:
         # eigenvalues small enough that no pixel reaches the clamp
         basis = PcaBasis(eigenvalues=np.array([3.0, 2.0, 1.0]),
                          eigenvectors=np.eye(3), channel_means=np.zeros(3))
-        out = pca_noise(img, basis, stream(seed=9), 0.5)
+        out = pca_noise(img, basis, key(seed=9), 0.5)
         delta = (out - img).reshape(-1, 3)
         assert np.abs(delta[0]).max() > 0
         np.testing.assert_allclose(delta, np.broadcast_to(delta[0], delta.shape),
@@ -205,14 +247,14 @@ class TestPcaNoise:
         img = np.full((3, 3, 3), 250.0)
         basis = PcaBasis(eigenvalues=np.array([1000.0, 0.0, 0.0]),
                          eigenvectors=np.eye(3), channel_means=np.zeros(3))
-        out = pca_noise(img, basis, stream(seed=1), 1.0)
+        out = pca_noise(img, basis, key(seed=1), 1.0)
         assert out.min() >= 0.0 and out.max() <= 255.0
 
 
 class TestColorJitter:
     def test_strength_zero_identity(self, rng):
         img = random_image(rng)
-        np.testing.assert_array_equal(color_jitter(img, stream(), 0.0), img)
+        np.testing.assert_array_equal(color_jitter(img, key(), 0.0), img)
 
     def test_brightness_factor_zero_black(self, rng):
         img = random_image(rng)
@@ -232,8 +274,8 @@ class TestColorJitter:
 
     def test_deterministic_and_in_range(self, rng):
         img = random_image(rng)
-        a = color_jitter(img, stream(seed=3), 0.4)
-        b = color_jitter(img, stream(seed=3), 0.4)
+        a = color_jitter(img, key(seed=3), 0.4)
+        b = color_jitter(img, key(seed=3), 0.4)
         np.testing.assert_array_equal(a, b)
         assert a.min() >= 0.0 and a.max() <= 255.0
 
@@ -242,7 +284,7 @@ class TestColorJitter:
         # jitter output differs for the same image only through ordering/draws
         img = np.fromfunction(lambda i, j, c: (i * 37 + j * 11 + c * 5) % 256,
                               (8, 8, 3), dtype=np.float64)
-        outs = {color_jitter(img, stream(seed=1, sample=i), 0.4).tobytes()
+        outs = {color_jitter(img, key(seed=1, sample=i), 0.4).tobytes()
                 for i in range(6)}
         assert len(outs) > 1
 
@@ -250,7 +292,7 @@ class TestColorJitter:
 class TestRandomCrop:
     def test_full_size_identity(self, rng):
         img = random_image(rng, 7, 9)
-        np.testing.assert_array_equal(random_crop(img, (7, 9), stream()), img)
+        np.testing.assert_array_equal(random_crop(img, (7, 9), key()), img)
 
     def test_known_offset_topleft(self, rng):
         img = random_image(rng, 4, 4)
@@ -258,7 +300,7 @@ class TestRandomCrop:
         u = keyed_uniforms(13, 0, np.arange(200), "crop", 2)
         hits = np.flatnonzero(np.all(u < 1 / 3, axis=1))
         assert hits.size, "no key landing on offset (0, 0) among 200"
-        out = random_crop(img, (2, 2), stream(seed=13, sample=int(hits[0])))
+        out = random_crop(img, (2, 2), key(seed=13, sample=int(hits[0])))
         np.testing.assert_array_equal(out, img[:2, :2])
 
     def test_offsets_uniform_over_nine_positions(self, rng):
@@ -266,7 +308,7 @@ class TestRandomCrop:
         counts = np.zeros((3, 3))
         draws = 10_000
         for i in range(draws):
-            out = random_crop(img, (2, 2), stream(seed=21, sample=i))
+            out = random_crop(img, (2, 2), key(seed=21, sample=i))
             oy, ox = int(out[0, 0, 0]) // 12, (int(out[0, 0, 0]) % 12) // 3
             counts[oy, ox] += 1
         freqs = counts / draws
@@ -274,32 +316,32 @@ class TestRandomCrop:
 
     def test_oversized_crop_rejected(self, rng):
         with pytest.raises(ValueError, match="exceeds"):
-            random_crop(random_image(rng, 4, 4), (5, 5), stream())
+            random_crop(random_image(rng, 4, 4), (5, 5), key())
 
 
 class TestHorizontalFlip:
     def test_involution(self, rng):
         img = random_image(rng)
-        s = stream()
+        s = key()
         np.testing.assert_array_equal(
             horizontal_flip(horizontal_flip(img, s, 1.0), s, 1.0), img)
 
     def test_p_zero_identity_p_one_always_flipped(self, rng):
         img = random_image(rng)
         for i in range(5):
-            s = stream(seed=2, sample=i)
+            s = key(seed=2, sample=i)
             np.testing.assert_array_equal(horizontal_flip(img, s, 0.0), img)
             np.testing.assert_array_equal(horizontal_flip(img, s, 1.0), img[:, ::-1])
 
     def test_2x2_definition(self):
         img = np.array([[[1.0] * 3, [2.0] * 3], [[3.0] * 3, [4.0] * 3]])
-        out = horizontal_flip(img, stream(), 1.0)
+        out = horizontal_flip(img, key(), 1.0)
         np.testing.assert_array_equal(out[:, :, 0], [[2.0, 1.0], [4.0, 3.0]])
 
     def test_flip_rate_close_to_half(self):
         img = np.arange(2 * 2 * 3, dtype=np.float64).reshape(2, 2, 3)
         flipped = sum(
-            not np.array_equal(horizontal_flip(img, stream(seed=8, sample=i), 0.5), img)
+            not np.array_equal(horizontal_flip(img, key(seed=8, sample=i), 0.5), img)
             for i in range(2000))
         assert 0.45 < flipped / 2000 < 0.55
 
@@ -366,12 +408,12 @@ class TestEpochShuffle:
         assert not np.array_equal(epoch_shuffle(10_000, 0, 42),
                                   epoch_shuffle(10_000, 1, 42))
 
-    @pytest.mark.parametrize("field", ["seed", "epoch"])
-    @pytest.mark.parametrize("value", [-1, 2**64, 1.0], ids=["negative", "2**64", "float"])
-    def test_key_outside_uint64_rejected(self, field, value):
-        key = {"seed": 42, "epoch": 3, field: value}
-        with pytest.raises(ValueError, match=rf"{field} must be an integer in \[0, 2\*\*64\)"):
-            epoch_shuffle(10, **key)
+    @pytest.mark.parametrize("word", ["seed", "epoch"])
+    @OUTSIDE_UINT64
+    def test_key_outside_uint64_rejected(self, word, value):
+        words = {"seed": 42, "epoch": 3, word: value}
+        with pytest.raises(ValueError, match=outside_uint64(word, value)):
+            epoch_shuffle(10, **words)
 
 
 class TestPipeline:
@@ -389,18 +431,18 @@ class TestPipeline:
         out = augment_one(img, config)
         np.testing.assert_array_equal(out, img)
 
-    def test_deterministic_under_fixed_stream(self, rng):
+    def test_deterministic_under_fixed_key(self, rng):
         img = random_image(rng, 12, 12)
         config = self._full_config(rng)
-        a = augment_one(img, config, stream(seed=4, epoch=2, sample=17))
-        b = augment_one(img, config, stream(seed=4, epoch=2, sample=17))
+        a = augment_one(img, config, key(seed=4, epoch=2, sample=17))
+        b = augment_one(img, config, key(seed=4, epoch=2, sample=17))
         np.testing.assert_array_equal(a, b)
 
     def test_output_shape_sweep_over_source_sizes(self, rng):
         config = self._full_config(rng, crop=8)
         for size in range(32, 65, 8):
             out = augment_one(random_image(rng, size, size + 3), config,
-                              stream(sample=size))
+                              key(sample=size))
             assert out.shape == (8, 8, 3)
 
     def test_neutral_settings_are_identity(self, rng):
@@ -409,14 +451,14 @@ class TestPipeline:
         config = AugmentConfig(crop_height=9, crop_width=9, flip_probability=0.0,
                                pca_sigma=0.0, jitter_strength=0.0,
                                channel_means=np.zeros(3), pca_basis=basis)
-        out = augment_one(img, config, stream(seed=123))
+        out = augment_one(img, config, key(seed=123))
         np.testing.assert_array_equal(out, img)
 
     def test_pixel_range_preserved_before_normalize(self, rng):
         config = self._full_config(rng)
         for i in range(10):
             out = augment_one(random_image(rng, 12, 12),
-                              replace(config, enable_normalize=False), stream(sample=i))
+                              replace(config, enable_normalize=False), key(sample=i))
             assert out.min() >= 0.0 and out.max() <= 255.0
 
     def test_missing_pca_basis_rejected(self, rng):
@@ -435,25 +477,22 @@ def synthetic_sources():
 class TestKeyedDraws:
     """Every draw is a hash of the row's key, so the batch changes nothing."""
 
-    @given(rows=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 2**64 - 1),
-                                   st.integers(0, 2**64 - 1)),
-                         min_size=1, max_size=8, unique_by=lambda row: row[0]),
+    @given(indices=st.lists(st.integers(0, 15), min_size=1, max_size=8, unique=True),
+           seed=st.integers(0, 2**64 - 1), epoch=st.integers(0, 2**64 - 1),
            dtype=st.sampled_from([np.float32, np.float64]),
            jitter=st.sampled_from([0.4, 2.5]), sigma=st.sampled_from([0.1, 3.0]))
     @settings(max_examples=60, deadline=None)
-    def test_row_equals_row_augmented_alone(self, rows, dtype, jitter, sigma):
+    def test_row_equals_row_augmented_alone(self, indices, seed, epoch, dtype, jitter, sigma):
         data = synthetic_sources()
         config = AugmentConfig(crop_height=9, crop_width=10, jitter_strength=jitter,
                                pca_sigma=sigma, channel_means=[118.0, 121.5, 109.25],
                                channel_stds=[50.0, 60.0, 70.0],
                                pca_basis=fit_pca_basis(data.images))
-        indices = [index for index, _, _ in rows]
-        streams = [stream(seed, epoch, index) for index, seed, epoch in rows]
-        batch = augment_batch(data.images[indices], config, streams, dtype)
-        assert batch.dtype == dtype and batch.shape == (len(rows), 9, 10, 3)
-        for row, index, s in zip(batch, indices, streams):
-            alone = augment_batch(data.images[index][None], config, [s], dtype)[0]
-            assert row.tobytes() == alone.tobytes()
+        batch = augment_batch(data.images[indices], config, seed, epoch, indices, dtype)
+        assert batch.dtype == dtype and batch.shape == (len(indices), 9, 10, 3)
+        for row, index in zip(batch, indices):
+            alone = augment_batch(data.images[index][None], config, seed, epoch, [index], dtype)
+            assert row.tobytes() == alone[0].tobytes()
 
     def test_jitter_order_uniform_over_six_permutations(self, monkeypatch):
         seen = []
@@ -465,7 +504,7 @@ class TestKeyedDraws:
         monkeypatch.setattr(augment, "jitter_blend", spy)
         draws = 10_000
         augment_batch(np.zeros((draws, 1, 1, 3)), only("jitter", jitter_strength=0.4),
-                      [stream(seed=34, sample=i) for i in range(draws)])
+                      34, 0, np.arange(draws))
         ((ops, factors),) = seen
         perms, counts = np.unique(ops, axis=0, return_counts=True)
         assert [tuple(p) for p in perms] == list(itertools.permutations(range(3)))
@@ -480,7 +519,7 @@ class TestKeyedDraws:
                          channel_means=np.zeros(3))
         out = augment_batch(np.full((draws, 1, 1, 3), 128.0),
                             only("pca", pca_basis=basis, pca_sigma=sigma),
-                            [stream(seed=35, sample=i) for i in range(draws)])
+                            35, 0, np.arange(draws))
         alpha = out.reshape(draws, 3) - 128.0
         assert np.all(np.abs(alpha.mean(axis=0)) <= 0.05 * sigma)
         assert np.all(np.abs(alpha.std(axis=0) / sigma - 1.0) <= 0.05)
@@ -489,10 +528,12 @@ class TestKeyedDraws:
         draws, sigma = 64, 1.5
         basis = PcaBasis(eigenvalues=np.ones(3), eigenvectors=np.eye(3),
                          channel_means=np.zeros(3))
-        keys = [(2**64 - 1 - i, i % 3, 5 * i) for i in range(draws)]
+        seed, epoch = 2**64 - 1, 2**64 - 2
+        indices = [2**64 - 1 - 5 * i for i in range(draws)]
         out = augment_batch(np.full((draws, 1, 1, 3), 128.0),
                             only("pca", pca_basis=basis, pca_sigma=sigma),
-                            [stream(*key) for key in keys])
+                            seed, epoch, indices)
+        keys = [(seed, epoch, index) for index in indices]
         tag = TECHNIQUES.index("pca_noise") + 1
         want = []
         for key in keys:
@@ -504,7 +545,7 @@ class TestKeyedDraws:
 
 class TestGoldenBatches:
     """sha256 of augmented batches under the keyed draws (``keyed_bits``):
-    seed 11, epoch 3, one stream per dataset index. The black-image case
+    seed 11, epoch 3, one row per dataset index. The black-image case
     keeps the sign of zero that a negative brightness factor leaves on a 0
     pixel. The PCA weights pass through the C library's scalar log1p and
     cos, not numpy's per-CPU kernels."""
@@ -543,8 +584,7 @@ class TestGoldenBatches:
                                   seed=31, split="train")
         images = data.images if source == "synthetic" else np.zeros((8, 3, 4, 3), np.uint8)
         config = AugmentConfig(pca_basis=fit_pca_basis(data.images), **fields)
-        batch = augment_batch(images[indices], config,
-                              [stream(seed=11, epoch=3, sample=i) for i in indices], dtype)
+        batch = augment_batch(images[indices], config, 11, 3, indices, dtype)
         assert batch.dtype == dtype
         if source == "black":   # the case is there for the sign of zero: rows 1 and 3 keep -0.0
             assert np.signbit(batch).any()

@@ -16,13 +16,14 @@ _SPEC_KEYS = {"samples_per_class": ("train_samples_per_class", "test_samples_per
 
 
 def _bound_overrides():
-    """A ``--set`` outside each declared bound, and the start of its message (which
-    names the config key, or the SyntheticSpec field that the key sets)."""
+    """A ``--set`` outside each declared bound, and the start of its message,
+    which names the section and the config key that was set."""
     for case in rejected_cases():
         cls, name, value = case.values
         section = SECTIONS[cls]
         for key in _SPEC_KEYS.get(name, (name,)) if section == "data" else (name,):
-            yield pytest.param(f"{section}.{key}={json.dumps(value)}", f"{name} must be",
+            yield pytest.param(f"{section}.{key}={json.dumps(value)}",
+                               f"section '{section}': {key} must be",
                                id=f"{section}.{key}={value!r}")
 
 
@@ -285,6 +286,15 @@ class TestAugmentPreviewCommand:
             name = f"augment{i:03d}.ppm"
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_negative_count_is_a_config_error(self, tmp_path, config_file, source_image,
+                                              capsys):
+        path, _ = source_image
+        out = tmp_path / "preview"
+        assert main(["augment-preview", "--config", str(config_file),
+                     "--image", str(path), "--count", "-1", "--out", str(out)]) == 2
+        assert "--count must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_input_nonzero(self, tmp_path, config_file):
         assert main(["augment-preview", "--config", str(config_file),
                      "--image", str(tmp_path / "missing.ppm"), "--count", "1"]) == 1
@@ -389,20 +399,24 @@ class TestConfigStrictness:
         assert f"section 'augment': {message}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("train.seed=18446744073709551616",
+         "section 'train': seed must be in [0, 2**64), got 18446744073709551616"),
+        ("data.seed=-1", "section 'data': seed must be an integer in [0, 2**64), got -1"),
+        ("data.seed=18446744073709551616",
+         "section 'data': seed must be an integer in [0, 2**64), got 18446744073709551616"),
+    ], ids=["train-2**64", "data-negative", "data-2**64"])
     def test_seed_outside_uint64_rejected_before_any_output(self, tmp_path, config_file,
-                                                            capsys):
-        assert main(["train", "--config", str(config_file),
-                     "--set", "train.seed=18446744073709551616"]) == 2
-        assert ("section 'train': seed must be in [0, 2**64), got 18446744073709551616"
-                in capsys.readouterr().err)
+                                                            capsys, override, message):
+        assert main(["train", "--config", str(config_file), "--set", override]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("override, message", _bound_overrides())
     def test_value_outside_declared_bounds_rejected_before_any_output(
             self, tmp_path, config_file, capsys, override, message):
         assert main(["train", "--config", str(config_file), "--set", override]) == 2
-        err = capsys.readouterr().err
-        assert f"section '{override.split('.')[0]}': " in err and message in err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("override", [

@@ -153,7 +153,7 @@ class TestFoldedEval:
                             dump_probs=True)
 
         center = replace(augment, enable_flip=False)
-        batch = augment_batch(data.images, center, (), np.float64)
+        batch = augment_batch(data.images, center)
         reference = [softmax(Tensor(z)).data for z in unfused_eval_forward(net, batch)]
         assert_within_rounding(list(enumerate(probs)), list(enumerate(reference)))
 

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchnet import training
-from branchnet.augment import (AugmentConfig, RngStream, augment_batch,
-                               fit_augment_statistics, fit_pca_basis)
+from branchnet.augment import (AugmentConfig, augment_batch, fit_augment_statistics,
+                               fit_pca_basis)
 from branchnet.data import (CheckpointError, SyntheticSpec, generate_synthetic,
                             save_checkpoint)
 from branchnet.evaluation import evaluate
@@ -311,8 +311,7 @@ class TestTrainLoop:
                                 pca_basis=fit_pca_basis(data.images))
 
         def rows(indices):
-            return augment_batch(data.images[indices], augment,
-                                 [RngStream(9, 2, i) for i in indices], np.float64)
+            return augment_batch(data.images[indices], augment, 9, 2, indices, np.float64)
 
         batch = rows([3, 7, 11, 15])
         reversed_batch = rows([15, 11, 7, 3])
