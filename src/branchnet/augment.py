@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .fields import bounded, check_fields, fits
+from .fields import bounded, check_fields, fits, mistyped, out_of_bounds
 
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
@@ -36,6 +36,7 @@ BRIGHTNESS, CONTRAST, SATURATION = range(3)
 
 # the words a key hashes are uint64: seeds, epochs and sample indices lie in [0, 2**64)
 KEY_LIMIT = 2**64
+_KEY_BOUNDS = (0, KEY_LIMIT, False, True)   # [0, 2**64) in the layout of fields.bounded
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 # the technique word of a key, one per kind of draw, numbered from 1 in stage order
 _TECHNIQUES = {"crop": 1, "flip": 2, "color_jitter": 3, "pca_noise": 4, "epoch_shuffle": 5}
@@ -47,9 +48,10 @@ _cos = np.frompyfunc(math.cos, 1, 1)
 
 def check_key(name: str, value, shape=()) -> np.ndarray:
     """``value`` as uint64 words of ``shape``, or ValueError naming ``name`` unless
-    each element is an integer in [0, 2**64). Only an integer array is checked as
-    an array: numpy reads the list [1, 2**64 - 1] as float64, so the rest stays
-    exact Python objects, checked one by one."""
+    each element is an integer in [0, 2**64), in the words of the config type and
+    range rules. Only an integer array is checked as an array: numpy reads the
+    list [1, 2**64 - 1] as float64, so the rest stays exact Python objects,
+    checked one by one."""
     if np.shape(value) != shape:
         raise ValueError(f"{name} must have shape {shape}, got {np.shape(value)}")
     if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
@@ -58,7 +60,8 @@ def check_key(name: str, value, shape=()) -> np.ndarray:
         words = np.asarray(value, dtype=object)
         bad = [v for v in words.flat if not (fits(v, int) and 0 <= v < KEY_LIMIT)]
     if bad:
-        raise ValueError(f"{name} must be an integer in [0, 2**64), got {bad[0]!r}")
+        raise ValueError(out_of_bounds(name, bad[0], int, _KEY_BOUNDS) if fits(bad[0], int)
+                         else mistyped(name, bad[0], int))
     return words.astype(np.uint64)
 
 

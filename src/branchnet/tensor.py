@@ -10,11 +10,11 @@ Gradients are recorded on an explicit :class:`Tape`: ops executed inside a
 valid topological order, and :func:`reverse_pass` consumes it backwards,
 freeing each node (its backward closure and saved intermediates) once it
 has run. Outside a tape, or when no input needs a gradient, ops run
-forward-only and keep no graph memory; a forward-only conv2d also bounds
-its working set by building its im2col patch matrix one tile of images at
-a time, and adds its bias in place, so evaluation never holds a whole
-batch's patches or a second output. Nodes keep inputs, not what backward
-can rebuild (batch norm's normalized input), and conv2d and pool2d fold
+forward-only and keep no graph memory. conv2d has one forward, taped or
+not: it builds its im2col patch matrix one tile of images at a time and
+adds its bias in place, so no conv holds a whole batch's patches or a
+second output. Nodes keep inputs, not what backward can rebuild (a conv's
+patch matrix, batch norm's normalized input), and conv2d and pool2d fold
 input gradients per window tap (:func:`_fold_taps`).
 
 Evaluation does not run batch_norm2d, relu or residual_add: the network
@@ -38,7 +38,7 @@ import numpy as np
 
 DTYPE_REF = np.float64
 
-# Patch-matrix budget of one forward-only conv tile (see _conv_tiles).
+# Patch-matrix budget of one conv tile in the forward (see _conv_tiles).
 _PATCH_TILE_BYTES = 8 * 2**20
 
 # Variance floor of every batch norm, also used when one is folded into a conv.
@@ -130,14 +130,9 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-def _recording(inputs: tuple[Tensor, ...]) -> bool:
-    """True when an op on ``inputs`` would be recorded on the active tape."""
-    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
-
-
 def _record(op: str, inputs: tuple[Tensor, ...], output: Tensor,
             backward: Callable[[np.ndarray], tuple]) -> None:
-    if not _recording(inputs):
+    if not (_TAPE_STACK and any(t.requires_grad for t in inputs)):
         return
     output.requires_grad = True
     _TAPE_STACK[-1].nodes.append(TapeNode(op, inputs, output, backward))
@@ -147,12 +142,12 @@ def reverse_pass(tape: Tape, loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
     The pass consumes the tape: it pops each node, last-created first, so
-    the node's backward closure and what it saved (a conv's patch matrix)
-    are freed as soon as it has run, and it drops each op output's
-    ``grad`` once that node has used it. Afterwards ``len(tape) == 0`` and
-    only leaves hold a gradient. Gradients accumulate (sum) across fan-out,
-    in place into the first contribution's copy. The walk order is fixed
-    (reverse execution order), so reference-mode results are bit-reproducible.
+    the node's backward closure and what it saved are freed as soon as it
+    has run, and it drops each op output's ``grad`` once that node has used
+    it. Afterwards ``len(tape) == 0`` and only leaves hold a gradient.
+    Gradients accumulate (sum) across fan-out, in place into the first
+    contribution's copy. The walk order is fixed (reverse execution order),
+    so reference-mode results are bit-reproducible.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -189,11 +184,19 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     (kh, kw, C) order: in each kernel row the kw*C inputs lie next to each
     other in the NHWC input, so the copy moves kh contiguous runs per patch
     row. An OIHW weight matches it as ``weight.transpose(0, 2, 3, 1)``.
+    A padded input is copied once into a buffer whose border alone is zeroed.
     """
+    n, h, w, c = x.shape
     if pad > 0:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    return windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+        padded = np.empty((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        padded[:, :pad] = padded[:, h + pad:] = 0
+        padded[:, pad:h + pad, :pad] = padded[:, pad:h + pad, w + pad:] = 0
+        padded[:, pad:h + pad, pad:w + pad] = x
+        x, h, w = padded, h + 2 * pad, w + 2 * pad
+    sn, sh, sw, sc = x.strides
+    shape = (n, (h - kh) // stride + 1, (w - kw) // stride + 1, kh, kw, c)
+    return np.lib.stride_tricks.as_strided(
+        x, shape, (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
 
 
 def _fold_taps(tap_grad: Callable[[int], np.ndarray], x_shape, kh: int, kw: int,
@@ -223,13 +226,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     Output spatial size is floor((H + 2*pad - kh)/stride) + 1, same for W.
     The GEMM multiplies (kh, kw, Cin)-ordered patch rows (:func:`_im2col`)
     by the weight viewed as [Cout, kh, kw, Cin]; the weight itself stays
-    OIHW, and so does its gradient. When nothing is recorded the GEMM runs
-    in patch tiles (:func:`_conv_tiles`) and the bias is added in place, so
-    evaluation's folded convs (weight and bias with batch norm folded in)
-    hold one output-sized buffer; a taped call keeps its patch rows
-    for the weight gradient and folds the input gradient per kernel tap
-    (:func:`_fold_taps`). (A float64 tap product of 3 columns can take
-    another BLAS kernel, but the 3-channel stem takes no input gradient.)
+    OIHW, and so does its gradient. The GEMM runs in patch tiles
+    (:func:`_conv_tiles`) and the bias is added in place, taped or not, so
+    a conv holds one output-sized buffer. The backward rebuilds the whole
+    patch matrix from the input the tape holds anyway (which nothing may
+    write in place before it runs; train mode never does), takes the weight
+    gradient as one GEMM, frees the patches and folds the input gradient
+    per kernel tap (:func:`_fold_taps`). (A float64 tap product of 3
+    columns can take another BLAS kernel, but the 3-channel stem takes no
+    input gradient.)
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-D [N,H,W,C], got {x.shape}")
@@ -255,22 +260,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     w2 = weight.data.transpose(0, 2, 3, 1).reshape(cout, -1)
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    if not _recording(inputs):
-        out_data = _conv_tiles(x.data, w2, kh, kw, stride, pad, (n, oh, ow, cout))
-        if bias is not None:
-            out_data += bias.data
-        return Tensor(out_data)
-
-    cols = _im2col(x.data, kh, kw, stride, pad).reshape(n * oh * ow, -1)
-    out_data = cols @ w2.T
+    out = Tensor(_conv_tiles(x.data, w2, kh, kw, stride, pad, (n, oh, ow, cout)))
     if bias is not None:
-        out_data = out_data + bias.data
-    out = Tensor(out_data.reshape(n, oh, ow, cout))
+        out.data += bias.data
 
     def backward(grad: np.ndarray):
         g2 = grad.reshape(-1, cout)
+        cols = _im2col(x.data, kh, kw, stride, pad).reshape(n * oh * ow, -1)
         dw = np.ascontiguousarray((g2.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+        del cols   # free the rebuilt patches before the input gradient's fold
         dx = None
         if x.requires_grad:   # the stem conv's input, the image batch, needs none
             taps = w2.reshape(cout, kh * kw, cin)   # tap t's weight is taps[:, t]
@@ -279,13 +277,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         db = g2.sum(axis=0) if bias is not None else None
         return dx, dw, db
 
-    _record("conv2d", inputs, out, backward)
+    _record("conv2d", (x, weight) if bias is None else (x, weight, bias), out, backward)
     return out
 
 
 def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
                 pad: int, out_shape: tuple[int, int, int, int]) -> np.ndarray:
-    """Forward-only conv GEMM over tiles of whole images.
+    """Conv GEMM over tiles of whole images, taped or not.
 
     The batch is split into the fewest near-equal tiles whose patch
     matrices fit ``_PATCH_TILE_BYTES`` (at least one image per tile), and
@@ -295,8 +293,8 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
     at about half the budget or more, too large for the small-matrix
     kernels that some BLAS builds (OpenBLAS on AVX-512) pick for tiny
     products and that sum in another order; a remainder tile of a few
-    images would change bits. The result therefore equals the one-GEMM
-    taped path bit for bit.
+    images would change bits. The result therefore equals one GEMM over
+    the whole batch's patches bit for bit.
     """
     n, oh, ow, cout = out_shape
     per_tile = max(1, _PATCH_TILE_BYTES // (oh * ow * w2.shape[1] * x.itemsize))

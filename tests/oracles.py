@@ -83,6 +83,32 @@ def conv2d_loops(x, w, b=None, stride=1, pad=0):
     return out
 
 
+def _patches(x, kh, kw, stride, pad):
+    """(N, OH, OW, kh, kw, C) patches of an NHWC input, copied tap by tap
+    from a zero-padded copy."""
+    n, h, width, cin = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (width + 2 * pad - kw) // stride + 1
+    xp = np.zeros((n, h + 2 * pad, width + 2 * pad, cin), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + width] = x
+    cols = np.empty((n, oh, ow, kh, kw, cin), dtype=x.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            cols[:, :, :, ki, kj] = xp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+    return cols
+
+
+def conv2d_one_gemm(x, w, stride=1, pad=0):
+    """NHWC conv as one GEMM over the whole batch: the (N*OH*OW, kh*kw*Cin)
+    patch matrix, columns in (kh, kw, C) order, times the weight viewed as
+    [Cout, kh, kw, Cin]. This is the product a taped conv computed before
+    every conv ran in patch tiles."""
+    cout, _, kh, kw = w.shape
+    cols = _patches(x, kh, kw, stride, pad)
+    out = cols.reshape(-1, kh * kw * x.shape[3]) @ w.transpose(0, 2, 3, 1).reshape(cout, -1).T
+    return out.reshape(cols.shape[:3] + (cout,))
+
+
 def conv2d_gemm_chw(x, w, stride=1, pad=0):
     """NHWC im2col GEMM with patch columns in (C, kh, kw) order, the order of
     an OIHW weight reshaped to (Cout, -1), as one GEMM over the whole batch.
@@ -91,18 +117,10 @@ def conv2d_gemm_chw(x, w, stride=1, pad=0):
     (kh, kw, C); the two sum each output over K in different orders, so they
     agree to rounding, not bit for bit.
     """
-    n, h, width, cin = x.shape
     cout, _, kh, kw = w.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (width + 2 * pad - kw) // stride + 1
-    xp = np.zeros((n, h + 2 * pad, width + 2 * pad, cin), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + width] = x
-    cols = np.empty((n, oh, ow, cin, kh, kw), dtype=x.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            cols[..., ki, kj] = xp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
-    out = cols.reshape(n * oh * ow, cin * kh * kw) @ w.reshape(cout, -1).T
-    return out.reshape(n, oh, ow, cout)
+    cols = _patches(x, kh, kw, stride, pad).transpose(0, 1, 2, 5, 3, 4)
+    out = cols.reshape(-1, kh * kw * x.shape[3]) @ w.reshape(cout, -1).T
+    return out.reshape(cols.shape[:3] + (cout,))
 
 
 def conv2d_dx_col2im(grad, w, x_shape, stride=1, pad=0):

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import math
 import re
 from dataclasses import replace
@@ -17,6 +18,7 @@ from branchnet.augment import (BRIGHTNESS, CONTRAST, SATURATION, AugmentConfig,
                                PcaBasis, augment_batch, epoch_shuffle, fit_pca_basis,
                                jitter_blend, keyed_bits, keyed_uniforms)
 from branchnet.data import SyntheticSpec, generate_synthetic
+from branchnet.training import TrainConfig
 
 from oracles import jacobi_eig3, splitmix64_chain
 
@@ -114,7 +116,11 @@ OUTSIDE_UINT64 = pytest.mark.parametrize("value", [-1, 2**64, True, 1.0],
 
 
 def outside_uint64(word, value):
-    return rf"{word} must be an integer in \[0, 2\*\*64\), got {re.escape(repr(value))}"
+    """The config rules' messages: the type rule's for a bool or a float, the
+    range rule's for an integer."""
+    if isinstance(value, (bool, float)):
+        return rf"{word} must be an integer, got {re.escape(json.dumps(value))}$"
+    return rf"{word} must be in \[0, 2\*\*64\), got {value}$"
 
 
 class TestKeyWords:
@@ -127,6 +133,13 @@ class TestKeyWords:
         words = {**KEY_WORDS, **({"indices": [3, value]} if word == "index" else {word: value})}
         with pytest.raises(ValueError, match=outside_uint64(word, value)):
             augment_batch(np.zeros((len(words["indices"]), 2, 2, 3)), only("flip"), **words)
+
+    @OUTSIDE_UINT64
+    def test_seed_rejected_in_train_config_words(self, value):
+        with pytest.raises(ValueError) as rejected:
+            TrainConfig(seed=value)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
+            augment_batch(np.zeros((1, 2, 2, 3)), only("flip"), **{**KEY_WORDS, "seed": value})
 
     @pytest.mark.parametrize("indices, bad", [
         (np.array([3, -1]), -1), (np.array([3.0, 1.0]), 3.0), (np.array([True, False]), True),

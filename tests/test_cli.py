@@ -402,9 +402,9 @@ class TestConfigStrictness:
     @pytest.mark.parametrize("override, message", [
         ("train.seed=18446744073709551616",
          "section 'train': seed must be in [0, 2**64), got 18446744073709551616"),
-        ("data.seed=-1", "section 'data': seed must be an integer in [0, 2**64), got -1"),
+        ("data.seed=-1", "section 'data': seed must be in [0, 2**64), got -1"),
         ("data.seed=18446744073709551616",
-         "section 'data': seed must be an integer in [0, 2**64), got 18446744073709551616"),
+         "section 'data': seed must be in [0, 2**64), got 18446744073709551616"),
     ], ids=["train-2**64", "data-negative", "data-2**64"])
     def test_seed_outside_uint64_rejected_before_any_output(self, tmp_path, config_file,
                                                             capsys, override, message):

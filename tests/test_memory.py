@@ -1,5 +1,7 @@
-"""Memory behaviour of the autodiff core and of evaluation: forward-only
-convs run in patch tiles and equal the taped conv bit for bit; evaluation,
+"""Memory behaviour of the autodiff core and of evaluation: every conv
+runs in patch tiles and equals one whole-batch GEMM bit for bit, and a
+taped conv keeps its input, not its patches, rebuilding them in backward;
+a training step of each benchmark net stays under a stated peak; evaluation,
 which folds batch norm into the convs and writes in place, stays within
 rounding of the unfolded forward; conv and pool backwards fold
 their input gradients per window tap without building a window-gradient
@@ -24,8 +26,8 @@ from branchnet.tensor import (Tape, Tensor, batch_norm2d, conv2d, pool2d, revers
                               softmax)
 from branchnet.training import combined_branch_loss, smooth_label_matrix
 
-from oracles import (assert_within_rounding, conv2d_dx_col2im, pool2d_dx_onehot,
-                     unfused_eval_forward)
+from oracles import (assert_within_rounding, conv2d_dx_col2im, conv2d_one_gemm,
+                     pool2d_dx_onehot, unfused_eval_forward)
 
 MiB = 2**20
 
@@ -86,7 +88,7 @@ class TestTiledConvBitIdentity:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
-    def test_forward_only_equals_taped(self, geometry, dtype):
+    def test_tiles_equal_one_gemm(self, geometry, dtype):
         hwc, weight_shape, stride, pad = geometry
         per_tile = _images_per_tile(hwc, weight_shape, stride, pad, dtype)
         rng = np.random.default_rng(hash(geometry) % 2**32)
@@ -95,21 +97,22 @@ class TestTiledConvBitIdentity:
         # split); and more than two tiles with a remainder
         for n in (1, per_tile + 1, 2 * per_tile + 3):
             x = Tensor(rng.standard_normal((n,) + hwc).astype(dtype))
-            tiled = conv2d(x, weight, stride=stride, pad=pad)
+            want = conv2d_one_gemm(x.data, weight.data, stride=stride, pad=pad)
             with Tape() as tape:
                 taped = conv2d(x, weight, stride=stride, pad=pad)
             assert len(tape) == 1
-            assert tiled.dtype == taped.dtype == dtype
-            assert np.array_equal(tiled.data, taped.data), (n, per_tile)
+            assert taped.dtype == want.dtype == dtype
+            assert np.array_equal(taped.data, want), (n, per_tile)
+            assert np.array_equal(conv2d(x, weight, stride=stride, pad=pad).data, want)
 
-    def test_forward_only_with_bias_equals_taped(self, rng):
+    def test_tiles_with_bias_equal_one_gemm_plus_bias(self, rng):
         x = Tensor(rng.standard_normal((20, 32, 32, 16)))
         weight = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
         bias = Tensor(rng.standard_normal(16), requires_grad=True)
-        tiled = conv2d(x, weight, bias, pad=1)
+        want = conv2d_one_gemm(x.data, weight.data, pad=1) + bias.data
+        assert np.array_equal(conv2d(x, weight, bias, pad=1).data, want)
         with Tape():
-            taped = conv2d(x, weight, bias, pad=1)
-        assert np.array_equal(tiled.data, taped.data)
+            assert np.array_equal(conv2d(x, weight, bias, pad=1).data, want)
 
 
 def _randomize_batch_norms(net, rng):
@@ -288,6 +291,22 @@ class TestMemoryBounds:
         assert out.data.nbytes == 32 * MiB
         assert peak <= out.data.nbytes + tensor._PATCH_TILE_BYTES + 2 * MiB
 
+    def test_taped_conv_keeps_no_patches_after_its_forward(self, rng):
+        x = Tensor(rng.standard_normal((64, 32, 32, 16)), requires_grad=True)
+        weight = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = conv2d(x, weight, pad=1)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        # the output (8 MiB) and the node; keeping the patch matrix for the
+        # weight gradient would add 64 * 1024 * 144 * 8 B = 72 MiB
+        assert live <= out.data.nbytes + 2 * MiB
+
     def test_conv_backward_builds_no_patch_gradient_matrix(self, rng):
         x = Tensor(rng.standard_normal((64, 32, 32, 16)), requires_grad=True)
         weight = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
@@ -297,10 +316,15 @@ class TestMemoryBounds:
         (node,) = tape.nodes
         peak, (dx, dw, _) = _traced_peak(lambda: node.backward(grad))
         assert dx.shape == x.shape and dw.shape == weight.shape
-        # the (N*OH*OW, 9*Cin) patch gradients: 64 * 1024 * 144 * 8 B = 72 MiB;
-        # the per-tap fold holds the padded input gradient (9.5 MB) and one
-        # tap's product (8.4 MB)
-        assert peak < 64 * 32 * 32 * 9 * 16 * 8
+        # the weight gradient rebuilds the patch matrix (64 * 1024 * 144 * 8 B
+        # = 72 MiB) from a padded copy of x, and frees both before the per-tap
+        # fold, which holds the padded input gradient (9.5 MB) and one tap's
+        # product (8.4 MB); a (N*OH*OW, 9*Cin) patch-gradient matrix, another
+        # 72 MiB, would not fit
+        patches = 64 * 32 * 32 * 9 * 16 * 8
+        padded_dx = 64 * 34 * 34 * 16 * 8
+        tap_product = 64 * 32 * 32 * 16 * 8
+        assert peak <= patches + padded_dx + tap_product + 2 * MiB
 
     def test_reverse_pass_peak_stays_near_memory_live_after_forward(self, rng):
         net = build_branched_net(mini_config(num_branches=3, branch_after_block=2,
@@ -319,10 +343,38 @@ class TestMemoryBounds:
             reverse_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the slack covers one node's backward temporaries (about 1 MiB here,
-        # a conv's patch gradient); keeping every node and intermediate
-        # gradient to the end of the pass costs about 20 MiB more
+        # the slack covers one node's backward temporaries (about 1 MiB here:
+        # a conv's rebuilt patch matrix and padded input); keeping every node
+        # and intermediate gradient to the end of the pass costs about 20 MiB more
         assert reverse_peak <= live_after_forward + 2 * MiB
+
+
+    # (workload net, dtype, batch, bound): a step holds every conv's input but
+    # only one conv's patch matrix at a time, the one its backward rebuilds;
+    # measured peaks 28.95, 9.95 and 89.5 MiB, against 82.1, 22.4 and 254.6
+    # MiB when every taped conv kept its patch matrix to its backward
+    STEP_PEAKS = [(0, np.float32, 32, 35 * MiB), (1, np.float64, 64, 12 * MiB),
+                  (2, np.float64, 10, 100 * MiB)]
+
+    @pytest.mark.parametrize("index, dtype, batch_size, bound", STEP_PEAKS,
+                             ids=["train_mini_f32", "train_ref_fullaug_f64", "eval_wide_f64"])
+    def test_training_step_peak_of_workload_net(self, index, dtype, batch_size, bound):
+        config = WORKLOAD_NETS[index]
+        rng = np.random.default_rng(index)
+        net = build_branched_net(config, seed=index, dtype=dtype)
+        shape = (batch_size, config.input_height, config.input_width, config.input_channels)
+        batch = Tensor(rng.standard_normal(shape).astype(dtype))
+        targets = smooth_label_matrix(rng.integers(0, config.num_classes, size=batch_size),
+                                      config.num_classes, 0.1)
+
+        def step():
+            with Tape() as tape:
+                loss = combined_branch_loss(net.forward_all_branches(batch, mode="train"),
+                                            targets)
+            reverse_pass(tape, loss)
+
+        peak, _ = _traced_peak(step)
+        assert peak <= bound
 
 
 class TestReversePassConsumesTape:
