@@ -1,5 +1,6 @@
 """End-to-end command coverage: train, eval, inspect, compare, augment-preview."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -433,23 +434,53 @@ class TestConfigStrictness:
         assert "broken.json:1" in capsys.readouterr().err
 
 
+def cifar10_experiment_dict(tmp_path, epochs=1):
+    """The experiment above on 32x32 inputs, reading a 6-image training batch
+    and a 4-image test batch of random CIFAR-10 records written under ``tmp_path``."""
+    rng = np.random.default_rng(5)
+    bins = tmp_path / "bins"
+    bins.mkdir()
+    for name, count in (("data_batch_1.bin", 6), ("test_batch.bin", 4)):
+        records = rng.integers(0, 256, size=(count, 3073), dtype=np.uint8)
+        records[:, 0] = rng.integers(0, 10, size=count)
+        (bins / name).write_bytes(records.tobytes())
+    cfg = experiment_dict(tmp_path / "runs", epochs)
+    cfg["model"].update(num_classes=10, input_height=32, input_width=32)
+    cfg["augment"].update(crop_height=32, crop_width=32)
+    cfg["data"] = {"kind": "cifar10", "dir": str(bins),
+                   "train_files": ["data_batch_1.bin"], "test_files": ["test_batch.bin"]}
+    return cfg
+
+
+class TestOutputBytes:
+    """sha256 of the byte-stable outputs of a 2-epoch ``branchnet train``, pinned so
+    that a change to config parsing or data loading cannot move a byte unseen."""
+
+    @pytest.mark.parametrize("experiment, digests", [
+        (lambda tmp_path: experiment_dict(tmp_path / "runs", epochs=2), {
+            "history.csv": "4aef3f325d24b7bac0d830138883d7083d2a73e2a2d341c6c4c8b13fa8721f06",
+            "final.ckpt": "db694f5a86dd7b05fe3ce0d4ca2d628de655dd1015f6e6acdc2f6c760c70ec94",
+            "report.csv": "f6892c67f0d574cf096dbacb887ae58c037516a1dd2a658af6e59e52ae35fb2d"}),
+        (lambda tmp_path: cifar10_experiment_dict(tmp_path, epochs=2), {
+            "history.csv": "43090e4052f1104775596ea4332bbc25e793c48cc7e0e6d0a5398d32ae6518a2",
+            "final.ckpt": "c5fa70bdfbb6ce66aa933fc6a18801a7534e9e8ed0e5a5c8d38e37d5d792d778",
+            "report.csv": "ce2a7fda5ca9c7bd99d17df78ddf266181e5cacc69fe10d2f19cd8dbebb7b8a9"}),
+    ], ids=["synthetic", "cifar10"])
+    def test_train_outputs_match_golden_digests(self, tmp_path, experiment, digests):
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(experiment(tmp_path)))
+        assert main(["train", "--config", str(path)]) == 0
+        (run_dir,) = run_dirs(tmp_path)
+        assert {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+
+
 class TestCifar10Data:
     @pytest.mark.parametrize("missing", ["train_files", "test_files"])
     def test_each_split_needs_its_own_file_list(self, tmp_path, capsys, missing):
         # without a list, the loader would read every .bin in the directory,
         # test batch included, for that split
-        rng = np.random.default_rng(5)
-        bins = tmp_path / "bins"
-        bins.mkdir()
-        for name, count in (("data_batch_1.bin", 6), ("test_batch.bin", 4)):
-            records = rng.integers(0, 256, size=(count, 3073), dtype=np.uint8)
-            records[:, 0] = rng.integers(0, 10, size=count)
-            (bins / name).write_bytes(records.tobytes())
-        cfg = experiment_dict(tmp_path / "runs")
-        cfg["model"].update(num_classes=10, input_height=32, input_width=32)
-        cfg["augment"].update(crop_height=32, crop_width=32)
-        cfg["data"] = {"kind": "cifar10", "dir": str(bins),
-                       "train_files": ["data_batch_1.bin"], "test_files": ["test_batch.bin"]}
+        cfg = cifar10_experiment_dict(tmp_path)
         path = tmp_path / "cifar.json"
         path.write_text(json.dumps({**cfg, "data": {
             k: v for k, v in cfg["data"].items() if k != missing}}))
