@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .fields import bounded, check_fields, fits, mistyped, out_of_bounds
+from .fields import Checked, bounded, fits, mistyped, out_of_bounds
 
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
@@ -112,7 +112,7 @@ class PcaBasis:
 
 
 @dataclass
-class AugmentConfig:
+class AugmentConfig(Checked):
     crop_height: int = bounded(1, default=32)
     crop_width: int = bounded(1, default=32)
     flip_probability: float = bounded(0, 1, default=0.5)
@@ -128,7 +128,7 @@ class AugmentConfig:
     pca_basis: Optional[PcaBasis] = None         # fitted from data when None
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         for name in ("channel_means", "channel_stds"):
             value = getattr(self, name)
             if value is not None:

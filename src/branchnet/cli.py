@@ -21,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from . import data as data_io
-from .augment import AugmentConfig, augment_batch, check_key, fit_augment_statistics
+from .augment import AugmentConfig, augment_batch, fit_augment_statistics
 from .evaluation import evaluate
-from .fields import fits, mistyped
+from .fields import Checked
 from .model import (BranchedNetConfig, block_topology, build_branched_net,
                     count_parameters, layer_counts)
 from .training import TrainConfig, history_csv, restore_network, timings_csv, train
@@ -42,19 +42,28 @@ def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown key(s) in section '{section}': {', '.join(unknown)}")
 
 
-def _check_types(section: str, given: dict, types: dict) -> None:
-    """Reject a value that does not fit its key's type (``fields.fits``)."""
-    for key, value in given.items():
-        if not fits(value, types[key]):
-            raise ConfigError(f"section '{section}': {mistyped(key, value, types[key])}")
-
-
-def _dataclass_section(section: str, given: dict, cls):
-    _check_keys(section, given, {f.name for f in dataclasses.fields(cls)})
+def _dataclass_section(section: str, given: dict, cls, holds: str = ""):
+    """``cls`` built from a section's keys, or ConfigError naming the section and
+    the keys at fault; ``holds`` says what the section holds (default: its name)."""
+    fields = dataclasses.fields(cls)
+    _check_keys(section, given, {f.name for f in fields})
+    missing = [f.name for f in fields if f.name not in given
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"section '{section}': {holds or section} needs key(s) "
+                          f"{', '.join(missing)}")
     try:
         return cls(**given)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"section '{section}': {exc}") from exc
+
+
+@dataclasses.dataclass(frozen=True)
+class OutputConfig(Checked):
+    dir: str = "runs"   # the root that each run's directory is made under
+
+
+_DATA_KINDS = {"synthetic": data_io.SyntheticData, "cifar10": data_io.Cifar10Data}
 
 
 @dataclasses.dataclass
@@ -62,37 +71,13 @@ class ExperimentConfig:
     model: BranchedNetConfig
     train: TrainConfig
     augment: AugmentConfig
-    data: dict
-    output_dir: str
+    data: data_io.SyntheticData | data_io.Cifar10Data
+    output: OutputConfig
     raw: dict
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
-
-
-_DATA_KEYS = {
-    "synthetic": {"kind": str, "num_classes": int, "train_samples_per_class": int,
-                  "test_samples_per_class": int, "image_size": int, "noise_std": float,
-                  "seed": int},
-    "cifar10": {"kind": str, "dir": str, "train_files": list[str], "test_files": list[str]},
-}
-
-
-def _parse_data_section(given: dict) -> dict:
-    kind = given.get("kind")
-    if kind not in _DATA_KEYS:
-        raise ConfigError(
-            f"section 'data': kind must be one of {sorted(_DATA_KEYS)}, got {kind!r}")
-    types = _DATA_KEYS[kind]
-    _check_keys("data", given, set(types))
-    missing = sorted(set(types) - set(given)) if kind == "cifar10" else []
-    if missing:
-        raise ConfigError(f"section 'data': cifar10 data needs key(s) {', '.join(missing)}")
-    _check_types("data", given, types)
-    for split in ("train", "test") if kind == "synthetic" else ():
-        _synthetic_spec(given, split)   # checked even by commands that build no data
-    return dict(given)
 
 
 def parse_experiment(raw: dict) -> ExperimentConfig:
@@ -112,10 +97,6 @@ def parse_experiment(raw: dict) -> ExperimentConfig:
     train_section = dict(raw["train"])
     train_section.setdefault("num_classes", model.num_classes)
     train_cfg = _dataclass_section("train", train_section, TrainConfig)
-    if train_cfg.num_classes != model.num_classes:
-        raise ConfigError(
-            f"train.num_classes ({train_cfg.num_classes}) != "
-            f"model.num_classes ({model.num_classes})")
 
     augment_section = dict(raw.get("augment", {}))
     augment_section.setdefault("crop_height", model.input_height)
@@ -124,14 +105,21 @@ def parse_experiment(raw: dict) -> ExperimentConfig:
     if augment.pca_basis is not None:
         raise ConfigError("augment.pca_basis is fitted from data, not configured")
 
-    data = _parse_data_section(raw["data"])
+    data_section = dict(raw["data"])
+    kind = data_section.pop("kind", None)
+    if kind not in _DATA_KINDS:
+        raise ConfigError(
+            f"section 'data': kind must be one of {sorted(_DATA_KINDS)}, got {kind!r}")
+    data = _dataclass_section("data", data_section, _DATA_KINDS[kind], f"{kind} data")
 
-    output = dict(raw.get("output", {}))
-    _check_keys("output", output, {"dir"})
-    _check_types("output", output, {"dir": str})
+    for section, classes in (("train", train_cfg.num_classes), ("data", data.num_classes)):
+        if classes != model.num_classes:
+            raise ConfigError(f"{section}.num_classes ({classes}) != "
+                              f"model.num_classes ({model.num_classes})")
 
+    output = _dataclass_section("output", raw.get("output", {}), OutputConfig)
     return ExperimentConfig(model=model, train=train_cfg, augment=augment,
-                            data=data, output_dir=output.get("dir", "runs"), raw=raw)
+                            data=data, output=output, raw=raw)
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -172,32 +160,6 @@ def load_experiment(path, overrides: list[str]) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # data and run-dir helpers
 
-def _synthetic_spec(data_cfg: dict, split: str) -> data_io.SyntheticSpec:
-    """The synthetic data section's ``split`` ("train" or "test"), its seed checked. Settings
-    it leaves out take the spec's defaults, except that the test split has 20 per class."""
-    names = {"num_classes": "num_classes", "samples_per_class": f"{split}_samples_per_class",
-             "image_size": "image_size", "noise_std": "noise_std"}
-    given = {name: data_cfg[key] for name, key in names.items() if key in data_cfg}
-    if split == "test":
-        given.setdefault("samples_per_class", 20)
-    try:
-        check_key("seed", data_cfg.get("seed", 0))
-        return data_io.SyntheticSpec(**given)
-    except ValueError as exc:   # each rule names the field first: name it by its key
-        name, _, reason = str(exc).partition(" ")
-        raise ConfigError(f"section 'data': {names.get(name, name)} {reason}") from exc
-
-
-def build_dataset(data_cfg: dict, split: str) -> data_io.Dataset:
-    """The ``split`` ("train" or "test") of the configured dataset. The
-    synthetic test split's seed is one above the training split's."""
-    if data_cfg["kind"] == "cifar10":
-        return data_io.load_cifar10_binary(data_cfg["dir"], data_cfg[f"{split}_files"],
-                                           split=split)
-    seed = data_cfg.get("seed", 1234) + (1 if split == "test" else 0)
-    return data_io.generate_synthetic(_synthetic_spec(data_cfg, split), seed, split=split)
-
-
 def _validate_shapes(cfg: ExperimentConfig, train_set: data_io.Dataset) -> None:
     h, w = train_set.images.shape[1:3]
     if cfg.augment.enable_crop:
@@ -214,10 +176,6 @@ def _validate_shapes(cfg: ExperimentConfig, train_set: data_io.Dataset) -> None:
         raise ConfigError(
             f"source images {h}x{w} != model input "
             f"{cfg.model.input_height}x{cfg.model.input_width} (and crop is disabled)")
-    if train_set.num_classes != cfg.model.num_classes:
-        raise ConfigError(
-            f"data num_classes {train_set.num_classes} != model.num_classes "
-            f"{cfg.model.num_classes}")
 
 
 def make_run_dir(root, fingerprint: str) -> Path:
@@ -242,13 +200,13 @@ def _dtype_for(precision: str):
 
 def cmd_train(args) -> int:
     cfg = load_experiment(args.config, args.set)
-    train_set, test_set = build_dataset(cfg.data, "train"), build_dataset(cfg.data, "test")
+    train_set, test_set = cfg.data.load("train"), cfg.data.load("test")
     _validate_shapes(cfg, train_set)
     augment = fit_augment_statistics(cfg.augment, train_set.images)
     net = build_branched_net(cfg.model, seed=cfg.train.seed,
                              dtype=_dtype_for(args.precision))
 
-    run_dir = make_run_dir(args.out or cfg.output_dir, cfg.fingerprint())
+    run_dir = make_run_dir(args.out or cfg.output.dir, cfg.fingerprint())
     print(f"run directory: {run_dir}")
     checkpoint, history = train(net, train_set, cfg.train, augment, log=print)
     (run_dir / "history.csv").write_text(history_csv(history, cfg.model.num_branches))
@@ -273,7 +231,7 @@ def cmd_eval(args) -> int:
                 f"config model.{fld.name}={got!r} does not match checkpoint "
                 f"({want!r})")
     net, _ = restore_network(checkpoint)
-    test_set = build_dataset(cfg.data, "test")
+    test_set = cfg.data.load("test")
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.dump_probs:

@@ -1,6 +1,7 @@
 """Dataset ingestion (CIFAR-10 binary records, deterministic synthetic
-renderer) and the checkpoint file format (``training.Checkpoint`` is what a
-run's state holds; this module only says how its bytes look).
+renderer, and the experiment data sections that name them) and the
+checkpoint file format (``training.Checkpoint`` is what a run's state holds;
+this module only says how its bytes look).
 
 Checkpoint format: magic ``BRNCHNET``, 4-byte little-endian version, a
 length-prefixed JSON block (configs, epoch counter, RNG cursor, tensor
@@ -19,16 +20,17 @@ import struct
 import tempfile
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .augment import AugmentConfig, PcaBasis
-from .fields import bounded, check_fields
+from .augment import KEY_LIMIT, AugmentConfig, PcaBasis
+from .fields import Checked, bounded, like
 from .model import BranchedNetConfig
 from .training import Checkpoint, CheckpointError, TrainConfig
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 channel-planar pixels
+CIFAR_CLASSES = 10
 CHECKPOINT_MAGIC = b"BRNCHNET"
 CHECKPOINT_VERSION = 1
 
@@ -82,14 +84,14 @@ def load_cifar10_binary(directory, files: Optional[Sequence[str]] = None,
                 f"{fname}: length {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}")
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
         file_labels = records[:, 0].astype(np.int64)
-        if file_labels.size and int(file_labels.max()) >= 10:
-            raise ValueError(
-                f"{fname}: label {int(file_labels.max())} out of range (must be < 10)")
+        if file_labels.size and int(file_labels.max()) >= CIFAR_CLASSES:
+            raise ValueError(f"{fname}: label {int(file_labels.max())} out of range "
+                             f"(must be < {CIFAR_CLASSES})")
         pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
         images.append(pixels)
         labels.append(file_labels)
     return Dataset(images=np.concatenate(images), labels=np.concatenate(labels),
-                   num_classes=10, split=split,
+                   num_classes=CIFAR_CLASSES, split=split,
                    source="cifar10:" + ",".join(files))
 
 
@@ -97,14 +99,11 @@ def load_cifar10_binary(directory, files: Optional[Sequence[str]] = None,
 # synthetic renderer
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Checked):
     num_classes: int = bounded(2, default=10)
     samples_per_class: int = bounded(1, default=50)
     image_size: int = bounded(8, default=32)
     noise_std: float = bounded(0, default=8.0)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def class_template(c: int, spec: SyntheticSpec) -> np.ndarray:
@@ -142,6 +141,38 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, split: str = "") -> Datas
     return Dataset(images=np.stack(images), labels=np.asarray(labels, dtype=np.int64),
                    num_classes=spec.num_classes, split=split,
                    source=f"synthetic:seed={seed}")
+
+
+# ---------------------------------------------------------------------------
+# an experiment's data section: one of these, chosen by its "kind" key
+
+@dataclass(frozen=True)
+class SyntheticData(Checked):
+    """Synthetic train and test splits of one rendering; the test split's
+    seed is one above the training split's."""
+    num_classes: int = like(SyntheticSpec, "num_classes")
+    train_samples_per_class: int = bounded(1, default=50)
+    test_samples_per_class: int = bounded(1, default=20)
+    image_size: int = like(SyntheticSpec, "image_size")
+    noise_std: float = like(SyntheticSpec, "noise_std")
+    seed: int = bounded(0, KEY_LIMIT, hi_open=True, default=1234)
+
+    def load(self, split: str) -> Dataset:
+        spec = SyntheticSpec(self.num_classes, getattr(self, f"{split}_samples_per_class"),
+                             self.image_size, self.noise_std)
+        return generate_synthetic(spec, self.seed + (1 if split == "test" else 0), split=split)
+
+
+@dataclass(frozen=True)
+class Cifar10Data(Checked):
+    """CIFAR-10 binary batches in ``dir``, each split read from its own files."""
+    dir: str
+    train_files: list[str]
+    test_files: list[str]
+    num_classes: ClassVar[int] = CIFAR_CLASSES
+
+    def load(self, split: str) -> Dataset:
+        return load_cifar10_binary(self.dir, getattr(self, f"{split}_files"), split=split)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 JSON's: only a boolean fits ``bool``, an ``int`` takes an integral value and a
 ``float`` a real one, and neither takes a boolean. The range rule reads the
 interval that ``bounded`` declares in a field's metadata; every such interval
-is finite, so NaN and ±inf lie outside all of them. The model, train, augment
-and synthetic-data dataclasses check their fields by both rules when built,
-from the CLI or from a checkpoint header; the CLI checks its data and output
-sections by the type rule."""
+is finite, so NaN and ±inf lie outside all of them. Every config dataclass
+(model, train, augment, data, output) checks its fields by both rules when
+built, from the CLI or from a checkpoint header."""
 
 import dataclasses
 import json
@@ -38,6 +37,12 @@ def bounded(lo, hi=math.inf, *, lo_open=False, hi_open=False, **field_args):
     return dataclasses.field(metadata={"bounds": bounds}, **field_args)
 
 
+def like(cls, name: str):
+    """A field declared as ``cls``'s field ``name`` is, with its default and bounds."""
+    (f,) = (f for f in dataclasses.fields(cls) if f.name == name)
+    return dataclasses.field(default=f.default, metadata=f.metadata)
+
+
 def _shown(end) -> str:   # a power of two past 2**32 reads as 2**k
     big = isinstance(end, int) and end > 2**32 and end & (end - 1) == 0
     return f"2**{end.bit_length() - 1}" if big else f"{end}"
@@ -56,13 +61,13 @@ def out_of_bounds(name: str, value, want, bounds) -> typing.Optional[str]:
 
 
 def check_fields(config) -> None:
-    """Raise ValueError naming the first ``bool``, ``int`` or ``float`` field
-    that does not fit its type or lies outside its declared bounds; store a
+    """Raise ValueError naming the first field that does not fit its type
+    (any type in ``TYPE_NAMES``) or lies outside its declared bounds; store a
     numpy integer in an ``int`` field as ``int``."""
     hints = typing.get_type_hints(type(config))
     for f in dataclasses.fields(config):
         value, want = getattr(config, f.name), hints[f.name]
-        if want in (bool, int, float) and not fits(value, want):
+        if want in TYPE_NAMES and not fits(value, want):
             raise ValueError(mistyped(f.name, value, want))
         if want is int:
             value = int(value)
@@ -70,3 +75,10 @@ def check_fields(config) -> None:
         error = "bounds" in f.metadata and out_of_bounds(f.name, value, want, f.metadata["bounds"])
         if error:
             raise ValueError(error)
+
+
+class Checked:
+    """Base of the config dataclasses: building one checks its fields by both rules."""
+
+    def __post_init__(self):
+        check_fields(self)

@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .fields import bounded, check_fields, fits
+from .fields import Checked, bounded, fits
 from .tensor import (BN_EPSILON, Tensor, batch_norm2d, conv2d, global_avg_pool,
                      linear, pool2d, relu, residual_add)
 
@@ -33,7 +33,7 @@ BOTTLENECK_EXPANSION = 4
 
 
 @dataclass(frozen=True)
-class BranchedNetConfig:
+class BranchedNetConfig(Checked):
     """Declarative topology: stages, widths, branch point, branch count."""
 
     stage_blocks: tuple[int, ...]
@@ -50,7 +50,7 @@ class BranchedNetConfig:
     stem_pool: bool = False
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         for name in ("stage_blocks", "stage_widths"):
             values = tuple(getattr(self, name))
             for v in values:

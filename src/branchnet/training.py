@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .augment import KEY_LIMIT, AugmentConfig, augment_batch, epoch_shuffle
-from .fields import bounded, check_fields
+from .fields import Checked, bounded
 from .model import BranchedNetConfig, BranchedNetwork, build_branched_net
 from .tensor import (NonFiniteError, Tape, Tensor, residual_add, reverse_pass, scale,
                      softmax_cross_entropy)
@@ -29,7 +29,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Checked):
     batch_size: int = bounded(1, default=128)
     total_epochs: int = bounded(0, default=95)
     base_lr: float = bounded(0, default=0.05)
@@ -40,9 +40,6 @@ class TrainConfig:
     smoothing_epsilon: float = bounded(0, 1, default=0.1)
     seed: int = bounded(0, KEY_LIMIT, hi_open=True, default=0)   # hashed as a uint64
     num_classes: int = bounded(2, default=10)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 class CheckpointError(RuntimeError):

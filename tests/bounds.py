@@ -10,11 +10,12 @@ import typing
 import pytest
 
 from branchnet.augment import AugmentConfig
-from branchnet.data import SyntheticSpec
+from branchnet.data import Cifar10Data, SyntheticData, SyntheticSpec
 from branchnet.model import BranchedNetConfig
 from branchnet.training import TrainConfig
 
-CONFIG_CLASSES = (BranchedNetConfig, TrainConfig, AugmentConfig, SyntheticSpec)
+CONFIG_CLASSES = (BranchedNetConfig, TrainConfig, AugmentConfig, SyntheticSpec, SyntheticData,
+                  Cifar10Data)
 
 # numeric fields whose range depends on other fields, so a cross-field rule in
 # __post_init__ checks it instead of a declared interval
@@ -24,8 +25,9 @@ CROSS_FIELD_CHECKED = {"branch_after_block"}
 REQUIRED = {BranchedNetConfig: dict(stage_blocks=(1, 1), stage_widths=(4, 8), bottleneck=False,
                                     branch_after_block=1, num_branches=2, num_classes=3)}
 
+# the config section that each class parses; SyntheticSpec is built from SyntheticData
 SECTIONS = {BranchedNetConfig: "model", TrainConfig: "train", AugmentConfig: "augment",
-            SyntheticSpec: "data"}
+            SyntheticData: "data", Cifar10Data: "data"}
 
 
 def bounded_fields(cls):

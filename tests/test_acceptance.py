@@ -319,9 +319,9 @@ class TestCriterion8Determinism:
         assert (first / "final.ckpt").read_bytes() == (second / "final.ckpt").read_bytes()
 
         # split run: 2 epochs, checkpoint, resume 1 more == 3 straight
-        from branchnet.cli import build_dataset, load_experiment
+        from branchnet.cli import load_experiment
         cfg = load_experiment(path, [])
-        train_set = build_dataset(cfg.data, "train")
+        train_set = cfg.data.load("train")
         netA = build_branched_net(cfg.model, seed=cfg.train.seed)
         ckA, _ = train(netA, train_set, cfg.train, cfg.augment)
 

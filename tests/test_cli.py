@@ -12,20 +12,14 @@ from branchnet.data import read_ppm, write_ppm
 from bounds import SECTIONS, rejected_cases
 
 
-# the data-section keys that set a SyntheticSpec field, where they differ from its name
-_SPEC_KEYS = {"samples_per_class": ("train_samples_per_class", "test_samples_per_class")}
-
-
 def _bound_overrides():
     """A ``--set`` outside each declared bound, and the start of its message,
     which names the section and the config key that was set."""
-    for case in rejected_cases():
+    for case in rejected_cases(SECTIONS):
         cls, name, value = case.values
-        section = SECTIONS[cls]
-        for key in _SPEC_KEYS.get(name, (name,)) if section == "data" else (name,):
-            yield pytest.param(f"{section}.{key}={json.dumps(value)}",
-                               f"section '{section}': {key} must be",
-                               id=f"{section}.{key}={value!r}")
+        yield pytest.param(f"{SECTIONS[cls]}.{name}={json.dumps(value)}",
+                           f"section '{SECTIONS[cls]}': {name} must be",
+                           id=f"{SECTIONS[cls]}.{name}={value!r}")
 
 
 def experiment_dict(out_dir, epochs=1):
@@ -51,6 +45,24 @@ def experiment_dict(out_dir, epochs=1):
         },
         "output": {"dir": str(out_dir)},
     }
+
+
+def cifar10_experiment_dict(tmp_path, epochs=1):
+    """The experiment above on 32x32 inputs, reading a 6-image training batch
+    and a 4-image test batch of random CIFAR-10 records written under ``tmp_path``."""
+    rng = np.random.default_rng(5)
+    bins = tmp_path / "bins"
+    bins.mkdir()
+    for name, count in (("data_batch_1.bin", 6), ("test_batch.bin", 4)):
+        records = rng.integers(0, 256, size=(count, 3073), dtype=np.uint8)
+        records[:, 0] = rng.integers(0, 10, size=count)
+        (bins / name).write_bytes(records.tobytes())
+    cfg = experiment_dict(tmp_path / "runs", epochs)
+    cfg["model"].update(num_classes=10, input_height=32, input_width=32)
+    cfg["augment"].update(crop_height=32, crop_width=32)
+    cfg["data"] = {"kind": "cifar10", "dir": str(bins),
+                   "train_files": ["data_batch_1.bin"], "test_files": ["test_batch.bin"]}
+    return cfg
 
 
 @pytest.fixture
@@ -149,9 +161,8 @@ class TestEvalCommand:
                                    for row in lines[1:]]))
         # recompute the ensemble top-1 error offline from the dumped matrices
         from oracles import topk_error_sorted
-        from branchnet.cli import build_dataset, load_experiment
-        cfg = load_experiment(config_file, [])
-        test_set = build_dataset(cfg.data, "test")
+        from branchnet.cli import load_experiment
+        test_set = load_experiment(config_file, []).data.load("test")
         ens = (probs[0] + probs[1]) / 2
         recomputed = topk_error_sorted(ens, test_set.labels, 1)
         reported = float(report.strip().split("\n")[3].split(",")[1])
@@ -193,7 +204,7 @@ class TestInspectCommand:
             "input_width": 224, "stem_kernel": 7, "stem_stride": 2,
             "stem_pool": True,
         }
-        cfg["train"]["num_classes"] = 1000
+        cfg["train"]["num_classes"] = cfg["data"]["num_classes"] = 1000
         path = tmp_path / "paper.json"
         path.write_text(json.dumps(cfg))
         assert main(["inspect", "--config", str(path)]) == 0
@@ -427,29 +438,41 @@ class TestConfigStrictness:
         assert main(["inspect", "--config", str(config_file), "--set", override]) == 2
         assert "section 'data': " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_data_class_count_must_match_model_before_any_output(
+            self, tmp_path, config_file, capsys, command, classes):
+        args = [command, "--config", str(config_file), "--set", f"data.num_classes={classes}"]
+        if command == "eval":
+            assert main(["train", "--config", str(config_file)]) == 0
+            (run_dir,) = run_dirs(tmp_path)
+            args += ["--checkpoint", str(run_dir / "final.ckpt")]
+        assert main(args) == 2
+        assert f"data.num_classes ({classes}) != model.num_classes (3)" \
+            in capsys.readouterr().err
+        if command == "eval":
+            assert not (run_dir / "eval_report.csv").exists()
+        else:
+            assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("experiment, section, key, message", [
+        (lambda tmp_path: experiment_dict(tmp_path / "runs"), "model", "bottleneck",
+         "section 'model': model needs key(s) bottleneck"),
+        (cifar10_experiment_dict, "data", "dir", "section 'data': cifar10 data needs key(s) dir"),
+    ], ids=["model-bottleneck", "cifar10-dir"])
+    def test_missing_key_named(self, tmp_path, capsys, experiment, section, key, message):
+        cfg = experiment(tmp_path)
+        del cfg[section][key]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["inspect", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_malformed_json_line_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"model": {,}}')
         assert main(["inspect", "--config", str(path)]) == 2
         assert "broken.json:1" in capsys.readouterr().err
-
-
-def cifar10_experiment_dict(tmp_path, epochs=1):
-    """The experiment above on 32x32 inputs, reading a 6-image training batch
-    and a 4-image test batch of random CIFAR-10 records written under ``tmp_path``."""
-    rng = np.random.default_rng(5)
-    bins = tmp_path / "bins"
-    bins.mkdir()
-    for name, count in (("data_batch_1.bin", 6), ("test_batch.bin", 4)):
-        records = rng.integers(0, 256, size=(count, 3073), dtype=np.uint8)
-        records[:, 0] = rng.integers(0, 10, size=count)
-        (bins / name).write_bytes(records.tobytes())
-    cfg = experiment_dict(tmp_path / "runs", epochs)
-    cfg["model"].update(num_classes=10, input_height=32, input_width=32)
-    cfg["augment"].update(crop_height=32, crop_width=32)
-    cfg["data"] = {"kind": "cifar10", "dir": str(bins),
-                   "train_files": ["data_batch_1.bin"], "test_files": ["test_batch.bin"]}
-    return cfg
 
 
 class TestOutputBytes:

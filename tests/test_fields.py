@@ -1,13 +1,14 @@
-"""The range rule: every numeric config field declares its interval in its
-field metadata, and building the config enforces it."""
+"""The type rule, and the range rule: every numeric config field declares its
+interval in its field metadata, and building the config enforces both."""
 
 import dataclasses
 import math
+import re
 import typing
 
 import pytest
 
-from branchnet.data import SyntheticSpec
+from branchnet.data import Cifar10Data, SyntheticSpec
 
 from bounds import (CONFIG_CLASSES, CROSS_FIELD_CHECKED, REQUIRED, accepted_cases,
                     rejected_cases)
@@ -46,3 +47,16 @@ class TestSyntheticSpec:
     def test_invalid_setting_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             SyntheticSpec(**{field: value})
+
+
+class TestStringFields:
+    @pytest.mark.parametrize("field, value, message", [
+        ("dir", 5, "dir must be a string, got 5"),
+        ("dir", None, "dir must be a string, got null"),
+        ("train_files", ["a", 1], 'train_files must be a list of strings, got ["a", 1]'),
+        ("test_files", "b.bin", 'test_files must be a list of strings, got "b.bin"'),
+    ], ids=["dir-int", "dir-null", "files-int-entry", "files-string"])
+    def test_mistyped_value_rejected(self, field, value, message):
+        given = dict(dir="bins", train_files=["a.bin"], test_files=["b.bin"])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Cifar10Data(**{**given, field: value})
