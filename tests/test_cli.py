@@ -194,19 +194,25 @@ class TestEvalCommand:
         assert "num_classes" in capsys.readouterr().err
 
 
+def paper_config_file(tmp_path):
+    """The experiment above with the paper preset as its model section."""
+    cfg = experiment_dict(tmp_path / "runs")
+    cfg["model"] = {
+        "stage_blocks": [3, 24, 36, 3], "stage_widths": [64, 128, 256, 512],
+        "bottleneck": True, "branch_after_block": 39, "num_branches": 2,
+        "num_classes": 1000, "input_channels": 3, "input_height": 224,
+        "input_width": 224, "stem_kernel": 7, "stem_stride": 2,
+        "stem_pool": True,
+    }
+    cfg["train"]["num_classes"] = cfg["data"]["num_classes"] = 1000
+    path = tmp_path / "paper.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestInspectCommand:
     def test_paper_scale_topology(self, tmp_path, capsys):
-        cfg = experiment_dict(tmp_path / "runs")
-        cfg["model"] = {
-            "stage_blocks": [3, 24, 36, 3], "stage_widths": [64, 128, 256, 512],
-            "bottleneck": True, "branch_after_block": 39, "num_branches": 2,
-            "num_classes": 1000, "input_channels": 3, "input_height": 224,
-            "input_width": 224, "stem_kernel": 7, "stem_stride": 2,
-            "stem_pool": True,
-        }
-        cfg["train"]["num_classes"] = cfg["data"]["num_classes"] = 1000
-        path = tmp_path / "paper.json"
-        path.write_text(json.dumps(cfg))
+        path = paper_config_file(tmp_path)
         assert main(["inspect", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "materialized 93" in out
@@ -260,6 +266,63 @@ class TestCompareCommand:
                      "--out", str(tmp_path / "sweep")]) == 0
         text = (tmp_path / "sweep" / "compare.csv").read_text()
         assert text == capsys.readouterr().out
+
+
+_B0_K3 = ["--set", "model.branch_after_block=0", "--set", "model.num_branches=3"]
+_SWEEP = ["--branch-points", "0,1,13,39,65,66"]
+
+
+class TestStructureOutput:
+    """The full stdout of ``inspect`` and ``compare`` on the paper preset and
+    on a B = 0, K = 3 variant, pinned so that a change to the structure
+    accounting cannot move a count or a digit unseen."""
+
+    @pytest.mark.parametrize("args, expected", [
+        (["inspect"], """\
+stages: [3, 24, 36, 3] x widths [64, 128, 256, 512]  (bottleneck blocks)
+branch point: after block 39 of 66; branches: 2
+blocks: shared 39, per-branch 27, materialized 93
+conv layers (single path): 199; weighted layers: 200
+parameters: stem 9,536, shared 20,838,144, per-branch ['41,777,152', '41,777,152'], \
+heads ['2,049,000', '2,049,000']
+total parameters: 108,499,984
+equivalent independent ensemble: 129,347,664
+sharing ratio: 0.838824
+"""),
+        (["compare"] + _SWEEP, """\
+branch_after_block,total_params,sharing_ratio,materialized_blocks
+0,129347664,1.0,132
+1,129263120,0.9993463817019532,131
+13,126222352,0.9758378937558547,119
+39,108499984,0.8388244568529665,93
+65,71185424,0.5503417827476188,67
+66,66722832,0.5158410282539003,66
+"""),
+        (["inspect"] + _B0_K3, """\
+stages: [3, 24, 36, 3] x widths [64, 128, 256, 512]  (bottleneck blocks)
+branch point: after block 0 of 66; branches: 3
+blocks: shared 0, per-branch 66, materialized 198
+conv layers (single path): 199; weighted layers: 200
+parameters: stem 0, shared 0, per-branch ['62,624,832', '62,624,832', '62,624,832'], \
+heads ['2,049,000', '2,049,000', '2,049,000']
+total parameters: 194,021,496
+equivalent independent ensemble: 194,021,496
+sharing ratio: 1.000000
+"""),
+        (["compare"] + _SWEEP + _B0_K3, """\
+branch_after_block,total_params,sharing_ratio,materialized_blocks
+0,194021496,1.0,198
+1,193852408,0.9991285089359377,196
+13,187770872,0.9677838583411397,172
+39,152326136,0.7850992758039552,120
+65,77697016,0.4004557103301585,68
+66,68771832,0.3544547043385337,66
+"""),
+    ], ids=["inspect-paper", "compare-paper", "inspect-b0-k3", "compare-b0-k3"])
+    def test_stdout_is_pinned(self, tmp_path, capsys, args, expected):
+        path = paper_config_file(tmp_path)
+        assert main(args[:1] + ["--config", str(path)] + args[1:]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestAugmentPreviewCommand:
