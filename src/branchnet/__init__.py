@@ -14,10 +14,9 @@ from .data import (Dataset, SyntheticSpec, generate_synthetic, load_checkpoint,
 from .evaluation import (EvalReport, ensemble_probs, evaluate,
                          relative_improvement, top_k_error)
 from .gradcheck import FiniteDiffReport, finite_diff_check
-from .model import (BlockTopology, BranchedNetConfig, BranchedNetwork,
-                    LayerCounts, ParamReport, block_topology,
-                    build_branched_net, count_parameters, layer_counts,
-                    mini_config, paper_scale_config)
+from .model import (BranchedNetConfig, BranchedNetwork, NetworkReport,
+                    build_branched_net, mini_config, network_report,
+                    paper_scale_config)
 from .tensor import (NonFiniteError, ShapeError, Tape, Tensor, batch_norm2d,
                      conv2d, global_avg_pool, linear, pool2d, relu,
                      residual_add, reverse_pass, softmax, sum_all, weighted_sum)
@@ -37,9 +36,8 @@ __all__ = [
     "EvalReport", "ensemble_probs", "evaluate", "relative_improvement",
     "top_k_error",
     "FiniteDiffReport", "finite_diff_check",
-    "BlockTopology", "BranchedNetConfig", "BranchedNetwork", "LayerCounts",
-    "ParamReport", "block_topology", "build_branched_net", "count_parameters",
-    "layer_counts", "mini_config", "paper_scale_config",
+    "BranchedNetConfig", "BranchedNetwork", "NetworkReport",
+    "build_branched_net", "mini_config", "network_report", "paper_scale_config",
     "NonFiniteError", "ShapeError", "Tape", "Tensor", "batch_norm2d", "conv2d",
     "global_avg_pool", "linear", "pool2d", "relu", "residual_add",
     "reverse_pass", "softmax", "sum_all", "weighted_sum",

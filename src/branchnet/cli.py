@@ -24,8 +24,7 @@ from . import data as data_io
 from .augment import AugmentConfig, augment_batch, fit_augment_statistics
 from .evaluation import evaluate
 from .fields import Checked
-from .model import (BranchedNetConfig, block_topology, build_branched_net,
-                    count_parameters, layer_counts)
+from .model import BranchedNetConfig, build_branched_net, network_report
 from .training import TrainConfig, history_csv, restore_network, timings_csv, train
 
 
@@ -252,17 +251,15 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     cfg = load_experiment(args.config, args.set)
-    topo = block_topology(cfg.model)
-    layers = layer_counts(cfg.model)
-    report = count_parameters(cfg.model)
+    report = network_report(cfg.model)
     print(f"stages: {list(cfg.model.stage_blocks)} x widths {list(cfg.model.stage_widths)}"
           f"  ({'bottleneck' if cfg.model.bottleneck else 'basic'} blocks)")
     print(f"branch point: after block {cfg.model.branch_after_block}"
           f" of {cfg.model.total_blocks}; branches: {cfg.model.num_branches}")
-    print(f"blocks: shared {topo.shared_blocks}, per-branch {topo.per_branch_blocks},"
-          f" materialized {topo.total_blocks_materialized}")
-    print(f"conv layers (single path): {layers.conv_layers};"
-          f" weighted layers: {layers.weighted_layers}")
+    print(f"blocks: shared {report.shared_blocks}, per-branch {report.per_branch_blocks},"
+          f" materialized {report.total_blocks_materialized}")
+    print(f"conv layers (single path): {report.conv_layers};"
+          f" weighted layers: {report.weighted_layers}")
     print(f"parameters: stem {report.stem_params:,}, shared {report.shared_params:,},"
           f" per-branch {[f'{v:,}' for v in report.per_branch_params]},"
           f" heads {[f'{v:,}' for v in report.head_params]}")
@@ -288,11 +285,9 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"branch points out of range [0, {total}]: {bad}")
     lines = ["branch_after_block,total_params,sharing_ratio,materialized_blocks"]
     for b in points:
-        variant = dataclasses.replace(cfg.model, branch_after_block=b)
-        report = count_parameters(variant)
-        topo = block_topology(variant)
+        report = network_report(dataclasses.replace(cfg.model, branch_after_block=b))
         lines.append(f"{b},{report.total_params},{report.sharing_ratio!r},"
-                     f"{topo.total_blocks_materialized}")
+                     f"{report.total_blocks_materialized}")
     csv_text = "\n".join(lines) + "\n"
     print(csv_text, end="")
     if args.out:

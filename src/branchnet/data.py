@@ -345,8 +345,10 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("model", "train", "augment", "epoch", "rng_cursor", "tensor_count"):
         if key not in header:
             raise CheckpointError(f"JSON header is missing key {key!r}")
-    if not _is_count(header["epoch"]):
-        raise CheckpointError(f"header epoch {header['epoch']!r} is not a non-negative int")
+    for key in ("epoch", "tensor_count"):
+        if not _is_count(header[key]):
+            raise CheckpointError(f"header {key} is malformed: {header[key]!r} "
+                                  "is not a non-negative int")
     cursor = header["rng_cursor"]
     if not (isinstance(cursor, dict)
             and all(_is_count(cursor.get(k)) for k in ("global_seed", "next_epoch"))):
@@ -354,9 +356,11 @@ def load_checkpoint(path) -> Checkpoint:
                               "global_seed and next_epoch")
 
     tensors: dict[str, np.ndarray] = {}
-    for _ in _parsed("tensor_count", lambda: range(header["tensor_count"])):
+    for _ in range(header["tensor_count"]):
         (name_len,) = struct.unpack("<I", rd.take(4, "tensor name length"))
         name = _parsed(f"tensor name at offset {rd.pos}", rd.take(name_len, "tensor name").decode)
+        if name in tensors:
+            raise CheckpointError(f"tensor {name!r} appears twice in the tensor table")
         rd.context = name
         (tag,) = struct.unpack("<B", rd.take(1, "dtype tag"))
         if tag not in _TAG_DTYPES:

@@ -18,10 +18,10 @@ the classifier. The default big preset reports 199 convs / 200 weighted.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -75,57 +75,24 @@ class BranchedNetConfig(Checked):
         return sum(self.stage_blocks)
 
 
-def mini_config(num_classes: int = 10, num_branches: int = 2,
-                branch_after_block: int = 4, input_size: int = 32,
-                input_channels: int = 3) -> BranchedNetConfig:
-    """Desk-scale default: stages [2,2,2], widths [16,32,64], basic blocks."""
+def mini_config(num_branches: int = 2, branch_after_block: int = 4,
+                input_size: int = 32) -> BranchedNetConfig:
+    """Desk-scale default: stages [2,2,2], widths [16,32,64], basic blocks,
+    10 classes of RGB input."""
     return BranchedNetConfig(
         stage_blocks=(2, 2, 2), stage_widths=(16, 32, 64), bottleneck=False,
         branch_after_block=branch_after_block, num_branches=num_branches,
-        num_classes=num_classes, input_channels=input_channels,
-        input_height=input_size, input_width=input_size)
+        num_classes=10, input_height=input_size, input_width=input_size)
 
 
-def paper_scale_config(num_classes: int = 1000) -> BranchedNetConfig:
-    """Big preset: 66 bottleneck blocks in stages [3,24,36,3], branch after 39."""
+def paper_scale_config() -> BranchedNetConfig:
+    """Big preset: 66 bottleneck blocks in stages [3,24,36,3], branch after 39,
+    1000 classes."""
     return BranchedNetConfig(
         stage_blocks=(3, 24, 36, 3), stage_widths=(64, 128, 256, 512),
         bottleneck=True, branch_after_block=39, num_branches=2,
-        num_classes=num_classes, input_channels=3,
-        input_height=224, input_width=224,
+        num_classes=1000, input_height=224, input_width=224,
         stem_kernel=7, stem_stride=2, stem_pool=True)
-
-
-# ---------------------------------------------------------------------------
-# topology arithmetic
-
-@dataclass(frozen=True)
-class BlockTopology:
-    shared_blocks: int
-    per_branch_blocks: int
-    total_blocks_materialized: int
-
-
-def block_topology(config: BranchedNetConfig) -> BlockTopology:
-    """Shared/per-branch/materialized block arithmetic for a config."""
-    total = config.total_blocks
-    b = config.branch_after_block
-    return BlockTopology(
-        shared_blocks=b,
-        per_branch_blocks=total - b,
-        total_blocks_materialized=b + config.num_branches * (total - b))
-
-
-@dataclass(frozen=True)
-class LayerCounts:
-    conv_layers: int
-    weighted_layers: int
-
-
-def layer_counts(config: BranchedNetConfig) -> LayerCounts:
-    """Depth along one root-to-head path (projection convs excluded)."""
-    convs = sum(len(unit.convs) for unit in layer_table(config) if unit.branch in (None, 0))
-    return LayerCounts(conv_layers=convs, weighted_layers=convs + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +334,17 @@ def build_branched_net(config: BranchedNetConfig, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# parameter accounting
+# structure accounting
 
 @dataclass(frozen=True)
-class ParamReport:
+class NetworkReport:
+    """A config's blocks, depth and learnable parameters, per registry scope."""
+
+    shared_blocks: int
+    per_branch_blocks: int
+    total_blocks_materialized: int
+    conv_layers: int
+    weighted_layers: int
     stem_params: int
     shared_params: int
     per_branch_params: tuple[int, ...]
@@ -380,32 +354,39 @@ class ParamReport:
     sharing_ratio: float
 
 
-def count_parameters(net_or_config: Union[BranchedNetwork, BranchedNetConfig]) -> ParamReport:
-    """Exact learnable-parameter counts per registry scope, from the layer
-    table's shapes alone (nothing is allocated, so paper scale is cheap).
+def network_report(config: BranchedNetConfig) -> NetworkReport:
+    """Exact structure counts from one walk of the layer table's shapes
+    (nothing is allocated, so paper scale is cheap).
 
-    ``equivalent_independent_ensemble_params`` is num_branches times the
-    size of one full single-head network; ``sharing_ratio`` = total over
-    that, 1.0 exactly when nothing is shared (B = 0).
+    Depth and ``equivalent_independent_ensemble_params`` both follow one
+    root-to-head path (the shared units and branch 0's): depth counts its
+    main-path convs, and the ensemble is num_branches copies of its
+    parameters. ``sharing_ratio`` = total over that ensemble, 1.0 exactly
+    when nothing is shared (B = 0).
     """
-    config = net_or_config if isinstance(net_or_config, BranchedNetConfig) \
-        else net_or_config.config
+    units = Counter()   # (branch, kind) -> units
+    params = Counter()  # (branch, kind) -> learnable parameters
+    convs = path_params = 0
+    for unit in layer_table(config):
+        n = _unit_param_count(unit)
+        units[unit.branch, unit.kind] += 1
+        params[unit.branch, unit.kind] += n
+        if unit.branch in (None, 0):
+            convs += len(unit.convs)
+            path_params += n
     kb = config.num_branches
-    sizes = [(unit, _unit_param_count(unit)) for unit in layer_table(config)]
-
-    def scope_total(branch: Optional[int], kinds: tuple[str, ...]) -> int:
-        return sum(n for unit, n in sizes if unit.branch == branch and unit.kind in kinds)
-
-    single = dataclasses.replace(config, branch_after_block=config.total_blocks,
-                                 num_branches=1)
-    total = sum(n for _, n in sizes)
-    equivalent = kb * sum(_unit_param_count(unit) for unit in layer_table(single))
-
-    return ParamReport(
-        stem_params=scope_total(None, ("stem",)),
-        shared_params=scope_total(None, ("block",)),
-        per_branch_params=tuple(scope_total(br, ("stem", "block")) for br in range(kb)),
-        head_params=tuple(scope_total(br, ("head",)) for br in range(kb)),
+    total = sum(params.values())
+    equivalent = kb * path_params
+    return NetworkReport(
+        shared_blocks=units[None, "block"],
+        per_branch_blocks=units[0, "block"],
+        total_blocks_materialized=sum(n for (_, kind), n in units.items() if kind == "block"),
+        conv_layers=convs,
+        weighted_layers=convs + 1,
+        stem_params=params[None, "stem"],
+        shared_params=params[None, "block"],
+        per_branch_params=tuple(params[br, "stem"] + params[br, "block"] for br in range(kb)),
+        head_params=tuple(params[br, "head"] for br in range(kb)),
         total_params=total,
         equivalent_independent_ensemble_params=equivalent,
         sharing_ratio=total / equivalent)

@@ -219,6 +219,9 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
         raise ValueError(
             f"train num_classes {train_config.num_classes} != model "
             f"num_classes {net.config.num_classes}")
+    if not 0 <= start_epoch <= train_config.total_epochs:
+        raise ValueError(f"start_epoch must be in [0, total_epochs = "
+                         f"{train_config.total_epochs}], got {start_epoch}")
     params = net.params
     state = optimizer_state if optimizer_state is not None else OptimizerState(params)
     history = TrainHistory()

@@ -18,9 +18,8 @@ from branchnet.data import (SyntheticSpec, generate_synthetic,
                             load_checkpoint, save_checkpoint)
 from branchnet.evaluation import evaluate, relative_improvement
 from branchnet.gradcheck import finite_diff_check
-from branchnet.model import (BranchedNetConfig, block_topology,
-                             build_branched_net, count_parameters,
-                             layer_counts, mini_config, paper_scale_config)
+from branchnet.model import (BranchedNetConfig, build_branched_net, mini_config,
+                             network_report, paper_scale_config)
 from branchnet.tensor import (Tensor, batch_norm2d, conv2d, global_avg_pool,
                               linear, pool2d, relu, residual_add, softmax,
                               weighted_sum)
@@ -172,11 +171,10 @@ class TestCriterion3Topology:
         cfg = paper_scale_config()
         assert cfg.stage_blocks == (3, 24, 36, 3) and cfg.bottleneck
         assert cfg.branch_after_block == 39 and cfg.num_branches == 2
-        topo = block_topology(cfg)
-        assert topo.total_blocks_materialized == 93
-        layers = layer_counts(cfg)
-        assert layers.conv_layers == 199
-        assert layers.weighted_layers == 200
+        report = network_report(cfg)
+        assert report.total_blocks_materialized == 93
+        assert report.conv_layers == 199
+        assert report.weighted_layers == 200
         ok("criterion 3: stages [3,24,36,3] bottleneck, B=39, K_b=2 -> "
            "93 materialized blocks, 199 convs + classifier = 200 weighted layers")
 
@@ -186,9 +184,9 @@ class TestCriterion3Topology:
 class TestCriterion4ParameterEconomy:
     def test_strict_inequality_and_monotonicity(self):
         cfg = paper_scale_config()
-        report = count_parameters(cfg)
+        report = network_report(cfg)
         assert report.total_params < report.equivalent_independent_ensemble_params
-        ratios = [count_parameters(
+        ratios = [network_report(
             dataclasses.replace(cfg, branch_after_block=b)).sharing_ratio
             for b in range(0, cfg.total_blocks + 1)]
         assert ratios[0] == 1.0

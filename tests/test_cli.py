@@ -226,11 +226,11 @@ class TestInspectCommand:
 
     def test_counts_equal_module_level_api(self, tmp_path, config_file, capsys):
         from branchnet.cli import load_experiment
-        from branchnet.model import count_parameters
+        from branchnet.model import network_report
         assert main(["inspect", "--config", str(config_file)]) == 0
         out = capsys.readouterr().out
         cfg = load_experiment(config_file, [])
-        report = count_parameters(cfg.model)
+        report = network_report(cfg.model)
         assert f"total parameters: {report.total_params:,}" in out
 
 

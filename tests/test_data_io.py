@@ -286,6 +286,10 @@ class TestMalformedCheckpoint:
         (lambda raw: _edited_header(raw, lambda h: h.pop("epoch")), "missing key 'epoch'"),
         (lambda raw: _edited_header(raw, lambda h: h.update(tensor_count="9")),
          "tensor_count is malformed"),
+        (lambda raw: _edited_header(raw, lambda h: h.update(tensor_count=True)),
+         "tensor_count is malformed"),
+        (lambda raw: _edited_header(raw, lambda h: h.update(tensor_count=-1)),
+         "tensor_count is malformed"),
         (lambda raw: _edited_header(raw, lambda h: h["model"].update(num_branches=0)),
          "model section"),
         (lambda raw: _edited_header(raw, lambda h: h["train"].update(momentum_x=1)),
@@ -345,7 +349,8 @@ class TestMalformedCheckpoint:
          "header rng_cursor .* disagrees with the train seed and epoch"),
     ] + _BOUND_EDITS,
         ids=["header-not-utf8", "header-not-json", "header-not-object", "missing-key",
-            "tensor-count-type", "model-rejected", "train-rejected",
+            "tensor-count-type", "tensor-count-bool", "tensor-count-negative",
+            "model-rejected", "train-rejected",
             "stem-pool-string", "stem-pool-int", "branches-float", "stem-kernel-float",
             "classes-bool", "seed-float", "batch-size-float", "base-lr-bool", "augment-flag-int",
             "crop-width-float",
@@ -368,6 +373,20 @@ class TestMalformedCheckpoint:
         (tmp_path / "ends.ckpt").write_bytes(raw)
         config = getattr(load_checkpoint(tmp_path / "ends.ckpt"), _HEADER_CONFIGS[cls])
         assert getattr(config, name) == value
+
+    def test_repeated_tensor_name_rejected(self, tmp_path, checkpoint_bytes):
+        # the later record used to replace the earlier one unseen
+        table = checkpoint_bytes[16 + len(_header_blob(checkpoint_bytes)):]
+        # the first record: name length, name, dtype tag, rank, one extent, 3 float64s
+        name = b"augment/channel_means"
+        record = table[:4 + len(name) + 2 + 8 + 3 * 8]
+        assert record[4:4 + len(name)] == name
+        raw = _edited_header(checkpoint_bytes,
+                             lambda h: h.update(tensor_count=h["tensor_count"] + 1))
+        (tmp_path / "bad.ckpt").write_bytes(raw[:len(raw) - len(table)] + record + table)
+        with pytest.raises(CheckpointError,
+                           match="tensor 'augment/channel_means' appears twice"):
+            load_checkpoint(tmp_path / "bad.ckpt")
 
     def test_tensor_name_not_utf8_rejected(self, tmp_path, checkpoint_bytes):
         first_name = 16 + len(_header_blob(checkpoint_bytes)) + 4

@@ -1,5 +1,5 @@
-"""Topology arithmetic, builder determinism, forward plumbing, and
-parameter accounting."""
+"""Structure report (blocks, layers, parameters), builder determinism and
+forward plumbing."""
 
 import dataclasses
 import hashlib
@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from branchnet import model
-from branchnet.model import (BranchedNetConfig, block_topology,
-                             build_branched_net, count_parameters,
-                             layer_counts, mini_config, paper_scale_config)
+from branchnet.model import (BranchedNetConfig, build_branched_net, mini_config,
+                             network_report, paper_scale_config)
 from branchnet.tensor import Tape, Tensor
 
 from layout import nhwc
@@ -26,29 +25,29 @@ def tiny_config(**overrides):
     return BranchedNetConfig(**base)
 
 
-class TestBlockTopology:
+class TestBlockCounts:
     def test_paper_scale_materializes_93(self):
-        topo = block_topology(paper_scale_config())
-        assert topo.shared_blocks == 39
-        assert topo.per_branch_blocks == 27
-        assert topo.total_blocks_materialized == 93
+        report = network_report(paper_scale_config())
+        assert report.shared_blocks == 39
+        assert report.per_branch_blocks == 27
+        assert report.total_blocks_materialized == 93
 
     def test_no_sharing_boundary(self):
         cfg = dataclasses.replace(paper_scale_config(), branch_after_block=0)
-        assert block_topology(cfg).total_blocks_materialized == 132
+        assert network_report(cfg).total_blocks_materialized == 132
 
     def test_full_sharing_boundary(self):
         cfg = dataclasses.replace(paper_scale_config(), branch_after_block=66)
-        topo = block_topology(cfg)
-        assert topo.total_blocks_materialized == 66
-        assert topo.per_branch_blocks == 0
+        report = network_report(cfg)
+        assert report.total_blocks_materialized == 66
+        assert report.per_branch_blocks == 0
 
     def test_materialized_formula_over_grid(self):
         for b in range(0, 7):
             for kb in (1, 2, 3):
                 cfg = mini_config(branch_after_block=b, num_branches=kb)
-                topo = block_topology(cfg)
-                assert topo.total_blocks_materialized == b + kb * (6 - b)
+                report = network_report(cfg)
+                assert report.total_blocks_materialized == b + kb * (6 - b)
 
     def test_branch_point_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="branch_after_block"):
@@ -74,16 +73,16 @@ class TestBlockTopology:
         assert cfg.num_branches == 2 and type(cfg.num_branches) is int
 
 
-class TestLayerCounts:
+class TestDepth:
     def test_paper_scale_199_convs_200_weighted(self):
-        counts = layer_counts(paper_scale_config())
-        assert counts.conv_layers == 199
-        assert counts.weighted_layers == 200
+        report = network_report(paper_scale_config())
+        assert report.conv_layers == 199
+        assert report.weighted_layers == 200
 
     def test_mini(self):
-        counts = layer_counts(mini_config())
-        assert counts.conv_layers == 1 + 2 * 6
-        assert counts.weighted_layers == 14
+        report = network_report(mini_config())
+        assert report.conv_layers == 1 + 2 * 6
+        assert report.weighted_layers == 14
 
 
 def state_digest(net) -> str:
@@ -330,14 +329,14 @@ class TestForward:
             net.forward_all_branches(Tensor(nhwc(rng.standard_normal((2, 3, 9, 9)))))
 
 
-class TestCountParameters:
+class TestParameterCounts:
     def test_b_zero_ratio_exactly_one(self):
-        report = count_parameters(mini_config(branch_after_block=0))
+        report = network_report(mini_config(branch_after_block=0))
         assert report.sharing_ratio == 1.0
 
     def test_hand_counted_mini_variant(self):
         # stages [1,1], widths [8,16], basic, classes 10, B=1, Kb=2
-        report = count_parameters(tiny_config())
+        report = network_report(tiny_config())
         stem = 8 * 3 * 3 * 3 + 8 + 8
         block1 = (8 * 8 * 3 * 3 + 8 + 8) * 2
         block2 = (16 * 8 * 3 * 3 + 16 + 16) + (16 * 16 * 3 * 3 + 16 + 16) \
@@ -353,23 +352,37 @@ class TestCountParameters:
         assert report.sharing_ratio == report.total_params / (2 * single)
 
     def test_report_totals_are_consistent(self):
-        report = count_parameters(paper_scale_config())
+        report = network_report(paper_scale_config())
         assert report.total_params == report.stem_params + report.shared_params \
             + sum(report.per_branch_params) + sum(report.head_params)
 
     def test_paper_scale_strictly_cheaper_than_independent_pair(self):
-        report = count_parameters(paper_scale_config())
+        report = network_report(paper_scale_config())
         assert report.total_params < report.equivalent_independent_ensemble_params
         assert report.sharing_ratio < 1.0
 
     def test_sharing_ratio_non_increasing_in_branch_point(self):
         cfg = paper_scale_config()
-        ratios = [count_parameters(
+        ratios = [network_report(
             dataclasses.replace(cfg, branch_after_block=b)).sharing_ratio
             for b in range(0, cfg.total_blocks + 1)]
         assert ratios[0] == 1.0
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
-    def test_net_and_config_counts_agree(self):
-        cfg = tiny_config(branch_after_block=0)
-        assert count_parameters(build_branched_net(cfg, seed=0)) == count_parameters(cfg)
+    @pytest.mark.parametrize("bottleneck", [False, True], ids=["basic", "bottleneck"])
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    @pytest.mark.parametrize("kb", [1, 2, 3])
+    def test_total_equals_built_parameter_sizes(self, bottleneck, b, kb):
+        cfg = tiny_config(bottleneck=bottleneck, branch_after_block=b, num_branches=kb)
+        net = build_branched_net(cfg, seed=0)
+        assert network_report(cfg).total_params == sum(t.size for t in net.params.values())
+
+    @pytest.mark.parametrize("cfg", [
+        tiny_config(bottleneck=bottleneck, branch_after_block=b, num_branches=kb)
+        for bottleneck in (False, True) for b in (0, 1, 2) for kb in (1, 2, 3)
+    ] + [dataclasses.replace(paper_scale_config(), branch_after_block=b, num_branches=kb)
+         for b in (0, 1, 39, 65, 66) for kb in (1, 2, 3)])
+    def test_ensemble_is_k_single_branch_nets(self, cfg):
+        single = dataclasses.replace(cfg, branch_after_block=cfg.total_blocks, num_branches=1)
+        assert network_report(cfg).equivalent_independent_ensemble_params \
+            == cfg.num_branches * network_report(single).total_params

@@ -285,6 +285,19 @@ class TestTrainLoop:
         for name, arr in before.items():
             np.testing.assert_array_equal(checkpoint.tensors[f"model/{name}"], arr)
 
+    @pytest.mark.parametrize("start_epoch", [2, -1])
+    def test_start_epoch_outside_the_run_rejected(self, start_epoch):
+        # start 2 of 1 used to run nothing and label epoch-2 weights epoch 1
+        net, data, cfg, augment = _loop_setup(epochs=1)
+        with pytest.raises(ValueError, match=r"start_epoch must be in \[0, total_epochs = 1\], "
+                                             f"got {start_epoch}"):
+            train(net, data, cfg, augment, start_epoch=start_epoch)
+
+    def test_start_at_the_last_epoch_runs_nothing(self):
+        net, data, cfg, augment = _loop_setup(epochs=1)
+        checkpoint, history = train(net, data, cfg, augment, start_epoch=1)
+        assert history.epochs == [] and checkpoint.epoch == 1
+
     def test_loss_decreases_on_separable_data(self):
         net, data, cfg, augment = _loop_setup(epochs=10, noise=2.0)
         _, history = train(net, data, cfg, augment)
