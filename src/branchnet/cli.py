@@ -123,25 +123,21 @@ def parse_experiment(raw: dict) -> ExperimentConfig:
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply --set section.key=value pairs (values parsed as JSON when
-    possible, else kept as strings) before strict validation."""
+    possible, else kept as strings) before strict validation. The path must
+    be exactly one non-empty section and one non-empty key."""
     out = json.loads(json.dumps(raw))  # deep copy
     for item in overrides:
-        if "=" not in item:
+        dotted, eq, text = item.partition("=")
+        section, _, key = dotted.partition(".")
+        if not (eq and section and key) or "." in key:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
-        dotted, _, text = item.partition("=")
-        parts = dotted.split(".")
-        if len(parts) < 2:
-            raise ConfigError(f"--set path must be section.key, got {dotted!r}")
         try:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
-        node = out
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"--set path {dotted!r} crosses a non-object value")
-        node[parts[-1]] = value
+        node = out.setdefault(section, {})
+        if isinstance(node, dict):   # parse_experiment rejects any other section value
+            node[key] = value
     return out
 
 
@@ -233,17 +229,14 @@ def cmd_eval(args) -> int:
     test_set = cfg.data.load("test")
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
+    report, branch_probs = evaluate(net, test_set, augment_config=checkpoint.augment_config,
+                                    dump_probs=True)
     if args.dump_probs:
-        report, branch_probs = evaluate(net, test_set,
-                                        augment_config=checkpoint.augment_config,
-                                        dump_probs=True)
         for br, probs in enumerate(branch_probs):
             header = ",".join(f"class_{k}" for k in range(probs.shape[1]))
             rows = [",".join(repr(float(v)) for v in row) for row in probs]
             (out_dir / f"probs_branch_{br + 1}.csv").write_text(
                 header + "\n" + "\n".join(rows) + "\n")
-    else:
-        report = evaluate(net, test_set, augment_config=checkpoint.augment_config)
     print(report.render_text())
     (out_dir / "eval_report.csv").write_text(report.to_csv())
     return 0

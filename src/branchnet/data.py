@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 import tempfile
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, astuple
 from pathlib import Path
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 channel-planar pixels
 CIFAR_CLASSES = 10
 CHECKPOINT_MAGIC = b"BRNCHNET"
 CHECKPOINT_VERSION = 1
+_PPM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")   # whitespace, comment lines, a token
 
 _DTYPE_TAGS = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
@@ -63,18 +65,13 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # CIFAR-10 binary format
 
-def load_cifar10_binary(directory, files: Optional[Sequence[str]] = None,
-                        split: str = "") -> Dataset:
-    """Read 3073-byte records (label, then 32x32 R/G/B planes, row-major).
-
-    ``files`` defaults to every ``*.bin`` in the directory, sorted by name
-    so the sample order is stable.
+def load_cifar10_binary(directory, files: Sequence[str], split: str = "") -> Dataset:
+    """Read 3073-byte records (label, then 32x32 R/G/B planes, row-major)
+    from ``files`` in ``directory``, in the order given.
     """
     directory = Path(directory)
-    if files is None:
-        files = sorted(p.name for p in directory.glob("*.bin"))
     if not files:
-        raise FileNotFoundError(f"no CIFAR-10 .bin files found in {directory}")
+        raise FileNotFoundError(f"no CIFAR-10 .bin files named for {directory}")
     images = []
     labels = []
     for fname in files:
@@ -196,21 +193,18 @@ def read_ppm(path) -> np.ndarray:
         raise ValueError(f"{path}: not a binary PPM (P6) file")
     # header = magic, width, height, maxval as whitespace-separated tokens
     # (comment lines starting with '#' allowed), then a single whitespace byte
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(raw[start:pos])
+    values, pos = [], 2
+    for name in ("width", "height", "maxval"):
+        field = _PPM_FIELD.match(raw, pos)
+        pos = field.end()
+        if not re.fullmatch(rb"-?[0-9]+", field[1]):
+            raise ValueError(f"{path}: PPM header {name} is missing or not an integer, "
+                             f"got {field[1]!r}")
+        values.append(int(field[1]))
     pos += 1  # the single whitespace after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    w, h, maxval = values
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: PPM width and height must be positive, got {w}x{h}")
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=h * w * 3, offset=pos)
@@ -222,49 +216,54 @@ def read_ppm(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _augment_to_json(aug: AugmentConfig) -> dict:
-    d = asdict(aug)
-    # arrays move to the tensor table; mark presence only
-    d["channel_means"] = aug.channel_means is not None
-    d["channel_stds"] = aug.channel_stds is not None
-    d["pca_basis"] = aug.pca_basis is not None
-    return d
+# each array field of AugmentConfig -> the augment/ tensors that hold it
+_AUGMENT_TENSORS = {"channel_means": ("augment/channel_means",),
+                    "channel_stds": ("augment/channel_stds",),
+                    "pca_basis": ("augment/pca_eigenvalues", "augment/pca_eigenvectors",
+                                  "augment/pca_channel_means")}
 
 
-def _augment_arrays(aug: AugmentConfig) -> dict[str, np.ndarray]:
-    arrays = {}
-    if aug.channel_means is not None:
-        arrays["augment/channel_means"] = aug.channel_means
-    if aug.channel_stds is not None:
-        arrays["augment/channel_stds"] = aug.channel_stds
-    if aug.pca_basis is not None:
-        arrays["augment/pca_eigenvalues"] = aug.pca_basis.eigenvalues
-        arrays["augment/pca_eigenvectors"] = aug.pca_basis.eigenvectors
-        arrays["augment/pca_channel_means"] = aug.pca_basis.channel_means
-    return arrays
+def _augment_parts(aug: AugmentConfig) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header section and the ``augment/`` tensors of ``aug``: each set
+    array field moves to the tensor table, and the header keeps only a flag
+    saying whether it is set."""
+    meta, arrays = asdict(aug), {}
+    for key, names in _AUGMENT_TENSORS.items():
+        value = getattr(aug, key)
+        meta[key] = value is not None
+        if value is not None:
+            arrays.update(zip(names, astuple(value) if key == "pca_basis" else (value,)))
+    return meta, arrays
 
 
 def _augment_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> AugmentConfig:
-    basis = None
-    if meta.pop("pca_basis"):
-        basis = PcaBasis(eigenvalues=arrays["augment/pca_eigenvalues"],
-                         eigenvectors=arrays["augment/pca_eigenvectors"],
-                         channel_means=arrays["augment/pca_channel_means"])
-    means = arrays["augment/channel_means"] if meta.pop("channel_means") else None
-    stds = arrays["augment/channel_stds"] if meta.pop("channel_stds") else None
-    return AugmentConfig(channel_means=means, channel_stds=stds,
-                         pca_basis=basis, **meta)
+    """The inverse of ``_augment_parts``: each flag must be a boolean, and the
+    ``augment/`` tensors must be exactly those that the set flags name."""
+    flags = {key: meta.pop(key) for key in _AUGMENT_TENSORS}
+    for key, flag in flags.items():
+        if not isinstance(flag, bool):
+            raise ValueError(f"flag {key} must be a boolean, got {flag!r}")
+    named = {name for key, names in _AUGMENT_TENSORS.items() if flags[key] for name in names}
+    wrong = sorted(named ^ arrays.keys())
+    if wrong:
+        state = "missing" if wrong[0] in named else "present but no set header flag names it"
+        raise ValueError(f"tensor {wrong[0]!r} is {state}")
+    pca = [arrays[name] for name in _AUGMENT_TENSORS["pca_basis"] if name in arrays]
+    return AugmentConfig(channel_means=arrays.get("augment/channel_means"),
+                         channel_stds=arrays.get("augment/channel_stds"),
+                         pca_basis=PcaBasis(*pca) if pca else None, **meta)
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     """Atomic write: serialize to a temp file in the target directory, then
-    rename over the destination."""
-    tensors = dict(checkpoint.tensors)
-    tensors.update(_augment_arrays(checkpoint.augment_config))
+    rename over the destination. A tensor that is not float64 or float32
+    raises ``ValueError`` naming it."""
+    augment, augment_arrays = _augment_parts(checkpoint.augment_config)
+    tensors = {**checkpoint.tensors, **augment_arrays}
     header = {
         "model": asdict(checkpoint.model_config),
         "train": asdict(checkpoint.train_config),
-        "augment": _augment_to_json(checkpoint.augment_config),
+        "augment": augment,
         "epoch": checkpoint.epoch,
         "rng_cursor": checkpoint.rng_cursor,
         "tensor_count": len(tensors),
@@ -283,7 +282,8 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
             for name in sorted(tensors):
                 arr = np.ascontiguousarray(tensors[name])
                 if arr.dtype not in _DTYPE_TAGS:
-                    arr = arr.astype(np.float64)
+                    raise ValueError(f"checkpoint tensor {name!r} has dtype {arr.dtype}, "
+                                     "not float64 or float32")
                 encoded = name.encode()
                 f.write(struct.pack("<I", len(encoded)))
                 f.write(encoded)

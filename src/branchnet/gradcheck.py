@@ -1,6 +1,6 @@
 """Finite-difference verification of taped gradients.
 
-Central differences with per-element step h = step_scale * max(1, |theta|),
+Central differences with per-element step h = STEP_SCALE * max(1, |theta|),
 compared against the analytic gradient from :func:`reverse_pass`. Relative
 error is measured per element as |a - n| / max(1, |n|) and the per-tensor
 maximum is reported; failures are report entries, never exceptions.
@@ -14,6 +14,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .tensor import Tape, Tensor, reverse_pass
+
+STEP_SCALE = 1e-5   # relative central-difference step (see above)
 
 
 @dataclass
@@ -48,9 +50,9 @@ class FiniteDiffReport:
 
 def finite_diff_check(loss_fn: Callable[[], Tensor], wrt: Sequence[Tensor],
                       names: Optional[Sequence[str]] = None,
-                      tolerance: float = 1e-4,
-                      step_scale: float = 1e-5) -> FiniteDiffReport:
-    """Compare analytic gradients of ``loss_fn`` against central differences.
+                      tolerance: float = 1e-4) -> FiniteDiffReport:
+    """Compare analytic gradients of ``loss_fn`` against central differences
+    with the per-element step ``STEP_SCALE * max(1, |theta|)``.
 
     ``loss_fn`` must return a scalar tensor computed from the live ``wrt``
     tensors (it is re-invoked with perturbed parameter data for the numeric
@@ -75,7 +77,7 @@ def finite_diff_check(loss_fn: Callable[[], Tensor], wrt: Sequence[Tensor],
         flat = theta.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            h = step_scale * max(1.0, abs(orig))
+            h = STEP_SCALE * max(1.0, abs(orig))
             flat[i] = orig + h
             f_plus = loss_fn().item()
             flat[i] = orig - h

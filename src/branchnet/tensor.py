@@ -43,6 +43,8 @@ _PATCH_TILE_BYTES = 8 * 2**20
 
 # Variance floor of every batch norm, also used when one is folded into a conv.
 BN_EPSILON = 1e-5
+# Weight of the old running statistic in every batch norm's train-mode update.
+BN_MOMENTUM = 0.9
 
 
 class ShapeError(ValueError):
@@ -314,12 +316,12 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: Tensor, running_var: Tensor,
-                 mode: str = "train", epsilon: float = BN_EPSILON,
-                 momentum: float = 0.9) -> Tensor:
-    """Per-channel normalization of [N,H,W,C] over (N,H,W); population variance.
+                 mode: str = "train") -> Tensor:
+    """Per-channel normalization of [N,H,W,C] over (N,H,W); population variance,
+    floored by ``BN_EPSILON``.
 
     Train mode uses batch statistics and updates the running buffers in
-    place: running <- momentum*running + (1-momentum)*batch. Eval mode
+    place: running <- BN_MOMENTUM*running + (1-BN_MOMENTUM)*batch. Eval mode
     normalizes with the running buffers only. The network's evaluation
     does not call eval mode: it folds the same affine map into the conv
     before it. Eval mode is the taped, gradient-checked reference that
@@ -353,13 +355,13 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         mean = _channel_sums(x.data) / m
         out_data = x.data - mean
         var = _channel_sums(np.square(out_data)) / m
-        running_mean.data[...] = momentum * running_mean.data + (1.0 - momentum) * mean
-        running_var.data[...] = momentum * running_var.data + (1.0 - momentum) * var
+        running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1.0 - BN_MOMENTUM) * mean
+        running_var.data[...] = BN_MOMENTUM * running_var.data + (1.0 - BN_MOMENTUM) * var
     else:
         mean, var = running_mean.data.copy(), running_var.data
         out_data = x.data - mean
 
-    inv_std = 1.0 / np.sqrt(var + epsilon)
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     out_data *= inv_std
     out_data *= gamma.data
     out_data += beta.data

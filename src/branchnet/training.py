@@ -114,11 +114,12 @@ def smooth_label_matrix(labels: Sequence[int], num_classes: int,
     return np.stack([smooth_labels(int(y), num_classes, epsilon) for y in labels])
 
 
-def combined_branch_loss(branch_logits: Sequence[Tensor], targets: np.ndarray,
-                         return_branch_losses: bool = False):
-    """Arithmetic mean of the branches' ``softmax_cross_entropy`` against
-    the smoothed [N, K] target rows, checked once to be non-negative and to
-    sum to 1 within 1e-9.
+def combined_branch_loss(branch_logits: Sequence[Tensor],
+                         targets: np.ndarray) -> tuple[Tensor, list[Tensor]]:
+    """(combined, branch_losses): the arithmetic mean of the branches'
+    ``softmax_cross_entropy`` against the smoothed [N, K] target rows,
+    checked once to be non-negative and to sum to 1 within 1e-9, and each
+    branch's own loss.
 
     The trunk gradient is the mean of the branch contributions; each
     branch's own parameters see only their (1/K_b)-scaled loss gradient.
@@ -144,10 +145,7 @@ def combined_branch_loss(branch_logits: Sequence[Tensor], targets: np.ndarray,
     total = losses[0]
     for loss in losses[1:]:
         total = residual_add(total, loss)
-    combined = scale(total, 1.0 / len(losses))
-    if return_branch_losses:
-        return combined, losses
-    return combined
+    return scale(total, 1.0 / len(losses)), losses
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +158,16 @@ def is_decay_exempt(name: str) -> bool:
     return name.endswith(_DECAY_EXEMPT_SUFFIXES)
 
 
-def sgd_momentum_step(params: Mapping[str, Tensor],
-                      grads: Mapping[str, np.ndarray],
-                      state: OptimizerState, lr: float,
+def sgd_momentum_step(params: Mapping[str, Tensor], state: OptimizerState, lr: float,
                       momentum: float, weight_decay: float) -> None:
-    """v <- mu*v + g + lambda*theta; theta <- theta - lr*v (in place).
+    """v <- mu*v + g + lambda*theta; theta <- theta - lr*v (in place), where g
+    is each parameter's ``grad``.
 
     Decay is folded into the gradient before momentum; BN gamma/beta and
     biases are exempt from decay.
     """
     for name, param in params.items():
-        grad = grads[name]
+        grad = param.grad
         if grad.shape != param.data.shape:
             raise ValueError(
                 f"gradient shape {grad.shape} != parameter {name} shape {param.data.shape}")
@@ -245,8 +242,7 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
             try:
                 with Tape() as tape:
                     branch_logits = net.forward_all_branches(batch, mode="train")
-                    combined, branch_losses = combined_branch_loss(
-                        branch_logits, targets, return_branch_losses=True)
+                    combined, branch_losses = combined_branch_loss(branch_logits, targets)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"non-finite values at epoch {epoch}, batch {batches} "
@@ -257,9 +253,8 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
                     f"non-finite loss {loss_value} at epoch {epoch}, "
                     f"batch {batches} (first sample index {int(batch_idx[0])})")
             reverse_pass(tape, combined)
-            grads = {name: p.grad for name, p in params.items()}
-            sgd_momentum_step(params, grads, state, lr,
-                              train_config.momentum, train_config.weight_decay)
+            sgd_momentum_step(params, state, lr, train_config.momentum,
+                              train_config.weight_decay)
             loss_sums += [bl.item() for bl in branch_losses]
             batches += 1
         record = EpochRecord(epoch=epoch, lr=lr,
@@ -290,10 +285,10 @@ def restore_network(checkpoint: Checkpoint) -> tuple[BranchedNetwork, OptimizerS
     """Rebuild a network and optimizer state from a checkpoint's tensors.
 
     The checkpoint must hold exactly one ``model/`` tensor per registry
-    entry and one ``optimizer/`` velocity per parameter, each with the
-    registry shape and the dtype of the first ``model/`` tensor; anything
-    missing, extra, misshapen or of another dtype raises ``CheckpointError``
-    naming the tensor.
+    entry and one ``optimizer/`` velocity per parameter, and nothing else,
+    each with the registry shape and the dtype of the first ``model/``
+    tensor; anything missing, extra (under any name), misshapen or of
+    another dtype raises ``CheckpointError`` naming the tensor.
     """
     sample = next((a for k, a in checkpoint.tensors.items() if k.startswith("model/")), None)
     dtype = sample.dtype if sample is not None else np.float64
@@ -301,8 +296,7 @@ def restore_network(checkpoint: Checkpoint) -> tuple[BranchedNetwork, OptimizerS
                              dtype=dtype)
     state = OptimizerState(net.params)
     targets = _state_arrays(net, state)
-    extra = sorted(k for k in checkpoint.tensors
-                   if k.startswith(("model/", "optimizer/")) and k not in targets)
+    extra = sorted(k for k in checkpoint.tensors if k not in targets)
     if extra:
         raise CheckpointError(f"checkpoint tensor {extra[0]!r} is not in the model registry")
     for key, target in targets.items():

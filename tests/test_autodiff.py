@@ -128,7 +128,7 @@ class TestLeafGradients:
         batch = Tensor(rng.standard_normal((3, 16, 16, 3)).astype(dtype))
         targets = smooth_label_matrix(rng.integers(0, 5, size=3), 5, 0.1)
         with Tape() as tape:
-            loss = combined_branch_loss(net.forward_all_branches(batch, mode="train"), targets)
+            loss, _ = combined_branch_loss(net.forward_all_branches(batch, mode="train"), targets)
         reverse_pass(tape, loss)
         for name, p in net.params.items():
             assert p.grad is not None, name

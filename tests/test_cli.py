@@ -144,6 +144,14 @@ class TestEvalCommand:
         assert (run_dir / "eval_report.csv").read_text() == train_report
         assert "ensemble" in capsys.readouterr().out
 
+    def test_no_probability_files_without_dump_probs(self, tmp_path, config_file):
+        assert main(["train", "--config", str(config_file)]) == 0
+        (run_dir,) = run_dirs(tmp_path)
+        assert main(["eval", "--config", str(config_file),
+                     "--checkpoint", str(run_dir / "final.ckpt"),
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert sorted(p.name for p in (tmp_path / "eval").iterdir()) == ["eval_report.csv"]
+
     def test_dump_probs_supports_offline_recomputation(self, tmp_path, config_file,
                                                        capsys):
         assert main(["train", "--config", str(config_file)]) == 0
@@ -421,6 +429,25 @@ class TestConfigStrictness:
         path.write_text(json.dumps(cfg))
         assert main(["inspect", "--config", str(path)]) == 2
         assert f"section '{section}' must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "train.=3", ".batch_size=3", ".=3", "train.batch_size.x=3", "a.b.c=1", "train=3",
+        "train.batch_size"],
+        ids=["empty-key", "empty-section", "empty-both", "nested", "nested-new", "no-key",
+             "no-value"])
+    def test_set_path_must_be_one_section_and_one_key(self, tmp_path, config_file, capsys,
+                                                      override):
+        assert main(["train", "--config", str(config_file), "--set", override]) == 2
+        assert f"--set expects section.key=value, got {override!r}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_set_into_a_section_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = experiment_dict(tmp_path / "runs")
+        cfg["output"] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["inspect", "--config", str(path), "--set", "output.dir=x"]) == 2
+        assert "section 'output' must be a JSON object, got int" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, message", [
         ("model.bottleneck=False", 'bottleneck must be a boolean, got "False"'),

@@ -44,13 +44,13 @@ class TestCifarLoader:
     def test_record_arithmetic_two_samples(self, tmp_path, rng):
         make_cifar_file(tmp_path / "batch.bin", rng, records=2)
         assert (tmp_path / "batch.bin").stat().st_size == 6146
-        data = load_cifar10_binary(tmp_path)
+        data = load_cifar10_binary(tmp_path, ["batch.bin"])
         assert len(data) == 2
         assert data.images.shape == (2, 32, 32, 3)
 
     def test_layout_red_channel_first_pixel(self, tmp_path, rng):
         raw = make_cifar_file(tmp_path / "batch.bin", rng, records=1)
-        data = load_cifar10_binary(tmp_path)
+        data = load_cifar10_binary(tmp_path, ["batch.bin"])
         assert data.labels[0] == raw[0]
         assert data.images[0, 0, 0, 0] == raw[1]          # R plane starts at offset 1
         assert data.images[0, 0, 0, 1] == raw[1 + 1024]   # G plane
@@ -58,7 +58,7 @@ class TestCifarLoader:
 
     def test_matches_byte_slicing_oracle(self, tmp_path, rng):
         raw = make_cifar_file(tmp_path / "batch.bin", rng, records=10)
-        data = load_cifar10_binary(tmp_path)
+        data = load_cifar10_binary(tmp_path, ["batch.bin"])
         for rec in range(10):
             base = rec * 3073
             assert data.labels[rec] == raw[base]
@@ -73,27 +73,18 @@ class TestCifarLoader:
         raw = (tmp_path / "batch.bin").read_bytes()
         (tmp_path / "batch.bin").write_bytes(raw[:-1])
         with pytest.raises(ValueError, match="multiple of 3073"):
-            load_cifar10_binary(tmp_path)
+            load_cifar10_binary(tmp_path, ["batch.bin"])
 
     def test_label_out_of_range_rejected(self, tmp_path, rng):
         raw = bytearray(make_cifar_file(tmp_path / "batch.bin", rng, records=1))
         raw[0] = 11
         (tmp_path / "batch.bin").write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="label"):
-            load_cifar10_binary(tmp_path)
-
-    def test_order_stable_across_loads(self, tmp_path, rng):
-        make_cifar_file(tmp_path / "a.bin", rng, records=3)
-        make_cifar_file(tmp_path / "b.bin", rng, records=2)
-        first = load_cifar10_binary(tmp_path)
-        second = load_cifar10_binary(tmp_path)
-        np.testing.assert_array_equal(first.images, second.images)
-        np.testing.assert_array_equal(first.labels, second.labels)
-        assert first.source == second.source
+            load_cifar10_binary(tmp_path, ["batch.bin"])
 
     def test_missing_files_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_cifar10_binary(tmp_path)
+            load_cifar10_binary(tmp_path, [])
 
 
 class TestSyntheticDataset:
@@ -153,6 +144,24 @@ class TestPpm:
         with pytest.raises(ValueError, match="P6"):
             read_ppm(tmp_path / "img.ppm")
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"P6\n4", "PPM header height is missing or not an integer, got b''"),
+        (b"P6\n4 4\n", "PPM header maxval is missing or not an integer, got b''"),
+        (b"P6\n4 x\n255\n", "PPM header height is missing or not an integer, got b'x'"),
+        (b"P6\n2.5 1\n255\n" + bytes(6),
+         "PPM header width is missing or not an integer, got b'2.5'"),
+        (b"P6\n0 0\n255\n", "PPM width and height must be positive, got 0x0"),
+        (b"P6\n-1 2\n255\n" + bytes(6), "PPM width and height must be positive, got -1x2"),
+        (b"P6\n3 0\n255\n", "PPM width and height must be positive, got 3x0"),
+    ], ids=["truncated", "no-maxval", "height-word", "width-fraction", "zero", "negative",
+            "zero-height"])
+    def test_bad_header_named_with_the_file(self, tmp_path, raw, message):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            read_ppm(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 def _training_setup(total_epochs, seed=13):
     cfg = BranchedNetConfig(stage_blocks=(1, 1), stage_widths=(4, 8),
@@ -206,6 +215,39 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "a.ckpt", checkpoint)
         save_checkpoint(tmp_path / "b.ckpt", checkpoint)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_tensor_outside_the_registry_is_not_restored(self, tmp_path):
+        from branchnet.training import restore_network
+
+        net, data, cfg, augment = _training_setup(total_epochs=0)
+        checkpoint, _ = train(net, data, cfg, augment)
+        junk = dataclasses.replace(checkpoint, tensors={**checkpoint.tensors,
+                                                        "junk/x": np.zeros(2)})
+        save_checkpoint(tmp_path / "junk.ckpt", junk)
+        with pytest.raises(CheckpointError, match="'junk/x' is not in the model registry"):
+            restore_network(load_checkpoint(tmp_path / "junk.ckpt"))
+
+    def test_leftover_augment_tensor_rejected(self, tmp_path):
+        net, data, cfg, augment = _training_setup(total_epochs=0)
+        checkpoint, _ = train(net, data, cfg, augment)
+        extra = dataclasses.replace(checkpoint, tensors={**checkpoint.tensors,
+                                                         "augment/extra": np.zeros(2)})
+        save_checkpoint(tmp_path / "extra.ckpt", extra)
+        with pytest.raises(CheckpointError, match="augment section .*tensor 'augment/extra' "
+                                                  "is present but no set header flag names it"):
+            load_checkpoint(tmp_path / "extra.ckpt")
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.bool_])
+    def test_tensor_of_another_dtype_not_written(self, tmp_path, dtype):
+        net, data, cfg, augment = _training_setup(total_epochs=0)
+        checkpoint, _ = train(net, data, cfg, augment)
+        key = "model/stem.bn.running_var"
+        bad = dataclasses.replace(checkpoint, tensors={
+            **checkpoint.tensors, key: checkpoint.tensors[key].astype(dtype)})
+        with pytest.raises(ValueError, match=f"tensor '{key}' has dtype "
+                                             f"{np.dtype(dtype)}, not float64 or float32"):
+            save_checkpoint(tmp_path / "bad.ckpt", bad)
+        assert list(tmp_path.iterdir()) == []
 
     def test_split_run_resume_equals_uninterrupted(self, tmp_path):
         from branchnet.training import restore_network
@@ -317,6 +359,15 @@ class TestMalformedCheckpoint:
          "augment section .*crop_width must be an integer"),
         (lambda raw: _edited_header(raw, lambda h: h["augment"].pop("pca_basis")),
          "augment section"),
+        (lambda raw: _edited_header(raw, lambda h: h["augment"].update(channel_means=False)),
+         "augment section .*tensor 'augment/channel_means' is present but no set "
+         "header flag names it"),
+        (lambda raw: _edited_header(raw, lambda h: h["augment"].update(channel_means=7)),
+         "augment section .*flag channel_means must be a boolean, got 7"),
+        (lambda raw: _edited_header(raw, lambda h: h["augment"].update(channel_means=1)),
+         "augment section .*flag channel_means must be a boolean, got 1"),
+        (lambda raw: _edited_header(raw, lambda h: h["augment"].update(pca_basis=True)),
+         "augment section .*tensor 'augment/pca_channel_means' is missing"),
         (lambda raw: _edited_header(
             raw, lambda h: h["augment"].update(flip_probability=2.0)), "augment section"),
         (lambda raw: _edited_header(raw, lambda h: h["augment"].update(pca_sigma=math.nan)),
@@ -354,7 +405,9 @@ class TestMalformedCheckpoint:
             "stem-pool-string", "stem-pool-int", "branches-float", "stem-kernel-float",
             "classes-bool", "seed-float", "batch-size-float", "base-lr-bool", "augment-flag-int",
             "crop-width-float",
-            "augment-missing-flag", "augment-rejected", "augment-pca-nan",
+            "augment-missing-flag", "augment-flag-false-tensor-present", "augment-flag-7",
+            "augment-flag-1", "augment-flag-true-tensor-missing", "augment-rejected",
+            "augment-pca-nan",
             "augment-jitter-inf", "seed-2**64", "epoch-string", "epoch-negative",
             "epoch-bool", "epoch-float", "cursor-not-object", "cursor-missing-epoch",
             "cursor-seed-string", "cursor-epoch-bool", "cursor-epoch-negative",

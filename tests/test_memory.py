@@ -335,7 +335,7 @@ class TestMemoryBounds:
         try:
             base = tracemalloc.get_traced_memory()[0]
             with Tape() as tape:
-                loss = combined_branch_loss(
+                loss, _ = combined_branch_loss(
                     net.forward_all_branches(batch, mode="train"), targets)
             live_after_forward = tracemalloc.get_traced_memory()[0] - base
             tracemalloc.reset_peak()
@@ -369,8 +369,8 @@ class TestMemoryBounds:
 
         def step():
             with Tape() as tape:
-                loss = combined_branch_loss(net.forward_all_branches(batch, mode="train"),
-                                            targets)
+                loss, _ = combined_branch_loss(net.forward_all_branches(batch, mode="train"),
+                                               targets)
             reverse_pass(tape, loss)
 
         peak, _ = _traced_peak(step)
@@ -383,8 +383,8 @@ class TestReversePassConsumesTape:
         batch = Tensor(rng.standard_normal((4, 8, 8, 3)))
         targets = smooth_label_matrix(rng.integers(0, 10, size=4), 10, 0.1)
         with Tape() as tape:
-            loss = combined_branch_loss(net.forward_all_branches(batch, mode="train"),
-                                        targets)
+            loss, _ = combined_branch_loss(net.forward_all_branches(batch, mode="train"),
+                                           targets)
         outputs = [node.output for node in tape.nodes]
         reverse_pass(tape, loss)
         assert len(tape) == 0

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from branchnet.tensor import (NonFiniteError, ShapeError, Tape, Tensor, batch_norm2d,
-                              conv2d, global_avg_pool, linear, pool2d, relu,
+from branchnet.tensor import (BN_EPSILON, NonFiniteError, ShapeError, Tape, Tensor,
+                              batch_norm2d, conv2d, global_avg_pool, linear, pool2d, relu,
                               residual_add, softmax, softmax_cross_entropy)
 
 from layout import nchw, nhwc
@@ -77,19 +77,19 @@ class TestBatchNorm:
     def test_constant_input_maps_to_zero(self):
         x = Tensor(np.full((2, 2, 2, 3), 7.0))
         rm, rv = self._stats(3)
-        out = batch_norm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv,
-                           mode="train", epsilon=1e-5)
+        out = batch_norm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv, mode="train")
         assert np.all(np.abs(out.data) <= 1e-5)
 
     def test_normalization_contract_mean_and_variance(self, rng):
         x = Tensor(nhwc(rng.standard_normal((4, 3, 5, 5)) * 3.0 + 1.5))
         rm, rv = self._stats(3)
         out = batch_norm2d(x, Tensor(np.ones(3)), Tensor(np.full(3, 5.0)), rm, rv,
-                           mode="train", epsilon=1e-12)
+                           mode="train")
         means = out.data.mean(axis=(0, 1, 2))
         variances = out.data.var(axis=(0, 1, 2))
+        v = x.data.var(axis=(0, 1, 2))
         np.testing.assert_allclose(means, 5.0, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(variances, 1.0, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(variances, v / (v + BN_EPSILON), rtol=0, atol=1e-6)
 
     def test_matches_two_pass_oracle(self, rng):
         x = rng.standard_normal((4, 3, 2, 2))
@@ -97,7 +97,7 @@ class TestBatchNorm:
         beta = rng.standard_normal(3)
         rm, rv = self._stats(3)
         out = batch_norm2d(Tensor(nhwc(x)), Tensor(gamma), Tensor(beta), rm, rv,
-                           mode="train", epsilon=1e-5)
+                           mode="train")
         np.testing.assert_allclose(nchw(out.data), batchnorm_twopass(x, gamma, beta, 1e-5),
                                    rtol=0, atol=1e-12)
 
@@ -108,7 +108,7 @@ class TestBatchNorm:
         batch_mean = x.mean(axis=(0, 2, 3))
         batch_var = x.var(axis=(0, 2, 3))
         batch_norm2d(Tensor(nhwc(x)), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv,
-                     mode="train", momentum=0.9)
+                     mode="train")
         np.testing.assert_allclose(rm.data, 0.9 * np.array([1.0, -1.0]) + 0.1 * batch_mean)
         np.testing.assert_allclose(rv.data, 0.9 * np.array([2.0, 0.5]) + 0.1 * batch_var)
 
@@ -117,9 +117,9 @@ class TestBatchNorm:
         rm = Tensor(np.array([0.5, -0.5]))
         rv = Tensor(np.array([4.0, 0.25]))
         out = batch_norm2d(Tensor(nhwc(x)), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                           rm, rv, mode="eval", epsilon=0.0)
+                           rm, rv, mode="eval")
         want = (x - np.array([0.5, -0.5])[None, :, None, None]) \
-            / np.sqrt(np.array([4.0, 0.25]))[None, :, None, None]
+            / np.sqrt(np.array([4.0, 0.25]) + BN_EPSILON)[None, :, None, None]
         np.testing.assert_allclose(nchw(out.data), want, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(rm.data, [0.5, -0.5])  # unchanged
 

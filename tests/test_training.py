@@ -68,7 +68,7 @@ class TestSmoothedCrossEntropy:
         logits = rng.standard_normal((4, 6))
         labels = rng.integers(0, 6, size=4)
         targets = smooth_label_matrix(labels, 6, 0.0)
-        loss = combined_branch_loss([Tensor(logits)], targets).item()
+        loss = combined_branch_loss([Tensor(logits)], targets)[0].item()
         z = logits - logits.max(axis=1, keepdims=True)
         log_q = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         nll = -log_q[np.arange(4), labels].mean()
@@ -77,13 +77,13 @@ class TestSmoothedCrossEntropy:
     def test_uniform_vs_uniform_is_ln2(self):
         logits = Tensor(np.zeros((1, 2)))
         targets = np.array([[0.5, 0.5]])
-        loss = combined_branch_loss([logits], targets).item()
+        loss = combined_branch_loss([logits], targets)[0].item()
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_gradient_matches_finite_differences(self, rng):
         logits = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         targets = smooth_label_matrix(rng.integers(0, 5, size=3), 5, 0.1)
-        report = finite_diff_check(lambda: combined_branch_loss([logits], targets),
+        report = finite_diff_check(lambda: combined_branch_loss([logits], targets)[0],
                                    [logits], tolerance=1e-6)
         assert report.passed, report.summary()
 
@@ -91,7 +91,7 @@ class TestSmoothedCrossEntropy:
         logits = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         targets = smooth_label_matrix(rng.integers(0, 3, size=4), 3, 0.2)
         with Tape() as tape:
-            loss = combined_branch_loss([logits], targets)
+            loss, _ = combined_branch_loss([logits], targets)
         reverse_pass(tape, loss)
         z = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
         q = z / z.sum(axis=1, keepdims=True)
@@ -114,10 +114,10 @@ class TestSmoothedCrossEntropy:
         # perturbing q away from p never decreases the loss
         p = np.array([[0.6, 0.3, 0.1]])
         base_logits = np.log(p)
-        base = combined_branch_loss([Tensor(base_logits)], p).item()
+        base = combined_branch_loss([Tensor(base_logits)], p)[0].item()
         for _ in range(25):
             perturbed = combined_branch_loss(
-                [Tensor(base_logits + rng.standard_normal((1, 3)) * 0.5)], p).item()
+                [Tensor(base_logits + rng.standard_normal((1, 3)) * 0.5)], p)[0].item()
             assert perturbed >= base - 1e-12
 
 
@@ -125,7 +125,7 @@ class TestCombinedBranchLoss:
     def test_single_branch_reduces_to_plain_loss(self, rng):
         logits = Tensor(rng.standard_normal((3, 4)))
         targets = smooth_label_matrix([0, 1, 2], 4, 0.1)
-        combined = combined_branch_loss([logits], targets).item()
+        combined = combined_branch_loss([logits], targets)[0].item()
         single = softmax_cross_entropy(Tensor(logits.data), targets).item()
         assert combined == single
 
@@ -133,7 +133,7 @@ class TestCombinedBranchLoss:
         logits = rng.standard_normal((3, 4))
         targets = smooth_label_matrix([0, 1, 2], 4, 0.1)
         combined = combined_branch_loss(
-            [Tensor(logits), Tensor(logits.copy())], targets).item()
+            [Tensor(logits), Tensor(logits.copy())], targets)[0].item()
         single = softmax_cross_entropy(Tensor(logits), targets).item()
         assert abs(combined - single) < 1e-15
 
@@ -158,7 +158,7 @@ class TestCombinedBranchLoss:
             with Tape() as tape:
                 trunk_out = net.forward_trunk(batch, "train")
                 logits = [net.forward_branch(br, trunk_out, "train") for br in branches]
-                loss = combined_branch_loss(logits, targets)
+                loss, _ = combined_branch_loss(logits, targets)
             reverse_pass(tape, loss)
             params = net.params
             return {n: params[n].grad.copy() for n in trunk_names}
@@ -177,8 +177,7 @@ class TestCombinedBranchLoss:
 
 class TestSgdMomentumStep:
     def _step(self, params, state, lr, mu, wd):
-        grads = {k: p.grad for k, p in params.items()}
-        sgd_momentum_step(params, grads, state, lr, mu, wd)
+        sgd_momentum_step(params, state, lr, mu, wd)
 
     def test_lr_zero_keeps_params_updates_velocity(self):
         p = {"w": Tensor(np.array([1.0]))}
@@ -233,9 +232,10 @@ class TestSgdMomentumStep:
 
     def test_shape_mismatch_rejected(self):
         p = {"w": Tensor(np.ones(3))}
+        p["w"].grad = np.ones(4)
         state = OptimizerState(p)
         with pytest.raises(ValueError, match="shape"):
-            sgd_momentum_step(p, {"w": np.ones(4)}, state, 0.1, 0.9, 0.0)
+            sgd_momentum_step(p, state, 0.1, 0.9, 0.0)
 
 
 class TestLrSchedule:
@@ -429,7 +429,8 @@ class TestRestoreNetwork:
             restore_network(self.with_tensors(checkpoint, tensors))
 
     @pytest.mark.parametrize("key", ["model/branch2.head.bias",
-                                     "optimizer/trunk.block01.conv3.weight"])
+                                     "optimizer/trunk.block01.conv3.weight",
+                                     "junk/x", "augment/channel_means", "stem.conv.weight"])
     def test_tensor_not_in_registry_rejected(self, checkpoint, key):
         tensors = {**checkpoint.tensors, key: np.zeros(4)}
         with pytest.raises(CheckpointError, match=f"'{key}' is not in the model registry"):
