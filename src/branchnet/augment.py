@@ -92,20 +92,13 @@ def keyed_uniforms(seed, epoch, index, technique: str, draws: int) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class PcaBasis:
+class PcaBasis(Checked):
     """RGB covariance eigensystem: eigenvalues descending, rows of
     ``eigenvectors`` are the (orthonormal) principal directions."""
 
-    eigenvalues: np.ndarray      # (3,), lambda1 >= lambda2 >= lambda3 >= 0
-    eigenvectors: np.ndarray     # (3, 3), row i = i-th principal direction
-    channel_means: np.ndarray    # (3,)
-
-    def __post_init__(self):
-        for name, shape in (("eigenvalues", (3,)), ("eigenvectors", (3, 3)),
-                            ("channel_means", (3,))):
-            got = np.shape(getattr(self, name))
-            if got != shape:
-                raise ValueError(f"PcaBasis {name} must have shape {shape}, got {got}")
+    eigenvalues: np.ndarray = bounded(0, shape=(3,))   # lambda1 >= lambda2 >= lambda3
+    eigenvectors: np.ndarray = bounded(-math.inf, shape=(3, 3))   # row i: i-th direction
+    channel_means: np.ndarray = bounded(-math.inf, shape=(3,))
 
     def reconstruct_covariance(self) -> np.ndarray:
         return self.eigenvectors.T @ np.diag(self.eigenvalues) @ self.eigenvectors
@@ -123,23 +116,10 @@ class AugmentConfig(Checked):
     enable_jitter: bool = True
     enable_pca: bool = True
     enable_normalize: bool = True
-    channel_means: Optional[np.ndarray] = None   # fitted from data when None
-    channel_stds: Optional[np.ndarray] = None    # mean-only normalization when None
+    # means fitted from data when None; no stds: normalization subtracts the means only
+    channel_means: Optional[np.ndarray] = bounded(-math.inf, shape=(3,), default=None)
+    channel_stds: Optional[np.ndarray] = bounded(0, lo_open=True, shape=(3,), default=None)
     pca_basis: Optional[PcaBasis] = None         # fitted from data when None
-
-    def __post_init__(self):
-        super().__post_init__()
-        for name in ("channel_means", "channel_stds"):
-            value = getattr(self, name)
-            if value is not None:
-                value = np.asarray(value, dtype=np.float64)
-                if value.shape != (3,):
-                    raise ValueError(f"{name} must have shape (3,), got {value.shape}")
-                if not np.all(np.isfinite(value)):
-                    raise ValueError(f"{name} must be finite, got {value.tolist()}")
-                setattr(self, name, value)
-        if self.channel_stds is not None and np.any(self.channel_stds <= 0):
-            raise ValueError("channel_stds must be strictly positive")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from . import data as data_io
 from .augment import AugmentConfig, augment_batch, fit_augment_statistics
 from .evaluation import evaluate
-from .fields import Checked
+from .fields import Checked, check_keys, from_section
 from .model import BranchedNetConfig, build_branched_net, network_report
 from .training import TrainConfig, history_csv, restore_network, timings_csv, train
 
@@ -33,28 +33,6 @@ class ConfigError(ValueError):
 
 
 _SECTIONS = ("model", "train", "augment", "data", "output")
-
-
-def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
-    unknown = sorted(set(given) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in section '{section}': {', '.join(unknown)}")
-
-
-def _dataclass_section(section: str, given: dict, cls, holds: str = ""):
-    """``cls`` built from a section's keys, or ConfigError naming the section and
-    the keys at fault; ``holds`` says what the section holds (default: its name)."""
-    fields = dataclasses.fields(cls)
-    _check_keys(section, given, {f.name for f in fields})
-    missing = [f.name for f in fields if f.name not in given
-               and f.default is f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ConfigError(f"section '{section}': {holds or section} needs key(s) "
-                          f"{', '.join(missing)}")
-    try:
-        return cls(**given)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section '{section}': {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,43 +58,44 @@ class ExperimentConfig:
 
 
 def parse_experiment(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    _check_keys("<top level>", raw, set(_SECTIONS))
-    for section in ("model", "train", "data"):
-        if section not in raw:
-            raise ConfigError(f"missing required section '{section}'")
-    for section, given in raw.items():
-        if not isinstance(given, dict):
-            raise ConfigError(f"section '{section}' must be a JSON object, "
-                              f"got {type(given).__name__}")
+    """``raw`` built section by section (``fields.from_section``), or ConfigError."""
+    try:
+        if not isinstance(raw, dict):
+            raise ValueError("experiment config must be a JSON object")
+        check_keys("<top level>", raw, set(_SECTIONS))
+        for section in ("model", "train", "data"):
+            if section not in raw:
+                raise ValueError(f"missing required section '{section}'")
+        for section, given in raw.items():
+            if not isinstance(given, dict):
+                raise ValueError(f"section '{section}' must be a JSON object, "
+                                 f"got {type(given).__name__}")
 
-    model = _dataclass_section("model", raw["model"], BranchedNetConfig)
+        model = from_section(BranchedNetConfig, "model", raw["model"])
+        train_cfg = from_section(TrainConfig, "train",
+                                 {"num_classes": model.num_classes, **raw["train"]})
+        augment = from_section(AugmentConfig, "augment", {
+            "crop_height": model.input_height, "crop_width": model.input_width,
+            **raw.get("augment", {})})
+        if augment.pca_basis is not None:
+            raise ValueError("augment.pca_basis is fitted from data, not configured")
 
-    train_section = dict(raw["train"])
-    train_section.setdefault("num_classes", model.num_classes)
-    train_cfg = _dataclass_section("train", train_section, TrainConfig)
+        data_section = dict(raw["data"])
+        kind = data_section.pop("kind", None)
+        if kind not in _DATA_KINDS:
+            raise ValueError(
+                f"section 'data': kind must be one of {sorted(_DATA_KINDS)}, got {kind!r}")
+        data = from_section(_DATA_KINDS[kind], "data", data_section, holds=f"{kind} data")
 
-    augment_section = dict(raw.get("augment", {}))
-    augment_section.setdefault("crop_height", model.input_height)
-    augment_section.setdefault("crop_width", model.input_width)
-    augment = _dataclass_section("augment", augment_section, AugmentConfig)
-    if augment.pca_basis is not None:
-        raise ConfigError("augment.pca_basis is fitted from data, not configured")
+        for section, classes in (("train", train_cfg.num_classes),
+                                 ("data", data.num_classes)):
+            if classes != model.num_classes:
+                raise ValueError(f"{section}.num_classes ({classes}) != "
+                                 f"model.num_classes ({model.num_classes})")
 
-    data_section = dict(raw["data"])
-    kind = data_section.pop("kind", None)
-    if kind not in _DATA_KINDS:
-        raise ConfigError(
-            f"section 'data': kind must be one of {sorted(_DATA_KINDS)}, got {kind!r}")
-    data = _dataclass_section("data", data_section, _DATA_KINDS[kind], f"{kind} data")
-
-    for section, classes in (("train", train_cfg.num_classes), ("data", data.num_classes)):
-        if classes != model.num_classes:
-            raise ConfigError(f"{section}.num_classes ({classes}) != "
-                              f"model.num_classes ({model.num_classes})")
-
-    output = _dataclass_section("output", raw.get("output", {}), OutputConfig)
+        output = from_section(OutputConfig, "output", raw.get("output", {}))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return ExperimentConfig(model=model, train=train_cfg, augment=augment,
                             data=data, output=output, raw=raw)
 
@@ -156,21 +135,15 @@ def load_experiment(path, overrides: list[str]) -> ExperimentConfig:
 # data and run-dir helpers
 
 def _validate_shapes(cfg: ExperimentConfig, train_set: data_io.Dataset) -> None:
-    h, w = train_set.images.shape[1:3]
-    if cfg.augment.enable_crop:
-        if (cfg.augment.crop_height, cfg.augment.crop_width) != \
-                (cfg.model.input_height, cfg.model.input_width):
-            raise ConfigError(
-                f"augment crop {cfg.augment.crop_height}x{cfg.augment.crop_width} "
-                f"!= model input {cfg.model.input_height}x{cfg.model.input_width}")
-        if cfg.augment.crop_height > h or cfg.augment.crop_width > w:
-            raise ConfigError(
-                f"crop {cfg.augment.crop_height}x{cfg.augment.crop_width} exceeds "
-                f"source images {h}x{w}")
-    elif (h, w) != (cfg.model.input_height, cfg.model.input_width):
-        raise ConfigError(
-            f"source images {h}x{w} != model input "
-            f"{cfg.model.input_height}x{cfg.model.input_width} (and crop is disabled)")
+    (h, w), crop = train_set.images.shape[1:3], cfg.augment.enable_crop
+    ch, cw, mh, mw = (cfg.augment.crop_height, cfg.augment.crop_width,
+                      cfg.model.input_height, cfg.model.input_width)
+    if crop and (ch, cw) != (mh, mw):
+        raise ConfigError(f"augment crop {ch}x{cw} != model input {mh}x{mw}")
+    if crop and (ch > h or cw > w):
+        raise ConfigError(f"crop {ch}x{cw} exceeds source images {h}x{w}")
+    if not crop and (h, w) != (mh, mw):
+        raise ConfigError(f"source images {h}x{w} != model input {mh}x{mw} (and crop is disabled)")
 
 
 def make_run_dir(root, fingerprint: str) -> Path:
@@ -218,13 +191,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     checkpoint = data_io.load_checkpoint(args.checkpoint)
     cfg = load_experiment(args.config, args.set)
-    for fld in dataclasses.fields(BranchedNetConfig):
-        got = getattr(cfg.model, fld.name)
-        want = getattr(checkpoint.model_config, fld.name)
+    for key, got in dataclasses.asdict(cfg.model).items():
+        want = getattr(checkpoint.model_config, key)
         if got != want:
-            raise ConfigError(
-                f"config model.{fld.name}={got!r} does not match checkpoint "
-                f"({want!r})")
+            raise ConfigError(f"config model.{key}={got!r} does not match checkpoint ({want!r})")
     net, _ = restore_network(checkpoint)
     test_set = cfg.data.load("test")
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent

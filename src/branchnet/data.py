@@ -19,14 +19,14 @@ import os
 import re
 import struct
 import tempfile
-from dataclasses import dataclass, asdict, astuple
+from dataclasses import dataclass, asdict, astuple, replace
 from pathlib import Path
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .augment import KEY_LIMIT, AugmentConfig, PcaBasis
-from .fields import Checked, bounded, like
+from .fields import Checked, bounded, fits, from_section, like, mistyped
 from .model import BranchedNetConfig
 from .training import Checkpoint, CheckpointError, TrainConfig
 
@@ -164,8 +164,8 @@ class SyntheticData(Checked):
 class Cifar10Data(Checked):
     """CIFAR-10 binary batches in ``dir``, each split read from its own files."""
     dir: str
-    train_files: list[str]
-    test_files: list[str]
+    train_files: tuple[str, ...]
+    test_files: tuple[str, ...]
     num_classes: ClassVar[int] = CIFAR_CLASSES
 
     def load(self, split: str) -> Dataset:
@@ -237,21 +237,23 @@ def _augment_parts(aug: AugmentConfig) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _augment_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> AugmentConfig:
-    """The inverse of ``_augment_parts``: each flag must be a boolean, and the
-    ``augment/`` tensors must be exactly those that the set flags name."""
-    flags = {key: meta.pop(key) for key in _AUGMENT_TENSORS}
-    for key, flag in flags.items():
-        if not isinstance(flag, bool):
-            raise ValueError(f"flag {key} must be a boolean, got {flag!r}")
-    named = {name for key, names in _AUGMENT_TENSORS.items() if flags[key] for name in names}
+    """The inverse of ``_augment_parts``. The section names every field, each
+    flag is a boolean, and the ``augment/`` tensors are those the set flags name."""
+    # the keys and scalar values first, each array field held unset
+    config = from_section(AugmentConfig, "augment", {
+        **meta, **dict.fromkeys(meta.keys() & _AUGMENT_TENSORS.keys())}, every_key=True)
+    for key in _AUGMENT_TENSORS:
+        if not fits(meta[key], bool):
+            raise ValueError(mistyped(f"flag {key}", meta[key], bool))
+    named = {name for key, names in _AUGMENT_TENSORS.items() if meta[key] for name in names}
     wrong = sorted(named ^ arrays.keys())
     if wrong:
         state = "missing" if wrong[0] in named else "present but no set header flag names it"
         raise ValueError(f"tensor {wrong[0]!r} is {state}")
     pca = [arrays[name] for name in _AUGMENT_TENSORS["pca_basis"] if name in arrays]
-    return AugmentConfig(channel_means=arrays.get("augment/channel_means"),
-                         channel_stds=arrays.get("augment/channel_stds"),
-                         pca_basis=PcaBasis(*pca) if pca else None, **meta)
+    return replace(config, channel_means=arrays.get("augment/channel_means"),
+                   channel_stds=arrays.get("augment/channel_stds"),
+                   pca_basis=PcaBasis(*pca) if pca else None)
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
@@ -323,10 +325,6 @@ def _parsed(section: str, build):
         raise CheckpointError(f"checkpoint {section} is malformed: {exc!r}") from exc
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any malformed part raises ``CheckpointError`` naming it."""
     raw = Path(path).read_bytes()
@@ -346,14 +344,9 @@ def load_checkpoint(path) -> Checkpoint:
         if key not in header:
             raise CheckpointError(f"JSON header is missing key {key!r}")
     for key in ("epoch", "tensor_count"):
-        if not _is_count(header[key]):
+        if not (fits(header[key], int) and header[key] >= 0):
             raise CheckpointError(f"header {key} is malformed: {header[key]!r} "
                                   "is not a non-negative int")
-    cursor = header["rng_cursor"]
-    if not (isinstance(cursor, dict)
-            and all(_is_count(cursor.get(k)) for k in ("global_seed", "next_epoch"))):
-        raise CheckpointError(f"header rng_cursor {cursor!r} needs non-negative int "
-                              "global_seed and next_epoch")
 
     tensors: dict[str, np.ndarray] = {}
     for _ in range(header["tensor_count"]):
@@ -377,13 +370,17 @@ def load_checkpoint(path) -> Checkpoint:
 
     augment_arrays = {k: tensors.pop(k) for k in list(tensors) if k.startswith("augment/")}
     checkpoint = Checkpoint(
-        model_config=_parsed("model section", lambda: BranchedNetConfig(**header["model"])),
-        train_config=_parsed("train section", lambda: TrainConfig(**header["train"])),
+        model_config=_parsed("model section", lambda: from_section(
+            BranchedNetConfig, "model", header["model"], every_key=True)),
+        train_config=_parsed("train section", lambda: from_section(
+            TrainConfig, "train", header["train"], every_key=True)),
         augment_config=_parsed("augment section", lambda: _augment_from_parts(
-            dict(header["augment"]), augment_arrays)),
+            header["augment"], augment_arrays)),
         epoch=header["epoch"],
         tensors=tensors)
-    if cursor != checkpoint.rng_cursor:
+    # compared as JSON text, so that false or 7.0 does not pass for 0 or 7
+    cursor = header["rng_cursor"]
+    if json.dumps(cursor, sort_keys=True) != json.dumps(checkpoint.rng_cursor, sort_keys=True):
         raise CheckpointError(f"header rng_cursor {cursor!r} disagrees with the train "
                               f"seed and epoch, which give {checkpoint.rng_cursor!r}")
     return checkpoint

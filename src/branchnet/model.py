@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import Checked, bounded, fits
+from .fields import Checked, bounded
 from .tensor import (BN_EPSILON, Tensor, batch_norm2d, conv2d, global_avg_pool,
                      linear, pool2d, relu, residual_add)
 
@@ -36,8 +36,8 @@ BOTTLENECK_EXPANSION = 4
 class BranchedNetConfig(Checked):
     """Declarative topology: stages, widths, branch point, branch count."""
 
-    stage_blocks: tuple[int, ...]
-    stage_widths: tuple[int, ...]
+    stage_blocks: tuple[int, ...] = bounded(1)
+    stage_widths: tuple[int, ...] = bounded(1)
     bottleneck: bool
     branch_after_block: int   # in [0, total_blocks], checked below
     num_branches: int = bounded(1)
@@ -50,21 +50,11 @@ class BranchedNetConfig(Checked):
     stem_pool: bool = False
 
     def __post_init__(self):
-        super().__post_init__()
-        for name in ("stage_blocks", "stage_widths"):
-            values = tuple(getattr(self, name))
-            for v in values:
-                if not fits(v, int):
-                    raise ValueError(f"{name} entries must be integers, got {v!r}")
-            object.__setattr__(self, name, tuple(int(v) for v in values))
+        super().__post_init__()   # each stage list holds one or more entries
         if len(self.stage_blocks) != len(self.stage_widths):
             raise ValueError(
                 f"stage_blocks ({len(self.stage_blocks)}) and stage_widths "
                 f"({len(self.stage_widths)}) must have the same length")
-        if not self.stage_blocks:
-            raise ValueError("at least one stage is required")
-        if any(b < 1 for b in self.stage_blocks) or any(w < 1 for w in self.stage_widths):
-            raise ValueError("stage block counts and widths must be positive")
         if not 0 <= self.branch_after_block <= self.total_blocks:
             raise ValueError(
                 f"branch_after_block must be in [0, {self.total_blocks}], "

@@ -6,7 +6,9 @@ runtime; everything else finishes in seconds.
 """
 
 import dataclasses
+import functools
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,7 @@ from branchnet.training import (TrainConfig, lr_at_epoch, restore_network,
                                 smooth_labels, train)
 
 from layout import nchw, nhwc
+from pool import run_pooled
 
 
 def ok(line):
@@ -221,20 +224,48 @@ class TestCriterion6Schedule:
 
 # -- criterion 7: desk-scale ensemble effect ----------------------------------
 
-def _desk_scale_errors(epsilon, seeds, train_set, test_set, augment):
-    branch_means, ensemble_means = [], []
-    for seed in seeds:
-        cfg = TrainConfig(batch_size=32, total_epochs=20, base_lr=0.05,
-                          lr_decay_interval_epochs=8, weight_decay=1e-4,
-                          momentum=0.9, smoothing_epsilon=epsilon, seed=seed,
-                          num_classes=10)
-        net = build_branched_net(mini_config(input_size=20), seed=seed,
-                                 dtype=np.float32)
-        train(net, train_set, cfg, augment)
-        report = evaluate(net, test_set, augment_config=augment)
-        branch_means.append(float(np.mean(report.branch_top1)))
-        ensemble_means.append(report.ensemble_top1)
-    return float(np.mean(branch_means)), float(np.mean(ensemble_means))
+DESK_SCALE_NOISE = 130.0
+
+
+@functools.cache
+def _desk_scale_data():
+    """The recipe's synthetic train and test sets and its augmentation."""
+    train_set = generate_synthetic(
+        SyntheticSpec(num_classes=10, samples_per_class=20, image_size=24,
+                      noise_std=DESK_SCALE_NOISE), seed=1000, split="train")
+    test_set = generate_synthetic(
+        SyntheticSpec(num_classes=10, samples_per_class=50, image_size=24,
+                      noise_std=DESK_SCALE_NOISE), seed=2000, split="test")
+    means = train_set.images.astype(np.float64).reshape(-1, 3).mean(axis=0)
+    augment = AugmentConfig(crop_height=20, crop_width=20, enable_crop=True,
+                            enable_flip=True, enable_jitter=False,
+                            enable_pca=False, channel_means=means)
+    return train_set, test_set, augment
+
+
+def desk_scale_report(epsilon, seed, total_epochs=20):
+    """The test-set report of one float32 mini net trained by the recipe."""
+    train_set, test_set, augment = _desk_scale_data()
+    cfg = TrainConfig(batch_size=32, total_epochs=total_epochs, base_lr=0.05,
+                      lr_decay_interval_epochs=8, weight_decay=1e-4,
+                      momentum=0.9, smoothing_epsilon=epsilon, seed=seed,
+                      num_classes=10)
+    net = build_branched_net(mini_config(input_size=20), seed=seed, dtype=np.float32)
+    train(net, train_set, cfg, augment)
+    return evaluate(net, test_set, augment_config=augment)
+
+
+def _mean_errors(reports):
+    """(branch-mean, ensemble) top-1 error, each averaged over ``reports``."""
+    return (float(np.mean([float(np.mean(r.branch_top1)) for r in reports])),
+            float(np.mean([r.ensemble_top1 for r in reports])))
+
+
+class TestDeskScalePool:
+    def test_pooled_reports_equal_in_process_reports(self):
+        jobs = [(0.1, seed, 2) for seed in (5, 6)]
+        pooled = run_pooled(desk_scale_report, jobs)
+        assert pickle.dumps(pooled) == pickle.dumps([desk_scale_report(*job) for job in jobs])
 
 
 @pytest.mark.slow
@@ -256,25 +287,14 @@ class TestCriterion7DeskScaleEnsembleEffect:
     only the qualitative trend is asserted.
     """
 
-    NOISE = 130.0
     SEEDS = tuple(range(5, 25))
 
     def test_ensemble_and_smoothing_trends(self):
-        train_set = generate_synthetic(
-            SyntheticSpec(num_classes=10, samples_per_class=20, image_size=24,
-                          noise_std=self.NOISE), seed=1000, split="train")
-        test_set = generate_synthetic(
-            SyntheticSpec(num_classes=10, samples_per_class=50, image_size=24,
-                          noise_std=self.NOISE), seed=2000, split="test")
-        means = train_set.images.astype(np.float64).reshape(-1, 3).mean(axis=0)
-        augment = AugmentConfig(crop_height=20, crop_width=20, enable_crop=True,
-                                enable_flip=True, enable_jitter=False,
-                                enable_pca=False, channel_means=means)
-
-        hard_branch, hard_ens = _desk_scale_errors(0.0, self.SEEDS,
-                                                   train_set, test_set, augment)
-        smooth_branch, smooth_ens = _desk_scale_errors(0.1, self.SEEDS,
-                                                       train_set, test_set, augment)
+        # the 40 trainings share nothing, so they run on every core at once
+        reports = run_pooled(desk_scale_report, [(epsilon, seed) for epsilon in (0.0, 0.1)
+                                                 for seed in self.SEEDS])
+        hard_branch, hard_ens = _mean_errors(reports[:len(self.SEEDS)])
+        smooth_branch, smooth_ens = _mean_errors(reports[len(self.SEEDS):])
 
         assert hard_ens <= hard_branch, \
             f"ensemble {hard_ens:.2f} > branch mean {hard_branch:.2f} (hard labels)"

@@ -384,18 +384,20 @@ class TestNormalize:
         np.testing.assert_allclose(out, img / [2.0, 4.0, 8.0], atol=1e-12)
 
     def test_nonpositive_std_rejected(self, rng):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^channel_stds\[1\] must be finite and > 0, "
+                                             r"got 0.0$"):
             normalize(random_image(rng), [0.0] * 3, [1.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("field", ["channel_means", "channel_stds"])
     def test_statistics_of_wrong_shape_rejected(self, field):
-        with pytest.raises(ValueError, match=rf"{field} must have shape \(3,\)"):
+        with pytest.raises(ValueError, match=rf"^{field} must be a list of 3 numbers, "
+                                             rf"got \[1.0, 2.0\]$"):
             AugmentConfig(**{field: [1.0, 2.0]})
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["channel_means", "channel_stds"])
     def test_non_finite_statistics_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(ValueError, match=rf"^{field}\[2\] must be finite.*, got {value}$"):
             AugmentConfig(**{field: [1.0, 2.0, value]})
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1],

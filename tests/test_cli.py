@@ -16,9 +16,9 @@ def _bound_overrides():
     """A ``--set`` outside each declared bound, and the start of its message,
     which names the section and the config key that was set."""
     for case in rejected_cases(SECTIONS):
-        cls, name, value = case.values
+        cls, name, value, label = case.values
         yield pytest.param(f"{SECTIONS[cls]}.{name}={json.dumps(value)}",
-                           f"section '{SECTIONS[cls]}': {name} must be",
+                           f"section '{SECTIONS[cls]}': {label} must be",
                            id=f"{SECTIONS[cls]}.{name}={value!r}")
 
 
@@ -463,10 +463,25 @@ class TestConfigStrictness:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("override, message", [
-        ("model.stage_widths=[4.5,8]", "stage_widths entries must be integers, got 4.5"),
-        ("augment.channel_stds=[1,2,null]", "channel_stds must be finite"),
-        ("augment.channel_means=[1e999,0,0]", "channel_means must be finite"),
-    ], ids=["width-fraction", "std-null", "mean-inf"])
+        ("model.stage_widths=[4.5,8]", "section 'model': stage_widths[0] must be an integer, "
+                                       "got 4.5"),
+        ("augment.channel_stds=[1,2,null]", "section 'augment': channel_stds[2] must be a "
+                                            "number, got null"),
+        ("augment.channel_means=[1e999,0,0]", "section 'augment': channel_means[0] must be "
+                                              "finite, got inf"),
+        ("augment.channel_means=[1,2,\"3\"]", "section 'augment': channel_means[2] must be a "
+                                              "number, got \"3\""),
+        ("augment.channel_stds=[1,2,true]", "section 'augment': channel_stds[2] must be a "
+                                            "number, got true"),
+        ("model.stage_blocks=5", "section 'model': stage_blocks must be a list of one or "
+                                 "more integers, got 5"),
+        ("model.stage_blocks=null", "section 'model': stage_blocks must be a list of one or "
+                                    "more integers, got null"),
+        ('augment.channel_means={"r":1}', "section 'augment': channel_means must be a list of "
+                                          "3 numbers, got {\"r\": 1}"),
+        ("model.stage_widths=[4,0]", "section 'model': stage_widths[1] must be >= 1, got 0"),
+    ], ids=["width-fraction", "std-null", "mean-inf", "mean-string", "std-bool", "blocks-int",
+            "blocks-null", "mean-object", "width-zero"])
     def test_non_integral_or_non_finite_value_rejected_before_any_output(
             self, tmp_path, config_file, capsys, override, message):
         assert main(["train", "--config", str(config_file), "--set", override]) == 2

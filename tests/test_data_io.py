@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -311,9 +312,18 @@ def _section_edit(cls, name, value):
 # the configs a checkpoint header holds, as the Checkpoint attributes they load into
 _HEADER_CONFIGS = {BranchedNetConfig: "model_config", TrainConfig: "train_config",
                    AugmentConfig: "augment_config"}
-_BOUND_CASES = rejected_cases(_HEADER_CONFIGS)
-_BOUND_EDITS = [(_section_edit(*case.values),
-                 f"{SECTIONS[case.values[0]]} section .*{case.values[1]} must be")
+
+
+def _header_cases(cases):
+    """The cases of fields that a header holds as JSON values: not the augment
+    section's arrays, which it holds as tensors behind a boolean flag."""
+    return [case for case in cases
+            if not (case.values[0] is AugmentConfig and case.values[3] != case.values[1])]
+
+
+_BOUND_CASES = _header_cases(rejected_cases(_HEADER_CONFIGS))
+_BOUND_EDITS = [(_section_edit(*case.values[:3]),
+                 f"{SECTIONS[case.values[0]]} section .*{re.escape(case.values[3])} must be")
                 for case in _BOUND_CASES]
 _BOUND_EDIT_IDS = [case.id for case in _BOUND_CASES]
 
@@ -418,14 +428,26 @@ class TestMalformedCheckpoint:
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("cls, name, value", accepted_cases(_HEADER_CONFIGS))
-    def test_header_closed_end_accepted(self, tmp_path, checkpoint_bytes, cls, name, value):
+    @pytest.mark.parametrize("cls, name, value, label",
+                             _header_cases(accepted_cases(_HEADER_CONFIGS)))
+    def test_header_closed_end_accepted(self, tmp_path, checkpoint_bytes, cls, name, value,
+                                        label):
         raw = _section_edit(cls, name, value)(checkpoint_bytes)
         if name == "seed":   # the cursor follows the train seed
             raw = _edited_header(raw, lambda h: h["rng_cursor"].update(global_seed=value))
         (tmp_path / "ends.ckpt").write_bytes(raw)
         config = getattr(load_checkpoint(tmp_path / "ends.ckpt"), _HEADER_CONFIGS[cls])
-        assert getattr(config, name) == value
+        assert np.array_equal(getattr(config, name), value)
+
+    @pytest.mark.parametrize("section, key", [
+        (SECTIONS[cls], f.name) for cls in _HEADER_CONFIGS for f in dataclasses.fields(cls)])
+    def test_header_key_missing_rejected(self, tmp_path, checkpoint_bytes, section, key):
+        # the writer names every field, so a missing key is damage, not a default
+        raw = _edited_header(checkpoint_bytes, lambda h: h[section].pop(key))
+        (tmp_path / "bad.ckpt").write_bytes(raw)
+        with pytest.raises(CheckpointError,
+                           match=f"{section} section .*{section} needs key\\(s\\) {key}\\b"):
+            load_checkpoint(tmp_path / "bad.ckpt")
 
     def test_repeated_tensor_name_rejected(self, tmp_path, checkpoint_bytes):
         # the later record used to replace the earlier one unseen
@@ -449,19 +471,45 @@ class TestMalformedCheckpoint:
         with pytest.raises(CheckpointError, match="tensor name"):
             load_checkpoint(tmp_path / "bad.ckpt")
 
-    def test_pca_basis_of_wrong_shape_rejected(self, tmp_path):
+    @staticmethod
+    def _pca_checkpoint_bytes(tmp_path):
         net, data, cfg, augment = _training_setup(total_epochs=0)
         augment = dataclasses.replace(augment, enable_pca=True,
                                       pca_basis=fit_pca_basis(data.images))
         checkpoint, _ = train(net, data, cfg, augment)
         save_checkpoint(tmp_path / "pca.ckpt", checkpoint)
-        raw = (tmp_path / "pca.ckpt").read_bytes()
+        return (tmp_path / "pca.ckpt").read_bytes()
+
+    def test_pca_basis_of_wrong_shape_rejected(self, tmp_path):
+        raw = self._pca_checkpoint_bytes(tmp_path)
         # the record's name, then its dtype tag and rank, then the (3, 3) extents
         extents = raw.index(b"augment/pca_eigenvectors") + len(b"augment/pca_eigenvectors") + 2
         assert raw[extents:extents + 16] == struct.pack("<QQ", 3, 3)
         (tmp_path / "bad.ckpt").write_bytes(
             raw[:extents] + struct.pack("<QQ", 1, 9) + raw[extents + 16:])
         with pytest.raises(CheckpointError, match="augment section"):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
+    @pytest.mark.parametrize("name, rank, value, message", [
+        ("augment/pca_eigenvalues", 1, math.nan, r"eigenvalues\[0\] must be finite and >= 0, "
+                                                  "got nan"),
+        ("augment/pca_eigenvalues", 1, -5.0, r"eigenvalues\[0\] must be finite and >= 0, "
+                                             "got -5.0"),
+        ("augment/pca_eigenvectors", 2, math.nan, r"eigenvectors\[0\]\[0\] must be finite, "
+                                                  "got nan"),
+        ("augment/pca_channel_means", 1, math.nan, r"channel_means\[0\] must be finite, got nan"),
+        ("augment/channel_means", 1, math.nan, r"channel_means\[0\] must be finite, got nan"),
+    ], ids=["eigenvalue-nan", "eigenvalue-negative", "eigenvector-nan", "pca-mean-nan",
+            "mean-nan"])
+    def test_augment_tensor_outside_its_field_bounds_rejected(self, tmp_path, name, rank,
+                                                              value, message):
+        # a resumed run would otherwise stop later as "training diverged"
+        raw = self._pca_checkpoint_bytes(tmp_path)
+        # the record's name, then its dtype tag, rank and extents, then its first float64
+        first = raw.index(name.encode()) + len(name) + 2 + 8 * rank
+        (tmp_path / "bad.ckpt").write_bytes(
+            raw[:first] + struct.pack("<d", value) + raw[first + 8:])
+        with pytest.raises(CheckpointError, match=f"augment section .*{message}"):
             load_checkpoint(tmp_path / "bad.ckpt")
 
     # the magic, version, header length, JSON header and first tensor records

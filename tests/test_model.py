@@ -3,6 +3,7 @@ forward plumbing."""
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -53,15 +54,17 @@ class TestBlockCounts:
         with pytest.raises(ValueError, match="branch_after_block"):
             mini_config(branch_after_block=7)
 
-    @pytest.mark.parametrize("field, values", [
-        ("stage_widths", (4.5, 8)), ("stage_widths", (4, 8.0)),
-        ("stage_blocks", (1, 1.5)), ("stage_blocks", (True, 1)),
-        ("stage_widths", ("4", 8)),
+    @pytest.mark.parametrize("field, values, message", [
+        ("stage_widths", (4.5, 8), "stage_widths[0] must be an integer, got 4.5"),
+        ("stage_widths", (4, 8.0), "stage_widths[1] must be an integer, got 8.0"),
+        ("stage_blocks", (1, 1.5), "stage_blocks[1] must be an integer, got 1.5"),
+        ("stage_blocks", (True, 1), "stage_blocks[0] must be an integer, got true"),
+        ("stage_widths", ("4", 8), 'stage_widths[0] must be an integer, got "4"'),
     ], ids=["width-fraction", "width-float", "blocks-fraction", "blocks-bool", "width-str"])
-    def test_non_integer_stage_entry_rejected(self, field, values):
+    def test_non_integer_stage_entry_rejected(self, field, values, message):
         # int() used to truncate these: a 4.5 width built a width-4 net
         stages = {"stage_blocks": (1, 1), "stage_widths": (4, 8), field: values}
-        with pytest.raises(ValueError, match=f"{field} entries must be integers"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BranchedNetConfig(**stages, bottleneck=False, branch_after_block=1,
                               num_branches=2, num_classes=3)
 
