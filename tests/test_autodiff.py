@@ -176,6 +176,19 @@ class TestFiniteDiffPerOp:
                 [x, wt, b], tolerance=1e-4)
             assert report.passed, report.summary()
 
+    # stride-1 geometries the workload nets lack, (kh, kw, pad): a 1x1
+    # kernel, no padding, a 5x5 kernel, a non-square kernel, pad >= k
+    @pytest.mark.parametrize("kh, kw, pad", [(1, 1, 0), (3, 3, 0), (5, 5, 2), (2, 3, 1),
+                                             (1, 1, 1), (2, 2, 3)], ids=str)
+    def test_conv2d_stride1(self, rng, kh, kw, pad):
+        x = Tensor(rng.standard_normal((2, 6, 7, 3)), requires_grad=True)
+        wt = Tensor(rng.standard_normal((4, 3, kh, kw)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        probe = rng.standard_normal((2, 6 + 2 * pad - kh + 1, 7 + 2 * pad - kw + 1, 4))
+        report = finite_diff_check(
+            _probe_loss(lambda: conv2d(x, wt, b, pad=pad), probe), [x, wt, b], tolerance=1e-4)
+        assert report.passed, report.summary()
+
     def test_linear(self, rng):
         for _ in range(self.N_SHAPES):
             n, d, k = (int(v) for v in rng.integers(1, 6, size=3))

@@ -162,14 +162,19 @@ class TestFoldedEval:
 
 
 class TestConvInputGradBitIdentity:
+    """A stride-2 conv folds its input gradient per kernel tap, bit for bit
+    as col2im of the patch-gradient matrix; a stride-1 conv takes it as a
+    conv of the output gradient, which sums each input's taps in another
+    order, so it is bounded against col2im by rounding."""
+
     def test_geometries_cover_strided_and_projection_convs(self):
         kernels = {(w[2], stride) for _, w, stride, _ in DX_GEOMETRIES}
         assert {(3, 1), (3, 2), (1, 2)} <= kernels
         assert len(DX_GEOMETRIES) >= 14
+        assert len([g for g in DX_GEOMETRIES if g[2] == 1]) == 8
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("geometry", DX_GEOMETRIES, ids=str)
-    def test_per_tap_fold_equals_col2im_of_patch_gradients(self, geometry, dtype):
+    @staticmethod
+    def _dx_and_col2im(geometry, dtype):
         hwc, weight_shape, stride, pad = geometry
         rng = np.random.default_rng(hash(geometry) % 2**32)
         weight = Tensor(rng.standard_normal(weight_shape).astype(dtype), requires_grad=True)
@@ -183,8 +188,19 @@ class TestConvInputGradBitIdentity:
             want = conv2d_dx_col2im(grad, weight.data, x.shape, stride=stride, pad=pad)
             assert dx.dtype == want.dtype == dtype
             assert dx.shape == x.shape
+            yield n, dx, want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("geometry", [g for g in DX_GEOMETRIES if g[2] != 1], ids=str)
+    def test_per_tap_fold_equals_col2im_of_patch_gradients(self, geometry, dtype):
+        for n, dx, want in self._dx_and_col2im(geometry, dtype):
             assert dx.tobytes() == want.tobytes(), n
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("geometry", [g for g in DX_GEOMETRIES if g[2] == 1], ids=str)
+    def test_stride1_conv_of_grad_within_rounding_of_col2im(self, geometry, dtype):
+        for n, dx, want in self._dx_and_col2im(geometry, dtype):
+            assert_within_rounding([(n, dx)], [(n, want)])
 
 class TestPoolInputGradBitIdentity:
     # (H, W, window, stride): the stem pool (2, 2), overlapping windows
