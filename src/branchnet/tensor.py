@@ -14,8 +14,9 @@ forward-only and keep no graph memory. conv2d has one forward, taped or
 not: it builds its im2col patch matrix one tile of images at a time and
 adds its bias in place, so no conv holds a whole batch's patches or a
 second output. Nodes keep inputs, not what backward can rebuild (a conv's
-patch matrix, batch norm's normalized input), and conv2d and pool2d fold
-input gradients per window tap (:func:`_fold_taps`).
+patch matrix, batch norm's normalized input). A stride-1 conv takes its
+input gradient as a conv of the output gradient, in the forward's patch
+tiles; a strided conv and pool2d fold it per window tap (:func:`_fold_taps`).
 
 Evaluation does not run batch_norm2d, relu or residual_add: the network
 folds each eval-mode batch norm into the conv before it and writes relu
@@ -203,7 +204,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
 
 def _fold_taps(tap_grad: Callable[[int], np.ndarray], x_shape, kh: int, kw: int,
                stride: int, pad: int, dtype) -> np.ndarray:
-    """Input gradient of a window op (conv, pool) from per-tap gradients.
+    """Input gradient of a window op (a strided or non-square conv, a pool)
+    from per-tap gradients.
 
     ``tap_grad(t)`` is tap (i, j)'s (N,OH,OW,C) gradient, t = i*kw + j. In
     row-major tap order each is added straight into the strided slice of
@@ -233,8 +235,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     a conv holds one output-sized buffer. The backward rebuilds the whole
     patch matrix from the input the tape holds anyway (which nothing may
     write in place before it runs; train mode never does), takes the weight
-    gradient as one GEMM, frees the patches and folds the input gradient
-    per kernel tap (:func:`_fold_taps`). (A float64 tap product of 3
+    gradient as one GEMM and frees the patches. A stride-1 conv with a
+    square k x k kernel and pad < k takes its input gradient as the
+    stride-1 conv of the output gradient with the flipped kernel, laid out
+    as [Cin, (k, k, Cout)], and pad k - 1 - pad (Dumoulin & Visin 2016,
+    arXiv:1603.07285), in the forward's patch tiles; any other conv folds
+    it per kernel tap (:func:`_fold_taps`). (A float64 tap product of 3
     columns can take another BLAS kernel, but the 3-channel stem takes no
     input gradient.)
     """
@@ -270,9 +276,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         g2 = grad.reshape(-1, cout)
         cols = _im2col(x.data, kh, kw, stride, pad).reshape(n * oh * ow, -1)
         dw = np.ascontiguousarray((g2.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
-        del cols   # free the rebuilt patches before the input gradient's fold
-        dx = None
-        if x.requires_grad:   # the stem conv's input, the image batch, needs none
+        del cols   # free the rebuilt patches before the input gradient
+        dx = None   # the stem conv's input, the image batch, needs none
+        if x.requires_grad and stride == 1 and kh == kw and pad < kh:
+            # a stride-1 conv of grad by the flipped kernel, as [Cin, (kh, kw, Cout)]
+            wt = weight.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(cin, -1)
+            dx = _conv_tiles(grad, wt, kh, kw, 1, kh - 1 - pad, x.shape)
+        elif x.requires_grad:
             taps = w2.reshape(cout, kh * kw, cin)   # tap t's weight is taps[:, t]
             dx = _fold_taps(lambda t: (g2 @ taps[:, t]).reshape(n, oh, ow, cin),
                             x.shape, kh, kw, stride, pad, np.result_type(g2, w2))

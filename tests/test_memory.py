@@ -3,12 +3,13 @@ runs in patch tiles and equals one whole-batch GEMM bit for bit, and a
 taped conv keeps its input, not its patches, rebuilding them in backward;
 a training step of each benchmark net stays under a stated peak; evaluation,
 which folds batch norm into the convs and writes in place, stays within
-rounding of the unfolded forward; conv and pool backwards fold
+rounding of the unfolded forward; strided conv and pool backwards fold
 their input gradients per window tap without building a window-gradient
-matrix (and equal folding that matrix bit for bit); a taped batch norm
-keeps only its output and rebuilds the normalized input in backward; and
-the reverse pass consumes its tape, so nothing but leaf gradients outlives
-it."""
+matrix (and equal folding that matrix bit for bit), while a stride-1 conv
+takes its input gradient as a conv of the output gradient, within rounding
+of that matrix's fold; a taped batch norm keeps only its output and
+rebuilds the normalized input in backward; and the reverse pass consumes
+its tape, so nothing but leaf gradients outlives it."""
 
 import tracemalloc
 from dataclasses import replace
@@ -201,6 +202,33 @@ class TestConvInputGradBitIdentity:
     def test_stride1_conv_of_grad_within_rounding_of_col2im(self, geometry, dtype):
         for n, dx, want in self._dx_and_col2im(geometry, dtype):
             assert_within_rounding([(n, dx)], [(n, want)])
+
+    @pytest.mark.parametrize("index", range(len(WORKLOAD_NETS)))
+    def test_only_strided_convs_and_pools_fold_taps(self, index, monkeypatch):
+        # one taped training step of a workload net: each conv or pool that
+        # shrinks its input folds once, and no stride-1 conv folds at all
+        config = WORKLOAD_NETS[index]
+        net = build_branched_net(config, seed=index)
+        shape = (2, config.input_height, config.input_width, config.input_channels)
+        batch = Tensor(np.random.default_rng(index).standard_normal(shape))
+        targets = smooth_label_matrix(np.arange(2) % config.num_classes,
+                                      config.num_classes, 0.1)
+        strides, fold = [], tensor._fold_taps
+
+        def counted(tap_grad, x_shape, kh, kw, stride, pad, dtype):
+            strides.append(stride)
+            return fold(tap_grad, x_shape, kh, kw, stride, pad, dtype)
+
+        monkeypatch.setattr(tensor, "_fold_taps", counted)
+        with Tape() as tape:
+            loss, _ = combined_branch_loss(net.forward_all_branches(batch, mode="train"),
+                                           targets)
+        windowed = [(node.inputs[0].shape[1] > node.output.shape[1])
+                    for node in tape.nodes if node.op.startswith(("conv2d", "pool2d"))
+                    and node.inputs[0].requires_grad]
+        reverse_pass(tape, loss)
+        assert False in windowed   # the stride-1 convs, which take no fold
+        assert strides == [2] * windowed.count(True)
 
 class TestPoolInputGradBitIdentity:
     # (H, W, window, stride): the stem pool (2, 2), overlapping windows
