@@ -480,7 +480,7 @@ class TestTrainingAfterEvaluate:
 
     # sha256 of history.csv then final.ckpt under the keyed flip and shuffle
     # draws, recorded once the evaluate-first run equalled the train-only one
-    DIGEST = "d55717edb8ae194ed6eff1d9f9e619840a4276057b3cccc8f3b770f6ae8ccd2f"
+    DIGEST = "748b548f181ed35cf0fd7f697ec26329aca1b48f89782c95d01ae78a5f4f51da"
 
     @staticmethod
     def _history_and_checkpoint(tmp_path, evaluate_first: bool) -> str:
