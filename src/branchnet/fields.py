@@ -7,6 +7,7 @@ outside all of them. Both judge a list field (one or more elements) or an
 array field (of a declared shape) element by element."""
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -80,11 +81,15 @@ def _checked(name: str, value, want, bounds):
     return value
 
 
+# resolving a class's annotations took most of a construction's time
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def check_fields(config) -> None:
     """Check each field by both rules, or raise ValueError naming the first field
     or element at fault, and store it normalized: a numpy integer as ``int``, a
     list as a tuple, an array as float64. An ``Optional`` field may be None."""
-    hints = typing.get_type_hints(type(config))
+    hints = _type_hints(type(config))
     for f in dataclasses.fields(config):
         value, want = getattr(config, f.name), hints[f.name]
         if typing.get_origin(want) is typing.Union:   # Optional[X]: None, or an X
