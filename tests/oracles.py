@@ -123,6 +123,17 @@ def conv2d_gemm_chw(x, w, stride=1, pad=0):
     return out.reshape(cols.shape[:3] + (cout,))
 
 
+def conv2d_dw_one_gemm(x, grad, w_shape, stride=1, pad=0):
+    """NHWC conv weight gradient, OIHW, as every taped conv computed it before
+    a stride-1 conv took it from its output gradient's patches: the output
+    gradient's transpose times the input's whole (N*OH*OW, kh*kw*Cin) patch
+    matrix, columns in (kh, kw, Cin) order, in one GEMM."""
+    cout, cin, kh, kw = w_shape
+    cols = _patches(x, kh, kw, stride, pad).reshape(-1, kh * kw * cin)
+    dw = grad.reshape(-1, cout).T @ cols
+    return np.ascontiguousarray(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+
+
 def conv2d_dx_col2im(grad, w, x_shape, stride=1, pad=0):
     """NHWC conv input gradient as the conv computed it before it folded one
     kernel tap at a time: the whole (N*OH*OW, kh*kw*Cin) patch-gradient

@@ -27,8 +27,8 @@ from branchnet.tensor import (Tape, Tensor, batch_norm2d, conv2d, pool2d, revers
                               softmax)
 from branchnet.training import combined_branch_loss, smooth_label_matrix
 
-from oracles import (assert_within_rounding, conv2d_dx_col2im, conv2d_one_gemm,
-                     pool2d_dx_onehot, unfused_eval_forward)
+from oracles import (assert_within_rounding, conv2d_dw_one_gemm, conv2d_dx_col2im,
+                     conv2d_one_gemm, pool2d_dx_onehot, unfused_eval_forward)
 
 MiB = 2**20
 
@@ -229,6 +229,34 @@ class TestConvInputGradBitIdentity:
         reverse_pass(tape, loss)
         assert False in windowed   # the stride-1 convs, which take no fold
         assert strides == [2] * windowed.count(True)
+
+class TestConvWeightGrad:
+    """The stem (whose input takes no gradient) and the strided convs take
+    their weight gradient as one GEMM over the input's whole patch matrix;
+    a stride-1 conv whose input takes a gradient sums it tile by tile from
+    its output gradient's patches, within rounding of that GEMM."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
+    def test_weight_grad_against_one_gemm(self, geometry, dtype):
+        hwc, weight_shape, stride, pad = geometry
+        rng = np.random.default_rng(hash(geometry) % 2**32)
+        weight = Tensor(rng.standard_normal(weight_shape).astype(dtype), requires_grad=True)
+        stem = hwc[2] == 3
+        for n in (1, 10, 32):   # one image, and the workloads' training batches
+            x = Tensor(rng.standard_normal((n,) + hwc).astype(dtype), requires_grad=not stem)
+            with Tape() as tape:
+                out = conv2d(x, weight, stride=stride, pad=pad)
+            grad = rng.standard_normal(out.shape).astype(dtype)
+            (node,) = tape.nodes
+            dw = node.backward(grad)[1]
+            want = conv2d_dw_one_gemm(x.data, grad, weight_shape, stride=stride, pad=pad)
+            assert dw.dtype == want.dtype == dtype and dw.flags.c_contiguous
+            if stem or stride != 1:
+                assert dw.tobytes() == want.tobytes(), n
+            else:
+                assert_within_rounding([(n, dw)], [(n, want)])
+
 
 class TestPoolInputGradBitIdentity:
     # (H, W, window, stride): the stem pool (2, 2), overlapping windows
