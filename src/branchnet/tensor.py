@@ -15,8 +15,9 @@ not: it builds its im2col patch matrix one tile of images at a time and
 adds its bias in place, so no conv holds a whole batch's patches or a
 second output. Nodes keep inputs, not what backward can rebuild (a conv's
 patch matrix, batch norm's normalized input). A stride-1 conv takes its
-input gradient as a conv of the output gradient, in the forward's patch
-tiles; a strided conv and pool2d fold it per window tap (:func:`_fold_taps`).
+input gradient as a conv of the output gradient, and its weight gradient
+from the same patch tiles; a strided conv and pool2d fold their input
+gradients per window tap (:func:`_fold_taps`).
 
 Evaluation does not run batch_norm2d, relu or residual_add: the network
 folds each eval-mode batch norm into the conv before it and writes relu
@@ -204,8 +205,9 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
 
 def _fold_taps(tap_grad: Callable[[int], np.ndarray], x_shape, kh: int, kw: int,
                stride: int, pad: int, dtype) -> np.ndarray:
-    """Input gradient of a window op (a strided or non-square conv, a pool)
-    from per-tap gradients.
+    """Input gradient of a window op from per-tap gradients: of pool2d, and of
+    a conv unless it has stride 1, a square k x k kernel and pad < k (then
+    the input gradient is a conv, :func:`conv2d`).
 
     ``tap_grad(t)`` is tap (i, j)'s (N,OH,OW,C) gradient, t = i*kw + j. In
     row-major tap order each is added straight into the strided slice of
@@ -232,15 +234,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     by the weight viewed as [Cout, kh, kw, Cin]; the weight itself stays
     OIHW, and so does its gradient. The GEMM runs in patch tiles
     (:func:`_conv_tiles`) and the bias is added in place, taped or not, so
-    a conv holds one output-sized buffer. The backward rebuilds the whole
-    patch matrix from the input the tape holds anyway (which nothing may
-    write in place before it runs; train mode never does), takes the weight
-    gradient as one GEMM and frees the patches. A stride-1 conv with a
-    square k x k kernel and pad < k takes its input gradient as the
-    stride-1 conv of the output gradient with the flipped kernel, laid out
-    as [Cin, (k, k, Cout)], and pad k - 1 - pad (Dumoulin & Visin 2016,
-    arXiv:1603.07285), in the forward's patch tiles; any other conv folds
-    it per kernel tap (:func:`_fold_taps`). (A float64 tap product of 3
+    a conv holds one output-sized buffer. The backward reads the input the
+    tape holds anyway (which nothing may write in place before it runs;
+    train mode never does). A stride-1 conv with a square k x k kernel and
+    pad < k takes both gradients from the patch tiles of its output
+    gradient, padded by k - 1 - pad: times the flipped kernel they give the
+    input gradient, the stride-1 conv of the output gradient (Dumoulin &
+    Visin 2016, arXiv:1603.07285), and the input rows times them sum to the
+    weight gradient. Any other conv, and the stem, whose input takes no
+    gradient, rebuilds its input's whole patch matrix, takes the weight
+    gradient as one GEMM, frees the patches and folds the input gradient
+    per kernel tap (:func:`_fold_taps`). (A float64 tap product of 3
     columns can take another BLAS kernel, but the 3-channel stem takes no
     input gradient.)
     """
@@ -274,19 +278,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     def backward(grad: np.ndarray):
         g2 = grad.reshape(-1, cout)
+        db = g2.sum(axis=0) if bias is not None else None
+        if x.requires_grad and stride == 1 and kh == kw and pad < kh:
+            # per patch tile of grad: dx rows = tile @ wt.T, and dw += x rows.T @ tile,
+            # with wt the flipped kernel as [Cin, (kh, kw, Cout)], so dw's taps are flipped
+            wt = weight.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(cin, -1)
+            dwt = np.zeros_like(wt, dtype=np.result_type(x.data, grad))
+            dx = _conv_tiles(grad, wt, kh, kw, 1, kh - 1 - pad, x.shape,
+                             weight_grad=(x.data.reshape(-1, cin), dwt))
+            dw = dwt.reshape(cin, kh, kw, cout)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+            return dx, np.ascontiguousarray(dw), db
         cols = _im2col(x.data, kh, kw, stride, pad).reshape(n * oh * ow, -1)
         dw = np.ascontiguousarray((g2.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
-        del cols   # free the rebuilt patches before the input gradient
-        dx = None   # the stem conv's input, the image batch, needs none
-        if x.requires_grad and stride == 1 and kh == kw and pad < kh:
-            # a stride-1 conv of grad by the flipped kernel, as [Cin, (kh, kw, Cout)]
-            wt = weight.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(cin, -1)
-            dx = _conv_tiles(grad, wt, kh, kw, 1, kh - 1 - pad, x.shape)
-        elif x.requires_grad:
+        del cols   # free the rebuilt patches before the input gradient's fold
+        dx = None
+        if x.requires_grad:   # the stem conv's input, the image batch, needs none
             taps = w2.reshape(cout, kh * kw, cin)   # tap t's weight is taps[:, t]
             dx = _fold_taps(lambda t: (g2 @ taps[:, t]).reshape(n, oh, ow, cin),
                             x.shape, kh, kw, stride, pad, np.result_type(g2, w2))
-        db = g2.sum(axis=0) if bias is not None else None
         return dx, dw, db
 
     _record("conv2d", (x, weight) if bias is None else (x, weight, bias), out, backward)
@@ -294,7 +303,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
 
 def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
-                pad: int, out_shape: tuple[int, int, int, int]) -> np.ndarray:
+                pad: int, out_shape: tuple[int, int, int, int],
+                weight_grad: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """Conv GEMM over tiles of whole images, taped or not.
 
     The batch is split into the fewest near-equal tiles whose patch
@@ -307,6 +317,10 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
     products and that sum in another order; a remainder tile of a few
     images would change bits. The result therefore equals one GEMM over
     the whole batch's patches bit for bit.
+
+    With ``weight_grad = (a, acc)``, ``acc`` ([C, kh*kw*Cin]) also sums the
+    transpose of each tile's rows of ``a`` ([N*OH*OW, C]) times its patches,
+    in tile order, so its rounding follows the tiling the shapes fix.
     """
     n, oh, ow, cout = out_shape
     per_tile = max(1, _PATCH_TILE_BYTES // (oh * ow * w2.shape[1] * x.itemsize))
@@ -317,6 +331,9 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
         lo, hi = t * n // tiles, (t + 1) * n // tiles
         cols = _im2col(x[lo:hi], kh, kw, stride, pad).reshape((hi - lo) * oh * ow, -1)
         np.matmul(cols, w2.T, out=rows[lo * oh * ow:hi * oh * ow])
+        if weight_grad is not None:
+            a, acc = weight_grad
+            acc += a[lo * oh * ow:hi * oh * ow].T @ cols
         del cols   # free this tile's patches before the next tile builds its own
     return out
 

@@ -388,15 +388,28 @@ class TestMemoryBounds:
         (node,) = tape.nodes
         peak, (dx, dw, _) = _traced_peak(lambda: node.backward(grad))
         assert dx.shape == x.shape and dw.shape == weight.shape
-        # the weight gradient rebuilds the patch matrix (64 * 1024 * 144 * 8 B
-        # = 72 MiB) from a padded copy of x, and frees both before the per-tap
-        # fold, which holds the padded input gradient (9.5 MB) and one tap's
-        # product (8.4 MB); a (N*OH*OW, 9*Cin) patch-gradient matrix, another
-        # 72 MiB, would not fit
+        # the bound of a backward that rebuilds the input's patch matrix
+        # (64 * 1024 * 144 * 8 B = 72 MiB) from a padded copy of x for the
+        # weight gradient, and frees both before a per-tap fold, which holds
+        # the padded input gradient (9.5 MB) and one tap's product (8.4 MB);
+        # a (N*OH*OW, 9*Cin) patch-gradient matrix, another 72 MiB, would not
+        # fit (a stride-1 conv now stays far below it, see the next test)
         patches = 64 * 32 * 32 * 9 * 16 * 8
         padded_dx = 64 * 34 * 34 * 16 * 8
         tap_product = 64 * 32 * 32 * 16 * 8
         assert peak <= patches + padded_dx + tap_product + 2 * MiB
+
+    def test_stride1_conv_backward_holds_one_patch_tile(self, rng):
+        x = Tensor(rng.standard_normal((64, 32, 32, 16)), requires_grad=True)
+        weight = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            out = conv2d(x, weight, pad=1)
+        grad = rng.standard_normal(out.shape)
+        (node,) = tape.nodes
+        peak, (dx, dw, _) = _traced_peak(lambda: node.backward(grad))
+        # the input gradient (8 MiB) and one patch tile of the padded output
+        # gradient, from which both gradients come; measured 16.9 MiB
+        assert peak <= dx.nbytes + tensor._PATCH_TILE_BYTES + 2 * MiB
 
     def test_reverse_pass_peak_stays_near_memory_live_after_forward(self, rng):
         net = build_branched_net(mini_config(num_branches=3, branch_after_block=2,
