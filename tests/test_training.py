@@ -480,7 +480,7 @@ class TestTrainingAfterEvaluate:
 
     # sha256 of history.csv then final.ckpt under the keyed flip and shuffle
     # draws, recorded once the evaluate-first run equalled the train-only one
-    DIGEST = "748b548f181ed35cf0fd7f697ec26329aca1b48f89782c95d01ae78a5f4f51da"
+    DIGEST = "c2b401e57a07f85f2a42b6ffaae29cdd67ac3d4ea3d843f5cc58e3f2ea3b32d1"
 
     @staticmethod
     def _history_and_checkpoint(tmp_path, evaluate_first: bool) -> str:
