@@ -6,8 +6,9 @@ which folds batch norm into the convs and writes in place, stays within
 rounding of the unfolded forward; strided conv and pool backwards fold
 their input gradients per window tap without building a window-gradient
 matrix (and equal folding that matrix bit for bit), while a stride-1 conv
-takes its input gradient as a conv of the output gradient, within rounding
-of that matrix's fold; a taped batch norm keeps only its output and
+takes its input gradient as a conv of the output gradient and its weight
+gradient from the same patch tiles, each within rounding of the whole-batch
+product; a taped batch norm keeps only its output and
 rebuilds the normalized input in backward; and the reverse pass consumes
 its tape, so nothing but leaf gradients outlives it."""
 
@@ -229,6 +230,7 @@ class TestConvInputGradBitIdentity:
         reverse_pass(tape, loss)
         assert False in windowed   # the stride-1 convs, which take no fold
         assert strides == [2] * windowed.count(True)
+
 
 class TestConvWeightGrad:
     """The stem (whose input takes no gradient) and the strided convs take
