@@ -171,8 +171,8 @@ def jitter_blend(x: np.ndarray, ops, factors) -> np.ndarray:
     """Blend each row of a float64 [N, h, w, 3] batch toward its jitter
     centers, position by position: x <- f*x + (1-f)*c with f = factors[i, k]
     and c = 0 (BRIGHTNESS), the row's mean luma (CONTRAST) or each pixel's
-    luma (SATURATION) for op = ops[i, k]. Works in place on ``x``, which it
-    returns clamped once at the end: pass a copy to keep the input."""
+    luma (SATURATION) for op = ops[i, k], a channel at a time. In place on
+    ``x``, which it returns clamped once at the end: pass a copy to keep it."""
     ops = np.asarray(ops)
     factors = np.asarray(factors, dtype=np.float64)
     for k in range(ops.shape[1]):
@@ -183,7 +183,8 @@ def jitter_blend(x: np.ndarray, ops, factors) -> np.ndarray:
         # brightness adds -0.0, not (1-f)*0: x + -0.0 is x bitwise, even at x = -0.0
         shift = np.where((ops[:, k] == BRIGHTNESS)[:, None, None], -0.0, (1.0 - f) * center)
         x *= f[..., None]
-        x += shift[..., None]
+        for c in range(3):
+            x[..., c] += shift
     return np.clip(x, 0.0, 255.0, out=x)
 
 
@@ -203,7 +204,8 @@ def augment_batch(images: np.ndarray, config: AugmentConfig, seed=0, epoch=0,
     Only the random stages read the key, so a call with all of them
     disabled may pass none. Normalization subtracts ``channel_means`` and
     divides by ``channel_stds``, each where set; with it disabled the
-    output is the augmented pixels, still in [0, 255].
+    output is the augmented pixels, still in [0, 255]. Jitter, PCA noise and
+    normalization add one channel at a time: numpy's loops then span pixels.
     """
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[3] != 3:
@@ -245,13 +247,15 @@ def augment_batch(images: np.ndarray, config: AugmentConfig, seed=0, epoch=0,
             # make a row's shift depend on the batch size
             a, p = alpha * basis.eigenvalues, basis.eigenvectors
             shifts = a[:, 0, None] * p[0] + a[:, 1, None] * p[1] + a[:, 2, None] * p[2]
-            x += shifts[:, None, None, :]
+            for c in range(3):
+                x[..., c] += shifts[:, c, None, None]
             np.clip(x, 0.0, 255.0, out=x)
     if config.enable_normalize:
-        if config.channel_means is not None:
-            x -= config.channel_means
-        if config.channel_stds is not None:
-            x /= config.channel_stds
+        for c in range(3):
+            if config.channel_means is not None:
+                x[..., c] -= config.channel_means[c]
+            if config.channel_stds is not None:
+                x[..., c] /= config.channel_stds[c]
     return x.astype(dtype, copy=False)
 
 

@@ -13,8 +13,9 @@ has run. Outside a tape, or when no input needs a gradient, ops run
 forward-only and keep no graph memory. conv2d has one forward, taped or
 not: it builds its im2col patch matrix one tile of images at a time and
 adds its bias in place, so no conv holds a whole batch's patches or a
-second output. Nodes keep inputs, not what backward can rebuild (a conv's
-patch matrix, batch norm's normalized input). A stride-1 conv takes its
+second output. Max pool is a running maximum over its window taps. Nodes
+keep inputs, not what backward can rebuild (a conv's patch matrix, batch
+norm's normalized input, max pool's tap masks). A stride-1 conv takes its
 input gradient as a conv of the output gradient, and its weight gradient
 from the same patch tiles; a strided conv and pool2d fold their input
 gradients per window tap (:func:`_fold_taps`).
@@ -150,8 +151,8 @@ def reverse_pass(tape: Tape, loss: Tensor) -> None:
     has run, and it drops each op output's ``grad`` once that node has used
     it. Afterwards ``len(tape) == 0`` and only leaves hold a gradient.
     Gradients accumulate (sum) across fan-out, in place into the first
-    contribution's copy. The walk order is fixed (reverse execution order),
-    so reference-mode results are bit-reproducible.
+    contribution (:func:`_accumulate`). The walk order is fixed (reverse
+    execution order), so reference-mode results are bit-reproducible.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -165,15 +166,18 @@ def reverse_pass(tape: Tape, loss: Tensor) -> None:
 
 
 def _accumulate(inputs: tuple[Tensor, ...], grads: tuple) -> None:
-    """Sum each input gradient into its tensor's ``grad``; the first
-    contribution is copied, so later ones can be added in place. (A function
-    of its own, so no loop variable keeps a gradient alive into the next
-    node's backward.)"""
-    for tensor, grad in zip(inputs, grads):
+    """Sum each input gradient into its tensor's ``grad``, later ones in place into
+    the first. That is kept if its backward allocated it whole, in the tensor's
+    dtype, for this input alone, else copied (``residual_add``'s shared array, a
+    read-only broadcast, a padded slice). (A function of its own, so no loop
+    variable keeps a gradient alive into the next node's backward.)"""
+    for k, (tensor, grad) in enumerate(zip(inputs, grads)):
         if grad is None or not tensor.requires_grad:
             continue
         if tensor.grad is None:
-            tensor.grad = grad.astype(tensor.data.dtype, copy=True)
+            whole = grad.flags.writeable and (grad.base is None or grad.base.nbytes == grad.nbytes)
+            tensor.grad = grad.astype(tensor.data.dtype,
+                                      copy=not whole or any(g is grad for g in grads[:k]))
         else:
             tensor.grad += grad
 
@@ -440,9 +444,10 @@ def relu(x: Tensor) -> Tensor:
 def pool2d(x: Tensor, kind: str, window: int, stride: Optional[int] = None) -> Tensor:
     """Per-window max or mean of [N,H,W,C] over non-padded windows.
 
-    Max ties go to the first index in row-major scan order; avg splits the
-    gradient uniformly across the window; both fold it per window tap
-    (:func:`_fold_taps`).
+    Max keeps a running maximum over the taps in row-major order, so the first
+    of tied maxima survives, and its backward gives each window's gradient to
+    the first tap equal to the output: neither pass builds an index. Avg splits
+    it uniformly across the window; both fold it per tap (:func:`_fold_taps`).
     """
     if kind not in ("max", "avg"):
         raise ValueError(f"kind must be 'max' or 'avg', got {kind!r}")
@@ -457,19 +462,25 @@ def pool2d(x: Tensor, kind: str, window: int, stride: Optional[int] = None) -> T
         raise ShapeError(f"pool window {window} exceeds input {h}x{w}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    # (N,OH,OW,C,window*window): each channel's window last, in row-major order
-    windows = np.moveaxis(_im2col(x.data, window, window, stride, 0), 5, 3)
-    flat = windows.reshape(windows.shape[:4] + (window * window,))
+    taps = _im2col(x.data, window, window, stride, 0)   # (N,OH,OW,window,window,C)
     if kind == "max":
-        # argmax over the flattened window is row-major, first occurrence wins
-        idx = flat.argmax(axis=-1)
-        out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0])
+        # on ties (+0.0 vs -0.0 too) np.maximum keeps its second operand, the earlier tap
+        views = [taps[:, :, :, t // window, t % window] for t in range(window * window)]
+        out = Tensor(views[0].copy())
+        for view in views[1:]:
+            np.maximum(view, out.data, out=out.data)
 
-        def backward(grad: np.ndarray):   # each tap passes grad where it held the max
-            return (_fold_taps(lambda t: grad * (idx == t), x.shape, window, window,
-                               stride, 0, grad.dtype),)
+        def backward(grad: np.ndarray):   # tap t takes what is left of grad where it equals out
+            left = grad.copy()
+
+            def tap_grad(t):
+                g = left * (views[t] == out.data)
+                np.subtract(left, g, out=left)
+                return g
+            return (_fold_taps(tap_grad, x.shape, window, window, stride, 0, grad.dtype),)
     else:
-        out = Tensor(flat.mean(axis=-1))
+        windows = np.moveaxis(taps, 5, 3)   # (N,OH,OW,C,window,window)
+        out = Tensor(windows.reshape(windows.shape[:4] + (window * window,)).mean(axis=-1))
 
         def backward(grad: np.ndarray):   # every tap takes an equal share
             share = grad / (window * window)

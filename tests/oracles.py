@@ -152,19 +152,37 @@ def conv2d_dx_col2im(grad, w, x_shape, stride=1, pad=0):
     return dx[:, pad:pad + h, pad:pad + width]
 
 
+def _pool_windows(x, window, stride, oh, ow):
+    """(N,OH,OW,C,window*window) copy of every pooling window of an NHWC
+    input, its taps in row-major order."""
+    n, _, _, c = x.shape
+    windows = np.empty((n, oh, ow, c, window * window), dtype=x.dtype)
+    for ki in range(window):
+        for kj in range(window):
+            windows[..., ki * window + kj] = \
+                x[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+    return windows
+
+
+def pool2d_max_first(x, window, stride):
+    """NHWC max pool as pool2d computed it before it kept a running maximum:
+    each window's value at its row-major first ``argmax``, so of tied maxima
+    (+0.0 and -0.0 among them) the first is the output."""
+    oh = (x.shape[1] - window) // stride + 1
+    ow = (x.shape[2] - window) // stride + 1
+    windows = _pool_windows(x, window, stride, oh, ow)
+    return np.take_along_axis(windows, windows.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+
+
 def pool2d_dx_onehot(x, grad, kind, window, stride):
     """NHWC pool2d input gradient as pool2d computed it before it folded one
     window tap at a time: every window's gradient row built whole as an
     (N,OH,OW,C,window*window) array (max: a one-hot of the row-major first
     maximum times ``grad``; avg: ``grad / window**2`` in every entry), then
     folded onto the input tap by tap in row-major order."""
-    n, oh, ow, c = grad.shape
+    oh, ow = grad.shape[1:3]
     taps = window * window
-    windows = np.empty((n, oh, ow, c, taps), dtype=x.dtype)
-    for ki in range(window):
-        for kj in range(window):
-            windows[..., ki * window + kj] = \
-                x[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+    windows = _pool_windows(x, window, stride, oh, ow)
     if kind == "max":
         rows = (np.arange(taps) == windows.argmax(axis=-1)[..., None]) * grad[..., None]
     else:

@@ -1,8 +1,11 @@
 """Reverse-pass semantics and finite-difference checks for every op."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from branchnet import tensor
 from branchnet.gradcheck import finite_diff_check
 from branchnet.model import BranchedNetConfig, build_branched_net
 from branchnet.tensor import (ShapeError, Tape, Tensor, batch_norm2d, conv2d,
@@ -144,6 +147,49 @@ class TestLeafGradients:
             y = conv2d(x, w, pad=1)
         dx, dw, _ = tape.nodes[0].backward(np.ones_like(y.data))
         assert dx is None and dw.shape == w.shape
+
+
+    def test_kept_first_gradients_equal_copies_and_share_no_memory(self, monkeypatch):
+        # residual_add's backward hands one array to both its inputs: the
+        # leaves x1 and x2, and later a conv output and x, which fans out to
+        # both; w serves two convs; a strided padded conv returns a slice of
+        # its padded input gradient, global_avg_pool a read-only broadcast,
+        # and the float32 leaf v takes a float64 gradient
+        def leaf_grads():
+            rng = np.random.default_rng(5)
+            x1, x2 = (Tensor(rng.standard_normal((2, 6, 6, 4)), requires_grad=True)
+                      for _ in range(2))
+            w, w2 = (Tensor(rng.standard_normal((4, 4, 3, 3)), requires_grad=True)
+                     for _ in range(2))
+            v = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+            b = Tensor(rng.standard_normal(3), requires_grad=True)
+            with Tape() as tape:
+                x = residual_add(x1, x2)
+                y = residual_add(conv2d(x, w, pad=1), x)
+                z = relu(residual_add(conv2d(y, w, pad=1), y))
+                s = conv2d(z, w2, stride=2, pad=1)
+                pooled = weighted_sum(pool2d(s, "max", 2, 1), rng.standard_normal((2, 2, 2, 4)))
+                logits = linear(global_avg_pool(z), v, b)
+                loss = residual_add(pooled, weighted_sum(logits, rng.standard_normal((2, 3))))
+            reverse_pass(tape, loss)
+            return [x1.grad, x2.grad, w.grad, w2.grad, v.grad, b.grad]
+
+        kept = leaf_grads()
+
+        def copy_every_time(inputs, grads):
+            for t, grad in zip(inputs, grads):
+                if grad is not None and t.requires_grad:
+                    if t.grad is None:
+                        t.grad = grad.astype(t.data.dtype, copy=True)
+                    else:
+                        t.grad += grad
+
+        monkeypatch.setattr(tensor, "_accumulate", copy_every_time)
+        for got, want in zip(kept, leaf_grads()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert kept[4].dtype == np.float32
+        for a, b in combinations(kept, 2):
+            assert not np.shares_memory(a, b)
 
 
 def _probe_loss(op, probe):

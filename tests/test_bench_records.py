@@ -1,6 +1,7 @@
 """Consistency of the committed benchmark records (``BENCH_*.json`` at the
 repository root): every summary figure recomputes from the record's own
-per-run values, and every name it uses is declared in ``BENCHMARK.json``."""
+per-run values, every name it uses is declared in ``BENCHMARK.json``, and
+the metric a record claims moved the better way."""
 
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 MIN_PAIRS = 10
+MIN_CLAIM_WIN_SHARE = 0.8   # at least 8 of 10 paired runs
 HELD_OUT_SEED = 7919
 
 
@@ -90,3 +92,10 @@ def test_held_out_block_matches_its_run(record):
     for name, sides in record["held_out"].items():
         for side in ("parent", "change"):
             assert sides[side] == held[side][name], (name, side)
+
+
+def test_claimed_metric_moved_the_better_way(record):
+    summary = record["summary"][record["claimed_metric"]]
+    sign = 1 if summary["better"] == "higher" else -1
+    assert sign * (summary["change"]["median"] - summary["parent"]["median"]) > 0
+    assert summary["change_wins"] >= MIN_CLAIM_WIN_SHARE * summary["change"]["n"]

@@ -17,6 +17,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branchnet.model as model
 from branchnet import tensor
@@ -29,7 +31,8 @@ from branchnet.tensor import (Tape, Tensor, batch_norm2d, conv2d, pool2d, revers
 from branchnet.training import combined_branch_loss, smooth_label_matrix
 
 from oracles import (assert_within_rounding, conv2d_dw_one_gemm, conv2d_dx_col2im,
-                     conv2d_one_gemm, pool2d_dx_onehot, unfused_eval_forward)
+                     conv2d_one_gemm, pool2d_dx_onehot, pool2d_max_first,
+                     unfused_eval_forward)
 
 MiB = 2**20
 
@@ -288,6 +291,46 @@ class TestPoolInputGradBitIdentity:
             assert dx.tobytes() == want.tobytes(), ties
 
 
+class TestMaxPoolRunningMaximum:
+    """Max pool keeps a running maximum over its taps and rebuilds each tap's
+    mask in backward; output and input gradient equal the one-hot reference
+    byte for byte on random geometries, including tied maxima."""
+
+    # normal values; integers (most windows tie); relu'd normal values (the
+    # stem pool's input, often an all-zero window); +0.0 and -0.0 mixed with
+    # +-1, so tied zero maxima differ in sign
+    VALUES = {
+        "normal": lambda r, shape: r.standard_normal(shape),
+        "integers": lambda r, shape: r.integers(-2, 3, shape).astype(float),
+        "relu": lambda r, shape: np.maximum(r.standard_normal(shape), 0.0),
+        "signed-zeros": lambda r, shape: r.choice([-0.0, 0.0, -1.0, 1.0], shape,
+                                                  p=[0.4, 0.4, 0.1, 0.1]),
+    }
+
+    @given(n=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9),
+           c=st.integers(1, 5), window=st.integers(1, 4), stride=st.integers(1, 4),
+           values=st.sampled_from(sorted(VALUES)),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_output_and_input_grad_equal_one_hot_reference(self, n, h, w, c, window, stride,
+                                                           values, dtype, seed):
+        window = min(window, h, w)
+        rng = np.random.default_rng(seed)
+        x = Tensor(self.VALUES[values](rng, (n, h, w, c)).astype(dtype), requires_grad=True)
+        with Tape() as tape:
+            out = pool2d(x, "max", window, stride)
+        want = pool2d_max_first(x.data, window, stride)
+        assert out.dtype == want.dtype == dtype
+        assert out.data.tobytes() == want.tobytes()
+        assert np.array_equal(pool2d(Tensor(x.data), "max", window, stride).data, want)
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        (node,) = tape.nodes
+        dx = node.backward(grad)[0]
+        want_dx = pool2d_dx_onehot(x.data, grad, "max", window, stride)
+        assert dx.dtype == want_dx.dtype == dtype
+        assert dx.tobytes() == want_dx.tobytes()
+
+
 class TestBatchNormRebuildsNormalizedInput:
     @staticmethod
     def _bn_args(rng, c, dtype=np.float64):
@@ -364,6 +407,28 @@ class TestMemoryBounds:
         peak, out = _traced_peak(lambda: conv2d(x, weight, bias, pad=1))
         assert out.data.nbytes == 32 * MiB
         assert peak <= out.data.nbytes + tensor._PATCH_TILE_BYTES + 2 * MiB
+
+    def test_forward_only_max_pool_allocates_little_beside_its_output(self, rng):
+        x = Tensor(rng.standard_normal((256, 16, 16, 8)))
+        peak, out = _traced_peak(lambda: pool2d(x, "max", 2, 2))
+        # the output is 1 MiB; a copy of every window (4 MiB) or an int64
+        # argmax index (1 MiB) would not fit
+        assert peak <= 1.25 * out.data.nbytes
+
+    def test_taped_max_pool_keeps_no_array_but_its_output(self, rng):
+        x = Tensor(rng.standard_normal((256, 16, 16, 8)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = pool2d(x, "max", 2, 2)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        # the output and the node; an index of the window maxima for backward
+        # would hold another output-sized array
+        assert live < 1.25 * out.data.nbytes
 
     def test_taped_conv_keeps_no_patches_after_its_forward(self, rng):
         x = Tensor(rng.standard_normal((64, 32, 32, 16)), requires_grad=True)
