@@ -8,7 +8,9 @@ their input gradients per window tap without building a window-gradient
 matrix (and equal folding that matrix bit for bit), while a stride-1 conv
 takes its input gradient as a conv of the output gradient and its weight
 gradient from the same patch tiles, each within rounding of the whole-batch
-product; a taped batch norm keeps only its output and
+product; max pool allocates little beside its output, keeps no index
+for backward and equals the one-hot reference byte for byte; a taped
+batch norm keeps only its output and
 rebuilds the normalized input in backward; and the reverse pass consumes
 its tape, so nothing but leaf gradients outlives it."""
 
