@@ -25,6 +25,7 @@ from .augment import AugmentConfig, augment_batch, fit_augment_statistics
 from .evaluation import evaluate
 from .fields import Checked, check_keys, from_section
 from .model import BranchedNetConfig, build_branched_net, network_report
+from .tensor import conv_tile_mode
 from .training import TrainConfig, history_csv, restore_network, timings_csv, train
 
 
@@ -176,6 +177,7 @@ def cmd_train(args) -> int:
 
     run_dir = make_run_dir(args.out or cfg.output.dir, cfg.fingerprint())
     print(f"run directory: {run_dir}")
+    print(f"conv tiles: {conv_tile_mode()}")
     checkpoint, history = train(net, train_set, cfg.train, augment, log=print)
     (run_dir / "history.csv").write_text(history_csv(history, cfg.model.num_branches))
     (run_dir / "timings.csv").write_text(timings_csv(history))
@@ -197,6 +199,7 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"config model.{key}={got!r} does not match checkpoint ({want!r})")
     net, _ = restore_network(checkpoint)
     test_set = cfg.data.load("test")
+    print(f"conv tiles: {conv_tile_mode()}")
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     report, branch_probs = evaluate(net, test_set, augment_config=checkpoint.augment_config,

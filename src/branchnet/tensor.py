@@ -13,7 +13,10 @@ has run. Outside a tape, or when no input needs a gradient, ops run
 forward-only and keep no graph memory. conv2d has one forward, taped or
 not: it builds its im2col patch matrix one tile of images at a time and
 adds its bias in place, so no conv holds a whole batch's patches or a
-second output. Max pool is a running maximum over its window taps. Nodes
+second output. A conv of several tiles runs two at a time on two threads,
+each copying patches and running its GEMM on one OpenBLAS thread
+(:func:`_conv_tiles`); ``OPENBLAS_NUM_THREADS=1`` keeps every tile on the
+calling thread. Max pool is a running maximum over its window taps. Nodes
 keep inputs, not what backward can rebuild (a conv's patch matrix, batch
 norm's normalized input, max pool's tap masks). A stride-1 conv takes its
 input gradient as a conv of the output gradient, and its weight gradient
@@ -35,13 +38,19 @@ Dtype follows the input arrays.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Optional
 
 import numpy as np
 
 DTYPE_REF = np.float64
 
-# Patch-matrix budget of one conv tile in the forward (see _conv_tiles).
+# Patch memory in flight in one conv: two tiles of at most half of it each
+# (see _conv_tiles).
 _PATCH_TILE_BYTES = 8 * 2**20
 
 # Variance floor of every batch norm, also used when one is folded into a conv.
@@ -185,18 +194,21 @@ def _accumulate(inputs: tuple[Tensor, ...], grads: tuple) -> None:
 # ---------------------------------------------------------------------------
 # convolution
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+            padded: Optional[np.ndarray] = None) -> np.ndarray:
     """(N,H,W,C) input -> (N,OH,OW,kh,kw,C) window view.
 
     Flattened to (N*OH*OW, kh*kw*C) patch rows, the columns are in
     (kh, kw, C) order: in each kernel row the kw*C inputs lie next to each
     other in the NHWC input, so the copy moves kh contiguous runs per patch
     row. An OIHW weight matches it as ``weight.transpose(0, 2, 3, 1)``.
-    A padded input is copied once into a buffer whose border alone is zeroed.
+    A padded input is copied once into a buffer whose border alone is zeroed:
+    ``padded`` ([N, H+2*pad, W+2*pad, C]) if given, else a new one.
     """
     n, h, w, c = x.shape
     if pad > 0:
-        padded = np.empty((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        if padded is None:
+            padded = np.empty((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
         padded[:, :pad] = padded[:, h + pad:] = 0
         padded[:, pad:h + pad, :pad] = padded[:, pad:h + pad, w + pad:] = 0
         padded[:, pad:h + pad, pad:w + pad] = x
@@ -312,34 +324,128 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
     """Conv GEMM over tiles of whole images, taped or not.
 
     The batch is split into the fewest near-equal tiles whose patch
-    matrices fit ``_PATCH_TILE_BYTES`` (at least one image per tile), and
-    each tile's GEMM writes straight into its rows of the preallocated
-    output. A GEMM row depends only on its own patch row as long as BLAS
-    runs the same kernel. Near-equal tiles keep each tile of a split batch
-    at about half the budget or more, too large for the small-matrix
-    kernels that some BLAS builds (OpenBLAS on AVX-512) pick for tiny
-    products and that sum in another order; a remainder tile of a few
-    images would change bits. The result therefore equals one GEMM over
+    matrices fit half of ``_PATCH_TILE_BYTES`` (at least one image per
+    tile), and each tile's GEMM writes straight into its rows of the
+    preallocated output. A GEMM row depends only on its own patch row as
+    long as BLAS runs the same kernel. Near-equal tiles keep each tile of a
+    split batch at about a quarter of the budget or more, too large for the
+    small-matrix kernels that some BLAS builds (OpenBLAS on AVX-512) pick
+    for tiny products and that sum in another order; a remainder tile of a
+    few images would change bits. The result therefore equals one GEMM over
     the whole batch's patches bit for bit.
+
+    At most two tiles are in flight. A conv of two or more tiles runs them
+    on two threads (:func:`_tile_pool`), each filling its tile's patches and
+    running its GEMM on one OpenBLAS thread: the patch copy, about half of a
+    conv, then runs on both cores, as the GEMM already did. Their patch and
+    padding buffers are allocated here, on the calling thread, as a worker
+    thread's allocations would grow a malloc arena of its own. A one-tile
+    conv, and every conv while OpenBLAS runs one thread (as
+    ``OPENBLAS_NUM_THREADS=1`` sets) or its thread count cannot be reached,
+    runs its tiles inline, in the same loop. Workers run no taped op.
 
     With ``weight_grad = (a, acc)``, ``acc`` ([C, kh*kw*Cin]) also sums the
     transpose of each tile's rows of ``a`` ([N*OH*OW, C]) times its patches,
-    in tile order, so its rounding follows the tiling the shapes fix.
+    in tile order on the calling thread, so its rounding follows the tiling
+    the shapes fix, whichever way the tiles run.
     """
     n, oh, ow, cout = out_shape
-    per_tile = max(1, _PATCH_TILE_BYTES // (oh * ow * w2.shape[1] * x.itemsize))
-    tiles = -(-n // per_tile)
+    _, h, w, c = x.shape
+    m, k = oh * ow, w2.shape[1]
+    tiles = -(-n // max(1, _PATCH_TILE_BYTES // (2 * m * k * x.itemsize)))
     out = np.empty(out_shape, dtype=np.result_type(x, w2))
-    rows = out.reshape(n * oh * ow, cout)
-    for t in range(tiles):
-        lo, hi = t * n // tiles, (t + 1) * n // tiles
-        cols = _im2col(x[lo:hi], kh, kw, stride, pad).reshape((hi - lo) * oh * ow, -1)
-        np.matmul(cols, w2.T, out=rows[lo * oh * ow:hi * oh * ow])
+    rows = out.reshape(n * m, cout)
+
+    def fill(lo, hi, cols, padded):
+        np.copyto(cols.reshape(hi - lo, oh, ow, kh, kw, c),
+                  _im2col(x[lo:hi], kh, kw, stride, pad, padded))
+        np.matmul(cols, w2.T, out=rows[lo * m:hi * m])
+
+    def finish(job, lo, hi, cols):
+        if job:
+            job.result()
         if weight_grad is not None:
             a, acc = weight_grad
-            acc += a[lo * oh * ow:hi * oh * ow].T @ cols
-        del cols   # free this tile's patches before the next tile builds its own
+            acc += a[lo * m:hi * m].T @ cols
+
+    pool = _tile_pool() if tiles > 1 else None
+    in_flight = []   # (job, lo, hi, cols) of at most two tiles, oldest first
+    try:
+        for t in range(tiles):
+            if len(in_flight) == 2:
+                finish(*in_flight.pop(0))
+            lo, hi = t * n // tiles, (t + 1) * n // tiles
+            cols = np.empty(((hi - lo) * m, k), dtype=x.dtype)
+            padded = (np.empty((hi - lo, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+                      if pad else None)
+            job = pool.submit(fill, lo, hi, cols, padded) if pool else fill(lo, hi, cols, padded)
+            in_flight.append((job, lo, hi, cols))
+        while in_flight:
+            finish(*in_flight.pop(0))
+    finally:   # a failed tile leaves no worker writing into out
+        wait([job for job, *_ in in_flight if job])
     return out
+
+
+def _load_openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
+    None. The count is the whole process's: numpy's pthreads build has no
+    per-thread one (``openblas_set_num_threads_local`` sets the same count)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(path)   # the copy numpy already loaded
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_OPENBLAS = _load_openblas()
+_TILE_POOL: Optional[ThreadPoolExecutor] = None
+_TILE_POOL_LOCK = threading.Lock()
+
+
+def _blas_threads() -> int:
+    """OpenBLAS's thread count now; 0 if it cannot be reached."""
+    return _OPENBLAS[0]() if _OPENBLAS is not None else 0
+
+
+def _tile_pool() -> Optional[ThreadPoolExecutor]:
+    """The two tile threads, or None while OpenBLAS runs one thread or cannot
+    be reached. The first conv of several tiles starts them and sets OpenBLAS
+    to one thread for the whole process, every other GEMM included: after a
+    two-thread GEMM, OpenBLAS's own second thread spins on a core for a while
+    (a pooled conv then took 85 ms instead of 46)."""
+    global _TILE_POOL
+    with _TILE_POOL_LOCK:
+        if _TILE_POOL is None and _blas_threads() > 1:
+            _OPENBLAS[1](1)
+            _TILE_POOL = ThreadPoolExecutor(2, thread_name_prefix="conv-tile")
+        return _TILE_POOL
+
+
+def _drop_tile_pool() -> None:
+    """A forked child has none of its parent's threads, so it forgets their pool,
+    and takes a new lock, as one of them may have held the old one. If the parent had started it, OpenBLAS runs one thread, so the child runs
+    its tiles inline and adds no threads to its parent's."""
+    global _TILE_POOL, _TILE_POOL_LOCK
+    _TILE_POOL, _TILE_POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_tile_pool)
+
+
+def conv_tile_mode() -> str:
+    """How a conv of several patch tiles runs in this process, for run logs."""
+    threads = _blas_threads()
+    if _TILE_POOL is not None or threads > 1:
+        return "2 threads"
+    return "inline (OpenBLAS has 1 thread)" if threads else "inline (no OpenBLAS thread control)"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from branchnet import tensor
 from branchnet.cli import main
 from branchnet.data import read_ppm, write_ppm
 
@@ -601,6 +602,37 @@ class TestOutputBytes:
         (run_dir,) = run_dirs(tmp_path)
         assert {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
                 for name in digests} == digests
+
+
+class TestConvTileRunLog:
+    """``train`` and ``eval`` each print one line saying how conv tiles run;
+    the byte-stable outputs stay as ``TestOutputBytes`` pins them."""
+
+    MODES = {"2 threads", "inline (OpenBLAS has 1 thread)",
+             "inline (no OpenBLAS thread control)"}
+
+    @staticmethod
+    def _tile_lines(out):
+        return [line for line in out.splitlines() if line.startswith("conv tiles: ")]
+
+    def test_train_and_eval_print_the_mode(self, tmp_path, config_file, capsys):
+        assert main(["train", "--config", str(config_file)]) == 0
+        train_lines = self._tile_lines(capsys.readouterr().out)
+        (run_dir,) = run_dirs(tmp_path)
+        assert main(["eval", "--config", str(config_file),
+                     "--checkpoint", str(run_dir / "final.ckpt")]) == 0
+        eval_lines = self._tile_lines(capsys.readouterr().out)
+        assert train_lines == eval_lines == [f"conv tiles: {tensor.conv_tile_mode()}"]
+        assert tensor.conv_tile_mode() in self.MODES
+
+    @pytest.mark.parametrize("threads, mode", [
+        (1, "inline (OpenBLAS has 1 thread)"), (0, "inline (no OpenBLAS thread control)")])
+    def test_inline_modes_name_their_cause(self, config_file, capsys, monkeypatch,
+                                           threads, mode):
+        monkeypatch.setattr(tensor, "_TILE_POOL", None)
+        monkeypatch.setattr(tensor, "_blas_threads", lambda: threads)
+        assert main(["train", "--config", str(config_file)]) == 0
+        assert self._tile_lines(capsys.readouterr().out) == [f"conv tiles: {mode}"]
 
 
 class TestCifar10Data:

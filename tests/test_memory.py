@@ -14,6 +14,11 @@ batch norm keeps only its output and
 rebuilds the normalized input in backward; and the reverse pass consumes
 its tape, so nothing but leaf gradients outlives it."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -32,6 +37,7 @@ from branchnet.tensor import (Tape, Tensor, batch_norm2d, conv2d, pool2d, revers
                               softmax)
 from branchnet.training import combined_branch_loss, smooth_label_matrix
 
+from pool import run_pooled
 from oracles import (assert_within_rounding, conv2d_dw_one_gemm, conv2d_dx_col2im,
                      conv2d_one_gemm, pool2d_dx_onehot, pool2d_max_first,
                      unfused_eval_forward)
@@ -78,13 +84,16 @@ GEOMETRIES = _conv_geometries()
 DX_GEOMETRIES = [g for g in GEOMETRIES if g[0][2] != 3]
 
 
+def _out_hw(hwc, weight_shape, stride, pad):
+    kh, kw = weight_shape[2:]
+    return ((hwc[0] + 2 * pad - kh) // stride + 1, (hwc[1] + 2 * pad - kw) // stride + 1)
+
+
 def _images_per_tile(hwc, weight_shape, stride, pad, dtype):
-    h, w, _ = hwc
+    oh, ow = _out_hw(hwc, weight_shape, stride, pad)
     cout, cin, kh, kw = weight_shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
     per_image = oh * ow * cin * kh * kw * np.dtype(dtype).itemsize
-    return max(1, tensor._PATCH_TILE_BYTES // per_image)
+    return max(1, tensor._PATCH_TILE_BYTES // (2 * per_image))
 
 
 class TestTiledConvBitIdentity:
@@ -263,6 +272,159 @@ class TestConvWeightGrad:
                 assert dw.tobytes() == want.tobytes(), n
             else:
                 assert_within_rounding([(n, dw)], [(n, want)])
+
+
+@pytest.fixture
+def tile_pool():
+    """The tile threads, started here if no conv of several tiles has yet."""
+    pool = tensor._tile_pool()
+    if pool is None:
+        pytest.skip("conv tiles run inline: OpenBLAS runs one thread or cannot be reached")
+    return pool
+
+
+def _watch_tiles(monkeypatch):
+    """(thread name, OpenBLAS thread count, padding buffer given) of every
+    later ``_im2col`` call."""
+    calls = []
+    original = tensor._im2col
+
+    def im2col(*args):
+        calls.append((threading.current_thread().name, tensor._blas_threads(),
+                      len(args) == 6 and args[5] is not None))
+        return original(*args)
+
+    monkeypatch.setattr(tensor, "_im2col", im2col)
+    return calls
+
+
+def _tiled_conv_run_log(n):
+    """What a spawned pool worker reports after a conv of ``n`` 32x32x16 images."""
+    rng = np.random.default_rng(n)
+    conv2d(Tensor(rng.standard_normal((n, 32, 32, 16))),
+           Tensor(rng.standard_normal((16, 16, 3, 3))), pad=1)
+    return tensor.conv_tile_mode(), threading.active_count(), tensor._TILE_POOL is None
+
+
+FIRST_TILED_CONV = """
+import numpy as np
+from branchnet import tensor
+from branchnet.tensor import Tensor, conv2d
+weight = Tensor(np.ones((16, 16, 3, 3)))
+counts = [tensor._blas_threads()]
+for n in (3, 4):   # one tile, then two
+    conv2d(Tensor(np.ones((n, 32, 32, 16))), weight, pad=1)
+    counts.append(tensor._blas_threads())
+print(counts, tensor.conv_tile_mode())
+"""
+
+
+class TestPooledConvTiles:
+    """A conv of two or more patch tiles runs them on two threads, with
+    OpenBLAS at one thread, and gives the bytes of the same tiles run inline."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
+    def test_pooled_tiles_equal_inline_tiles(self, geometry, dtype, tile_pool, monkeypatch):
+        hwc, weight_shape, stride, pad = geometry
+        # three tiles, so that the third waits for the first to finish
+        n = 2 * _images_per_tile(hwc, weight_shape, stride, pad, dtype) + 3
+        rng = np.random.default_rng(hash(geometry) % 2**32)
+        x = Tensor(rng.standard_normal((n,) + hwc).astype(dtype), requires_grad=hwc[2] != 3)
+        weight = Tensor(rng.standard_normal(weight_shape).astype(dtype), requires_grad=True)
+        grad = rng.standard_normal((n,) + _out_hw(hwc, weight_shape, stride, pad)
+                                   + weight_shape[:1]).astype(dtype)
+
+        def forward_and_grads():
+            with Tape() as tape:
+                out = conv2d(x, weight, stride=stride, pad=pad)
+            (node,) = tape.nodes
+            dx, dw, _ = node.backward(grad)
+            return out.data, dx, dw
+
+        calls = _watch_tiles(monkeypatch)
+        pooled = forward_and_grads()
+        assert {name.startswith("conv-tile") for name, _, _ in calls[:3]} == {True}
+        monkeypatch.setattr(tensor, "_tile_pool", lambda: None)
+        del calls[:]
+        inline = forward_and_grads()
+        assert {name for name, _, _ in calls} == {threading.current_thread().name}
+        for got, want in zip(pooled, inline):
+            if want is None:   # the stem's input takes no gradient
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_workers_and_caller_run_one_blas_thread(self, rng, tile_pool, monkeypatch):
+        calls = _watch_tiles(monkeypatch)
+        x = Tensor(rng.standard_normal((64, 32, 32, 16)))
+        conv2d(x, Tensor(rng.standard_normal((16, 16, 3, 3))), pad=1)
+        assert len(calls) == 22   # 3 images of 1.125 MiB patches per 4 MiB tile
+        assert {name.startswith("conv-tile") for name, _, _ in calls} == {True}
+        assert {count for _, count, _ in calls} == {1}
+        # the calling thread allocated every tile's padded input
+        assert {padded for _, _, padded in calls} == {True}
+        assert tensor._blas_threads() == 1
+        assert tensor.conv_tile_mode() == "2 threads"
+
+    def test_one_tile_runs_inline(self, rng, tile_pool, monkeypatch):
+        calls = _watch_tiles(monkeypatch)
+        conv2d(Tensor(rng.standard_normal((3, 32, 32, 16))),
+               Tensor(rng.standard_normal((16, 16, 3, 3))), pad=1)
+        assert calls == [(threading.current_thread().name, 1, True)]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the cores")
+    def test_first_conv_of_several_tiles_starts_the_pool(self):
+        # in a fresh process: a one-tile conv leaves OpenBLAS at two threads,
+        # the first conv of two tiles sets it to one
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        out = subprocess.run([sys.executable, "-c", FIRST_TILED_CONV], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out == "[2, 2, 1] 2 threads\n"
+
+    def test_one_blas_thread_runs_every_tile_inline_and_starts_no_pool(self, rng,
+                                                                       monkeypatch):
+        monkeypatch.setattr(tensor, "_TILE_POOL", None)
+        calls = _watch_tiles(monkeypatch)
+        x = Tensor(rng.standard_normal((12, 32, 32, 16)))
+        weight = Tensor(rng.standard_normal((16, 16, 3, 3)))
+        for threads, mode in ((1, "inline (OpenBLAS has 1 thread)"),
+                              (0, "inline (no OpenBLAS thread control)")):
+            monkeypatch.setattr(tensor, "_blas_threads", lambda: threads)
+            del calls[:]
+            conv2d(x, weight, pad=1)
+            assert tensor.conv_tile_mode() == mode
+            assert len(calls) == 4 and {name for name, _, _ in calls} == {
+                threading.current_thread().name}
+        assert tensor._TILE_POOL is None
+
+    def test_spawned_pool_workers_stand_the_tile_pool_down(self):
+        # tests/pool.py starts each worker with one OpenBLAS thread, so no
+        # worker adds tile threads to the cores its siblings already fill
+        for mode, threads, no_pool in run_pooled(_tiled_conv_run_log, [(12,), (13,)]):
+            assert mode == "inline (OpenBLAS has 1 thread)"
+            assert threads == 1 and no_pool
+
+    def test_child_forked_after_pooled_tiles_does_not_hang(self, rng, tile_pool):
+        x = rng.standard_normal((64, 32, 32, 16))
+        weight = rng.standard_normal((16, 16, 3, 3))
+        want = conv2d(Tensor(x), Tensor(weight), pad=1).data   # runs on the pool's threads
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+
+        def child():
+            send.send_bytes(conv2d(Tensor(x), Tensor(weight), pad=1).data.tobytes())
+
+        process = context.Process(target=child)
+        process.start()
+        try:
+            # a child that kept the parent's pool object, but none of its
+            # threads, would wait forever for its first tile
+            assert receive.poll(30), "the forked child's conv did not finish in 30 s"
+            assert receive.recv_bytes() == want.tobytes()
+        finally:
+            process.kill()
+            process.join()
 
 
 class TestPoolInputGradBitIdentity:

@@ -480,7 +480,7 @@ class TestTrainingAfterEvaluate:
 
     # sha256 of history.csv then final.ckpt under the keyed flip and shuffle
     # draws, recorded once the evaluate-first run equalled the train-only one
-    DIGEST = "c2b401e57a07f85f2a42b6ffaae29cdd67ac3d4ea3d843f5cc58e3f2ea3b32d1"
+    DIGEST = "40fd1f62a36a7aa0c8914b3e216f64d32a80b5d6d5230d1e6453a4898d913cf9"
 
     @staticmethod
     def _history_and_checkpoint(tmp_path, evaluate_first: bool) -> str:
