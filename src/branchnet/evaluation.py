@@ -107,11 +107,11 @@ def evaluate(net: BranchedNetwork, dataset, batch_size: int = 256, *,
     softmax, mean-probability ensemble, top-1/top-5 errors, and relative
     improvement on top-1.
 
-    The eval-mode forward folds each batch norm into the conv before it
-    and runs relu and residual adds in place, in buffers of its own; it
-    changes no tensor of ``net``. Its logits agree with the unfolded
-    Tensor-op forward to rounding (max|d| <= 1e-12 * max|logit| in
-    float64, 1e-5 in float32), not bit for bit.
+    The eval-mode forward folds each batch norm into the conv before it,
+    which also adds the residual shortcut and applies relu to its output
+    tile by tile; it changes no tensor of ``net``. Its logits agree with
+    the unfolded Tensor-op forward to rounding (max|d| <= 1e-12 *
+    max|logit| in float64, 1e-5 in float32), not bit for bit.
 
     With ``dump_probs`` the per-branch probability matrices are returned
     alongside the report for offline recomputation.

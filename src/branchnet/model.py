@@ -223,13 +223,15 @@ class BranchedNetwork:
 
     # -- forward -----------------------------------------------------------
 
-    def _conv_bn(self, scope: str, conv: ConvSpec, x: Tensor, mode: str) -> Tensor:
-        """Conv then batch norm. In eval mode the batch norm is a fixed
-        per-channel affine map, folded into the conv from the live tensors
-        on every call: output channel o's weight is scaled by
-        s[o] = gamma[o] / sqrt(var[o] + eps) and its bias is
-        beta[o] - mean[o] * s[o]. Nothing is cached, so training cannot
-        leave the fold stale."""
+    def _conv_bn(self, scope: str, conv: ConvSpec, x: Tensor, mode: str,
+                 shortcut: Optional[Tensor] = None, act: bool = False) -> Tensor:
+        """Conv then batch norm, then ``+ shortcut`` if given and relu if
+        ``act``. In eval mode the batch norm is a fixed per-channel affine map,
+        folded into the conv from the live tensors on every call: output
+        channel o's weight is scaled by s[o] = gamma[o] / sqrt(var[o] + eps)
+        and its bias is beta[o] - mean[o] * s[o]. Nothing is cached, so
+        training cannot leave the fold stale. The conv adds that bias and the
+        shortcut and applies relu to its own output's tiles (``conv2d``)."""
         weight = self.params[f"{scope}.{conv.tag}.weight"]
         bn = f"{scope}.{conv.bn}"
         gamma, beta = self.params[f"{bn}.gamma"], self.params[f"{bn}.beta"]
@@ -237,27 +239,29 @@ class BranchedNetwork:
         if mode == "eval":
             s = gamma.data / np.sqrt(var.data + BN_EPSILON)
             return conv2d(x, Tensor(weight.data * s[:, None, None, None]),
-                          Tensor(beta.data - mean.data * s), stride=conv.stride, pad=conv.pad)
-        return batch_norm2d(conv2d(x, weight, stride=conv.stride, pad=conv.pad),
-                            gamma, beta, mean, var, mode=mode)
+                          Tensor(beta.data - mean.data * s), stride=conv.stride, pad=conv.pad,
+                          shortcut=shortcut, relu=act)
+        out = batch_norm2d(conv2d(x, weight, stride=conv.stride, pad=conv.pad),
+                           gamma, beta, mean, var, mode=mode)
+        out = out if shortcut is None else residual_add(out, shortcut)
+        return relu(out) if act else out
 
     def _run_unit(self, unit: Unit, x: Tensor, mode: str) -> Tensor:
         if unit.kind == "head":
             return linear(global_avg_pool(x), self.params[f"{unit.scope}.head.weight"],
                           self.params[f"{unit.scope}.head.bias"])
-        # eval mode writes relu and the residual add into the conv output
-        # this unit has just made, never into x, which may be the trunk
-        # output that every branch reads
-        act, add = (_relu_into, _add_into) if mode == "eval" else (relu, residual_add)
         out = x
         for conv in unit.convs[:-1]:
-            out = act(self._conv_bn(unit.scope, conv, out, mode))
-        out = self._conv_bn(unit.scope, unit.convs[-1], out, mode)
+            out = self._conv_bn(unit.scope, conv, out, mode, act=True)
         if unit.kind == "stem":
-            out = act(out)
+            out = self._conv_bn(unit.scope, unit.convs[-1], out, mode, act=True)
             return pool2d(out, "max", window=2, stride=2) if unit.pool else out
-        shortcut = x if unit.proj is None else self._conv_bn(unit.scope, unit.proj, x, mode)
-        return act(add(out, shortcut))
+        if unit.proj is None:
+            return self._conv_bn(unit.scope, unit.convs[-1], out, mode, x, act=True)
+        # the projection conv, run last, takes the block's add and relu, with
+        # the main path's output as its shortcut (a + b is bitwise b + a)
+        out = self._conv_bn(unit.scope, unit.convs[-1], out, mode)
+        return self._conv_bn(unit.scope, unit.proj, x, mode, out, act=True)
 
     def _run_path(self, branch: Optional[int], x: Tensor, mode: str) -> Tensor:
         for unit in self.units:
@@ -276,8 +280,8 @@ class BranchedNetwork:
 
         Train mode runs the differentiable ops and updates the batch norm
         running buffers. Eval mode is inference, not differentiable: each
-        batch norm is folded into its conv (``_conv_bn``), and relu and the
-        residual adds run in place."""
+        batch norm is folded into its conv (``_conv_bn``), which also adds the
+        residual shortcut and applies relu to its tiles' rows in place."""
         cfg = self.config
         want = (cfg.input_height, cfg.input_width, cfg.input_channels)
         if batch.shape[1:] != want:
@@ -286,18 +290,6 @@ class BranchedNetwork:
         trunk_out = self.forward_trunk(batch, mode)
         return [self.forward_branch(br, trunk_out, mode)
                 for br in range(cfg.num_branches)]
-
-
-def _relu_into(x: Tensor) -> Tensor:
-    """relu written into ``x``'s own buffer (eval mode only)."""
-    np.maximum(x.data, 0.0, out=x.data)
-    return x
-
-
-def _add_into(out: Tensor, shortcut: Tensor) -> Tensor:
-    """``out + shortcut`` written into ``out``'s own buffer (eval mode only)."""
-    out.data += shortcut.data
-    return out
 
 
 def build_branched_net(config: BranchedNetConfig, seed: int,

@@ -12,22 +12,23 @@ freeing each node (its backward closure and saved intermediates) once it
 has run. Outside a tape, or when no input needs a gradient, ops run
 forward-only and keep no graph memory. conv2d has one forward, taped or
 not: it builds its im2col patch matrix one tile of images at a time and
-adds its bias in place, so no conv holds a whole batch's patches or a
-second output. A conv of several tiles runs two at a time on two threads,
-each copying patches and running its GEMM on one OpenBLAS thread
-(:func:`_conv_tiles`); ``OPENBLAS_NUM_THREADS=1`` keeps every tile on the
-calling thread. Max pool is a running maximum over its window taps. Nodes
-keep inputs, not what backward can rebuild (a conv's patch matrix, batch
-norm's normalized input, max pool's tap masks). A stride-1 conv takes its
-input gradient as a conv of the output gradient, and its weight gradient
-from the same patch tiles; a strided conv and pool2d fold their input
-gradients per window tap (:func:`_fold_taps`).
+adds its bias to each tile's rows in place, so no conv holds a whole
+batch's patches or a second output. A conv of several tiles runs two at a
+time on two threads, each copying patches, running its GEMM and finishing
+its rows on one OpenBLAS thread (:func:`_conv_tiles`);
+``OPENBLAS_NUM_THREADS=1`` keeps every tile on the calling thread. Max pool
+is a running maximum over its window taps. Nodes keep inputs, not what
+backward can rebuild (a conv's patch matrix, batch norm's normalized input,
+max pool's tap masks). A stride-1 conv takes its input gradient as a conv
+of the output gradient, and its weight gradient from the same patch tiles,
+each tile's product on the thread that copied them; a strided conv and
+pool2d fold their input gradients per window tap (:func:`_fold_taps`).
 
 Evaluation does not run batch_norm2d, relu or residual_add: the network
-folds each eval-mode batch norm into the conv before it and writes relu
-and the residual add into that conv's output (``branchnet.model``).
-Eval-mode batch_norm2d stays the differentiable reference it is checked
-against.
+folds each eval-mode batch norm into the conv before it, and that conv
+adds the residual shortcut and applies relu to each tile's rows
+(conv2d's ``shortcut`` and ``relu``, ``branchnet.model``). Eval-mode
+batch_norm2d stays the differentiable reference it is checked against.
 
 Activations and their gradients are NHWC ([N, H, W, C]) throughout, so no op
 converts layouts; conv weights are OIHW ([Cout, Cin, kh, kw]).
@@ -241,7 +242,8 @@ def _fold_taps(tap_grad: Callable[[int], np.ndarray], x_shape, kh: int, kw: int,
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, pad: int = 0) -> Tensor:
+           stride: int = 1, pad: int = 0, shortcut: Optional[Tensor] = None,
+           relu: bool = False) -> Tensor:
     """2-D cross-correlation (no kernel flip): [N,H,W,Cin] input, OIHW weight,
     [N,OH,OW,Cout] output.
 
@@ -249,10 +251,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     The GEMM multiplies (kh, kw, Cin)-ordered patch rows (:func:`_im2col`)
     by the weight viewed as [Cout, kh, kw, Cin]; the weight itself stays
     OIHW, and so does its gradient. The GEMM runs in patch tiles
-    (:func:`_conv_tiles`) and the bias is added in place, taped or not, so
-    a conv holds one output-sized buffer. The backward reads the input the
-    tape holds anyway (which nothing may write in place before it runs;
-    train mode never does). A stride-1 conv with a square k x k kernel and
+    (:func:`_conv_tiles`), which add the bias in place, taped or not, so a
+    conv holds one output-sized buffer; untaped, they also add ``shortcut``
+    and apply ``relu`` (evaluation's residual add and relu). The backward
+    reads the input the tape holds anyway (which nothing may write in place
+    before it runs; train mode never does). A stride-1 conv with a square k x k kernel and
     pad < k takes both gradients from the patch tiles of its output
     gradient, padded by k - 1 - pad: times the flipped kernel they give the
     input gradient, the stride-1 conv of the output gradient (Dumoulin &
@@ -284,13 +287,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             f"kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{w + 2 * pad}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
-
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
+    if shortcut is not None and shortcut.shape != (n, oh, ow, cout):
+        raise ShapeError(f"conv2d shortcut must have the output's shape {(n, oh, ow, cout)}, "
+                         f"got {shortcut.shape}")
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    if (shortcut is not None or relu) and _TAPE_STACK and any(t.requires_grad for t in inputs):
+        raise ValueError("conv2d's shortcut and relu are forward-only; tape residual_add and relu")
+
     w2 = weight.data.transpose(0, 2, 3, 1).reshape(cout, -1)
-    out = Tensor(_conv_tiles(x.data, w2, kh, kw, stride, pad, (n, oh, ow, cout)))
-    if bias is not None:
-        out.data += bias.data
+    out = Tensor(_conv_tiles(x.data, w2, kh, kw, stride, pad, (n, oh, ow, cout),
+                             bias=None if bias is None else bias.data, relu=relu,
+                             shortcut=None if shortcut is None else shortcut.data))
 
     def backward(grad: np.ndarray):
         g2 = grad.reshape(-1, cout)
@@ -314,12 +323,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                             x.shape, kh, kw, stride, pad, np.result_type(g2, w2))
         return dx, dw, db
 
-    _record("conv2d", (x, weight) if bias is None else (x, weight, bias), out, backward)
+    _record("conv2d", inputs, out, backward)
     return out
 
 
 def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
-                pad: int, out_shape: tuple[int, int, int, int],
+                pad: int, out_shape: tuple[int, int, int, int], bias: Optional[np.ndarray] = None,
+                shortcut: Optional[np.ndarray] = None, relu: bool = False,
                 weight_grad: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """Conv GEMM over tiles of whole images, taped or not.
 
@@ -332,22 +342,25 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
     small-matrix kernels that some BLAS builds (OpenBLAS on AVX-512) pick
     for tiny products and that sum in another order; a remainder tile of a
     few images would change bits. The result therefore equals one GEMM over
-    the whole batch's patches bit for bit.
+    the whole batch's patches bit for bit. Each tile's rows then take
+    ``+ bias``, ``+ shortcut`` (of the output's shape) and relu, in that
+    order and elementwise, so bit for bit as on the whole output.
 
     At most two tiles are in flight. A conv of two or more tiles runs them
-    on two threads (:func:`_tile_pool`), each filling its tile's patches and
-    running its GEMM on one OpenBLAS thread: the patch copy, about half of a
-    conv, then runs on both cores, as the GEMM already did. Their patch and
-    padding buffers are allocated here, on the calling thread, as a worker
-    thread's allocations would grow a malloc arena of its own. A one-tile
-    conv, and every conv while OpenBLAS runs one thread (as
-    ``OPENBLAS_NUM_THREADS=1`` sets) or its thread count cannot be reached,
-    runs its tiles inline, in the same loop. Workers run no taped op.
+    on two threads (:func:`_tile_pool`), each running all of a tile's work
+    on one OpenBLAS thread: the patch copy, about half of a conv, then runs
+    on both cores, as the GEMM already did. Their patch, padding and product
+    buffers are allocated here, on the calling thread, as a worker thread's
+    allocations would grow a malloc arena of its own. A one-tile conv, and
+    every conv while OpenBLAS runs one thread (as ``OPENBLAS_NUM_THREADS=1``
+    sets) or its thread count cannot be reached, runs its tiles inline, in
+    the same loop. Workers run no taped op.
 
-    With ``weight_grad = (a, acc)``, ``acc`` ([C, kh*kw*Cin]) also sums the
-    transpose of each tile's rows of ``a`` ([N*OH*OW, C]) times its patches,
-    in tile order on the calling thread, so its rounding follows the tiling
-    the shapes fix, whichever way the tiles run.
+    With ``weight_grad = (a, acc)``, each tile also multiplies the transpose
+    of its rows of ``a`` ([N*OH*OW, C]) by its patches into a product buffer,
+    and ``acc`` ([C, kh*kw*Cin]) sums the products in tile order on the
+    calling thread, so its rounding follows the tiling the shapes fix,
+    whichever way the tiles run.
     """
     n, oh, ow, cout = out_shape
     _, h, w, c = x.shape
@@ -355,21 +368,30 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
     tiles = -(-n // max(1, _PATCH_TILE_BYTES // (2 * m * k * x.itemsize)))
     out = np.empty(out_shape, dtype=np.result_type(x, w2))
     rows = out.reshape(n * m, cout)
+    a, acc = weight_grad or (None, None)
 
-    def fill(lo, hi, cols, padded):
+    def fill(lo, hi, cols, padded, product):
         np.copyto(cols.reshape(hi - lo, oh, ow, kh, kw, c),
                   _im2col(x[lo:hi], kh, kw, stride, pad, padded))
         np.matmul(cols, w2.T, out=rows[lo * m:hi * m])
+        tile = out[lo:hi]
+        if bias is not None:
+            np.add(tile, bias, out=tile)
+        if shortcut is not None:
+            np.add(tile, shortcut[lo:hi], out=tile)
+        if relu:
+            np.maximum(tile, 0.0, out=tile)
+        if product is not None:
+            np.matmul(a[lo * m:hi * m].T, cols, out=product)
 
-    def finish(job, lo, hi, cols):
+    def finish(job, product):
         if job:
             job.result()
-        if weight_grad is not None:
-            a, acc = weight_grad
-            acc += a[lo * m:hi * m].T @ cols
+        if product is not None:
+            np.add(acc, product, out=acc)
 
     pool = _tile_pool() if tiles > 1 else None
-    in_flight = []   # (job, lo, hi, cols) of at most two tiles, oldest first
+    in_flight = []   # (job, product) of at most two tiles, oldest first
     try:
         for t in range(tiles):
             if len(in_flight) == 2:
@@ -378,12 +400,13 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
             cols = np.empty(((hi - lo) * m, k), dtype=x.dtype)
             padded = (np.empty((hi - lo, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
                       if pad else None)
-            job = pool.submit(fill, lo, hi, cols, padded) if pool else fill(lo, hi, cols, padded)
-            in_flight.append((job, lo, hi, cols))
+            product = None if a is None else np.empty(acc.shape, np.result_type(a, x))
+            args = (lo, hi, cols, padded, product)
+            in_flight.append((pool.submit(fill, *args) if pool else fill(*args), product))
         while in_flight:
             finish(*in_flight.pop(0))
     finally:   # a failed tile leaves no worker writing into out
-        wait([job for job, *_ in in_flight if job])
+        wait([job for job, _ in in_flight if job])
     return out
 
 

@@ -3,14 +3,15 @@ and the rounding bound a result must meet against them.
 
 Everything here is deliberately written the slow, obvious way (explicit
 loop nests, two-pass statistics, cyclic Jacobi rotations) and shares no
-code with the implementations under test, except the network's unfolded
-eval forward, which runs the gradient-checked Tensor ops.
+code with the implementations under test, except the network's eval
+forwards, which run the gradient-checked Tensor ops (the unfolded one) or
+a bias-free conv2d (the folded one).
 """
 
 import numpy as np
 
-from branchnet.tensor import (Tensor, batch_norm2d, conv2d, global_avg_pool, linear,
-                              pool2d, relu, residual_add)
+from branchnet.tensor import (BN_EPSILON, Tensor, batch_norm2d, conv2d, global_avg_pool,
+                              linear, pool2d, relu, residual_add)
 
 
 def assert_within_rounding(got, want):
@@ -21,6 +22,33 @@ def assert_within_rounding(got, want):
         assert a.dtype == ref.dtype and a.shape == ref.shape, label
         bound = 1e-12 if a.dtype == np.float64 else 1e-5
         assert np.max(np.abs(a - ref)) <= bound * np.max(np.abs(ref)), label
+
+
+def _layer_table_forward(net, batch, conv_bn, relu_, add):
+    """Per-branch logits of a ``BranchedNetwork``'s layer table, run with the
+    given ``conv_bn(scope, conv, x)``, ``relu_(x)`` and ``add(out, shortcut)``."""
+    def unit_forward(unit, x):
+        if unit.kind == "head":
+            return linear(global_avg_pool(x), net.params[f"{unit.scope}.head.weight"],
+                          net.params[f"{unit.scope}.head.bias"])
+        out = x
+        for conv in unit.convs[:-1]:
+            out = relu_(conv_bn(unit.scope, conv, out))
+        out = conv_bn(unit.scope, unit.convs[-1], out)
+        if unit.kind == "stem":
+            out = relu_(out)
+            return pool2d(out, "max", window=2, stride=2) if unit.pool else out
+        shortcut = x if unit.proj is None else conv_bn(unit.scope, unit.proj, x)
+        return relu_(add(out, shortcut))
+
+    def path(branch, x):
+        for unit in net.units:
+            if unit.branch == branch:
+                x = unit_forward(unit, x)
+        return x
+
+    trunk = path(None, Tensor(batch))
+    return [path(br, trunk).data for br in range(net.config.num_branches)]
 
 
 def unfused_eval_forward(net, batch):
@@ -36,28 +64,36 @@ def unfused_eval_forward(net, batch):
                             net.buffers[f"{bn}.running_mean"],
                             net.buffers[f"{bn}.running_var"], mode="eval")
 
-    def unit_forward(unit, x):
-        if unit.kind == "head":
-            return linear(global_avg_pool(x), net.params[f"{unit.scope}.head.weight"],
-                          net.params[f"{unit.scope}.head.bias"])
-        out = x
-        for conv in unit.convs[:-1]:
-            out = relu(conv_bn(unit.scope, conv, out))
-        out = conv_bn(unit.scope, unit.convs[-1], out)
-        if unit.kind == "stem":
-            out = relu(out)
-            return pool2d(out, "max", window=2, stride=2) if unit.pool else out
-        shortcut = x if unit.proj is None else conv_bn(unit.scope, unit.proj, x)
-        return relu(residual_add(out, shortcut))
+    return _layer_table_forward(net, batch, conv_bn, relu, residual_add)
 
-    def path(branch, x):
-        for unit in net.units:
-            if unit.branch == branch:
-                x = unit_forward(unit, x)
+
+def whole_array_eval_forward(net, batch):
+    """Per-branch eval logits of a ``BranchedNetwork`` as its folded forward
+    ran while the bias, the residual add and relu followed each conv over
+    its whole output: each batch norm folded into a bias-free ``conv2d``
+    (weight times s = gamma / sqrt(var + eps)), then ``+=`` the bias
+    beta - mean * s, ``+=`` a block's shortcut (the identity, or the
+    projection conv's output added into the main path's) and relu by
+    ``np.maximum(..., out=)``, each in place in the conv's output."""
+    def conv_bn(scope, conv, x):
+        bn = f"{scope}.{conv.bn}"
+        gamma, beta = net.params[f"{bn}.gamma"].data, net.params[f"{bn}.beta"].data
+        mean = net.buffers[f"{bn}.running_mean"].data
+        s = gamma / np.sqrt(net.buffers[f"{bn}.running_var"].data + BN_EPSILON)
+        weight = net.params[f"{scope}.{conv.tag}.weight"].data * s[:, None, None, None]
+        out = conv2d(x, Tensor(weight), stride=conv.stride, pad=conv.pad)
+        out.data += beta - mean * s
+        return out
+
+    def relu_in_place(x):
+        np.maximum(x.data, 0.0, out=x.data)
         return x
 
-    trunk = path(None, Tensor(batch))
-    return [path(br, trunk).data for br in range(net.config.num_branches)]
+    def add_in_place(out, shortcut):
+        out.data += shortcut.data
+        return out
+
+    return _layer_table_forward(net, batch, conv_bn, relu_in_place, add_in_place)
 
 
 def conv2d_loops(x, w, b=None, stride=1, pad=0):

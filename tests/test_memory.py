@@ -40,7 +40,7 @@ from branchnet.training import combined_branch_loss, smooth_label_matrix
 from pool import run_pooled
 from oracles import (assert_within_rounding, conv2d_dw_one_gemm, conv2d_dx_col2im,
                      conv2d_one_gemm, pool2d_dx_onehot, pool2d_max_first,
-                     unfused_eval_forward)
+                     unfused_eval_forward, whole_array_eval_forward)
 
 MiB = 2**20
 
@@ -56,19 +56,19 @@ WORKLOAD_NETS = (
 )
 
 
-def _conv_geometries():
+def _conv_geometries(configs=WORKLOAD_NETS):
     """(input [H, W, Cin], weight OIHW shape, stride, pad) of every conv the
-    workload nets run, recorded from one forward of each."""
+    nets of ``configs`` run, recorded from one forward of each."""
     seen = set()
     original = model.conv2d
 
-    def record(x, weight, bias=None, stride=1, pad=0):
+    def record(x, weight, bias=None, stride=1, pad=0, **epilogue):
         seen.add((x.shape[1:], weight.shape, stride, pad))
-        return original(x, weight, bias, stride=stride, pad=pad)
+        return original(x, weight, bias, stride=stride, pad=pad, **epilogue)
 
     model.conv2d = record
     try:
-        for config in WORKLOAD_NETS:
+        for config in configs:
             net = build_branched_net(config, seed=0)
             shape = (1, config.input_height, config.input_width, config.input_channels)
             net.forward_all_branches(Tensor(np.zeros(shape)), mode="eval")
@@ -157,9 +157,28 @@ class TestFoldedEval:
         assert_within_rounding([(br, z.data) for br, z in enumerate(logits)],
                                list(enumerate(unfused_eval_forward(net, batch))))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("index", range(len(WORKLOAD_NETS)))
+    def test_workload_nets_byte_equal_to_whole_array_bias_add_and_relu(self, index, dtype):
+        # a batch that the net's largest convs split into three tiles, so that
+        # their bias, shortcut and relu run on the tile threads when they run
+        config = WORKLOAD_NETS[index]
+        n = 2 * min(_images_per_tile(*g, dtype) for g in _conv_geometries([config])) + 1
+        rng = np.random.default_rng(index)
+        net = build_branched_net(config, seed=index, dtype=dtype)
+        _randomize_batch_norms(net, rng)
+        shape = (n, config.input_height, config.input_width, config.input_channels)
+        batch = rng.standard_normal(shape).astype(dtype)
+        logits = net.forward_all_branches(Tensor(batch), mode="eval")
+        want = whole_array_eval_forward(net, batch)
+        assert len(logits) == len(want) == config.num_branches
+        for got, ref in zip(logits, want):
+            assert got.data.dtype == ref.dtype == dtype
+            assert got.data.tobytes() == ref.tobytes()
+
     def test_evaluate_at_batch_256_within_rounding_of_unfused_forward(self, rng):
         # eval_wide_f64's net; nine images make one evaluate batch, which
-        # stage 1's 3x3 convs split into two tiles of 4 and 5 images
+        # stage 1's 3x3 convs split into three tiles of 3 images
         config = WORKLOAD_NETS[2]
         net = build_branched_net(config, seed=3)
         _randomize_batch_norms(net, rng)
@@ -298,6 +317,33 @@ def _watch_tiles(monkeypatch):
     return calls
 
 
+class _NumpyCalls:
+    """Stands in for numpy in ``branchnet.tensor`` and logs (name, thread
+    name, ``out`` buffer given) of every call of the functions ``names``."""
+
+    def __init__(self, names):
+        self.names, self.calls = names, []
+
+    def __getattr__(self, name):
+        function = getattr(np, name)
+        if name not in self.names:
+            return function
+
+        def logged(*args, **kwargs):
+            self.calls.append((name, threading.current_thread().name, "out" in kwargs))
+            return function(*args, **kwargs)
+        return logged
+
+
+def _watch_tile_work(monkeypatch):
+    """(name, thread name, ``out`` given) of every later allocation, product
+    and elementwise op (``np.empty``, ``matmul``, ``add`` and ``maximum``)
+    in ``branchnet.tensor``."""
+    numpy_calls = _NumpyCalls({"empty", "matmul", "add", "maximum"})
+    monkeypatch.setattr(tensor, "np", numpy_calls)
+    return numpy_calls.calls
+
+
 def _tiled_conv_run_log(n):
     """What a spawned pool worker reports after a conv of ``n`` 32x32x16 images."""
     rng = np.random.default_rng(n)
@@ -334,16 +380,26 @@ class TestPooledConvTiles:
         weight = Tensor(rng.standard_normal(weight_shape).astype(dtype), requires_grad=True)
         grad = rng.standard_normal((n,) + _out_hw(hwc, weight_shape, stride, pad)
                                    + weight_shape[:1]).astype(dtype)
+        # an eval conv's folded batch norm bias, shortcut and relu
+        bias = Tensor(rng.standard_normal(weight_shape[:1]).astype(dtype))
+        shortcut = Tensor(rng.standard_normal(grad.shape).astype(dtype))
 
         def forward_and_grads():
             with Tape() as tape:
                 out = conv2d(x, weight, stride=stride, pad=pad)
             (node,) = tape.nodes
             dx, dw, _ = node.backward(grad)
-            return out.data, dx, dw
+            folded = conv2d(Tensor(x.data), Tensor(weight.data), bias, stride=stride, pad=pad,
+                            shortcut=shortcut, relu=True)
+            return out.data, dx, dw, folded.data
 
         calls = _watch_tiles(monkeypatch)
         pooled = forward_and_grads()
+        # the tiles' bias, shortcut and relu equal those ops on the whole output
+        whole = conv2d_one_gemm(x.data, weight.data, stride=stride, pad=pad)
+        whole += bias.data
+        whole += shortcut.data
+        assert pooled[3].tobytes() == np.maximum(whole, 0.0, out=whole).tobytes()
         assert {name.startswith("conv-tile") for name, _, _ in calls[:3]} == {True}
         monkeypatch.setattr(tensor, "_tile_pool", lambda: None)
         del calls[:]
@@ -366,6 +422,60 @@ class TestPooledConvTiles:
         assert {padded for _, _, padded in calls} == {True}
         assert tensor._blas_threads() == 1
         assert tensor.conv_tile_mode() == "2 threads"
+
+    def test_products_and_eval_epilogues_run_on_tile_threads(self, rng, tile_pool,
+                                                             monkeypatch):
+        caller = threading.current_thread().name
+        x = Tensor(rng.standard_normal((9, 32, 32, 16)), requires_grad=True)   # 3 tiles of 3
+        weight = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            out = conv2d(x, weight, pad=1)
+        (node,) = tape.nodes
+        grad = rng.standard_normal(out.shape)
+        calls = _watch_tile_work(monkeypatch)
+        node.backward(grad)
+        # per tile, on a tile thread: the GEMM of dx and the weight-gradient
+        # product, each into a buffer given; on the calling thread: every
+        # allocation (the output, and per tile its patches, padding and
+        # product) and the tile-order sum of the products into dw
+        assert sorted((name, out) for name, thread, out in calls
+                      if thread.startswith("conv-tile")) == [("matmul", True)] * 6
+        assert sorted((name, out) for name, thread, out in calls
+                      if thread == caller) == [("add", True)] * 3 + [("empty", False)] * 10
+
+        del calls[:]
+        bias = Tensor(rng.standard_normal(16))
+        shortcut = Tensor(rng.standard_normal(out.shape))
+        conv2d(Tensor(x.data), Tensor(weight.data), bias, pad=1, shortcut=shortcut, relu=True)
+        # per tile, on a tile thread: the GEMM, the bias and shortcut adds and
+        # relu, each in place; on the calling thread: the output and per tile
+        # its patches and padding
+        assert sorted((name, out) for name, thread, out in calls
+                      if thread.startswith("conv-tile")) == sorted(
+            [("matmul", True), ("add", True), ("add", True), ("maximum", True)] * 3)
+        assert [(name, out) for name, thread, out in calls
+                if thread == caller] == [("empty", False)] * 7
+
+    def test_shortcut_of_wrong_shape_raises_before_any_tile_is_submitted(self, rng, tile_pool,
+                                                                        monkeypatch):
+        calls = _watch_tiles(monkeypatch)
+        submitted = []
+        monkeypatch.setattr(tile_pool, "submit", lambda *args: submitted.append(args))
+        x = Tensor(rng.standard_normal((9, 32, 32, 16)))
+        weight = Tensor(rng.standard_normal((8, 16, 3, 3)))
+        for shape in ((8, 32, 32, 8), (9, 32, 32, 16), (9, 16, 16, 8), (9 * 32 * 32 * 8,)):
+            with pytest.raises(tensor.ShapeError, match="shortcut"):
+                conv2d(x, weight, pad=1, shortcut=Tensor(np.zeros(shape)), relu=True)
+        assert calls == [] and submitted == []
+
+    def test_taped_conv_refuses_shortcut_and_relu(self, rng):
+        # the tape would record the conv without them, so its gradients would be wrong
+        x = Tensor(rng.standard_normal((2, 8, 8, 4)), requires_grad=True)
+        weight = Tensor(rng.standard_normal((4, 4, 3, 3)), requires_grad=True)
+        for epilogue in ({"shortcut": x}, {"relu": True}):
+            with Tape() as tape, pytest.raises(ValueError, match="forward-only"):
+                conv2d(x, weight, pad=1, **epilogue)
+            assert len(tape) == 0
 
     def test_one_tile_runs_inline(self, rng, tile_pool, monkeypatch):
         calls = _watch_tiles(monkeypatch)
@@ -639,7 +749,7 @@ class TestMemoryBounds:
         (node,) = tape.nodes
         peak, (dx, dw, _) = _traced_peak(lambda: node.backward(grad))
         # the input gradient (8 MiB) and one patch tile of the padded output
-        # gradient, from which both gradients come; measured 16.9 MiB
+        # gradient, from which both gradients come; measured 15.6 MiB
         assert peak <= dx.nbytes + tensor._PATCH_TILE_BYTES + 2 * MiB
 
     def test_reverse_pass_peak_stays_near_memory_live_after_forward(self, rng):

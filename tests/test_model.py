@@ -152,9 +152,12 @@ class TestBuilder:
     def test_forward_within_rounding_of_chw_column_order(self, monkeypatch):
         got = list(seed0_mini_forward())
 
-        def conv_chw(x, weight, bias=None, stride=1, pad=0):   # bias: eval's folded BN
+        # bias: eval's folded BN; shortcut and relu: eval's residual add and relu
+        def conv_chw(x, weight, bias=None, stride=1, pad=0, shortcut=None, relu=False):
             out = conv2d_gemm_chw(x.data, weight.data, stride=stride, pad=pad)
-            return Tensor(out if bias is None else out + bias.data)
+            out = out if bias is None else out + bias.data
+            out = out if shortcut is None else out + shortcut.data
+            return Tensor(np.maximum(out, 0.0) if relu else out)
 
         monkeypatch.setattr(model, "conv2d", conv_chw)
         assert_within_rounding(got, list(seed0_mini_forward()))
