@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .fields import Checked, bounded, fits, mistyped, out_of_bounds
+from .fields import Checked, bounded, checked
 
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
@@ -48,20 +48,18 @@ _cos = np.frompyfunc(math.cos, 1, 1)
 
 def check_key(name: str, value, shape=()) -> np.ndarray:
     """``value`` as uint64 words of ``shape``, or ValueError naming ``name`` unless
-    each element is an integer in [0, 2**64), in the words of the config type and
-    range rules. Only an integer array is checked as an array: numpy reads the
-    list [1, 2**64 - 1] as float64, so the rest stays exact Python objects,
-    checked one by one."""
+    each element is an integer in [0, 2**64), by the config type and range rules
+    (``fields.checked``). Of an integer array only a negative element can be out
+    of range, so only the first is checked. numpy reads the list [1, 2**64 - 1]
+    as float64, so any other value stays exact Python objects, each checked."""
     if np.shape(value) != shape:
         raise ValueError(f"{name} must have shape {shape}, got {np.shape(value)}")
     if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
-        words, bad = value, value[value < 0].tolist()
+        words, suspects = value, value[value < 0][:1]
     else:
-        words = np.asarray(value, dtype=object)
-        bad = [v for v in words.flat if not (fits(v, int) and 0 <= v < KEY_LIMIT)]
-    if bad:
-        raise ValueError(out_of_bounds(name, bad[0], int, _KEY_BOUNDS) if fits(bad[0], int)
-                         else mistyped(name, bad[0], int))
+        words = suspects = np.asarray(value, dtype=object)
+    for v in suspects.flat:
+        checked(name, v, int, _KEY_BOUNDS)
     return words.astype(np.uint64)
 
 

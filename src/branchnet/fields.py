@@ -67,7 +67,7 @@ def out_of_bounds(name: str, value, want, bounds) -> typing.Optional[str]:
             f"{')' if hi_open else ']'}, got {value}")
 
 
-def _checked(name: str, value, want, bounds):
+def checked(name: str, value, want, bounds):
     """``value`` as a ``want`` field stores it, or ValueError naming ``name``."""
     if not fits(value, want):
         raise ValueError(mistyped(name, value, want))
@@ -104,12 +104,12 @@ def check_fields(config) -> None:
             if cells.ndim != len(shape) or cells.shape != tuple(   # an extent None: any but 0
                     n or max(m, 1) for n, m in zip(shape, cells.shape)):
                 raise ValueError(mistyped(f.name, value, item, shape))
-            items = [_checked(f.name + "".join(f"[{i}]" for i in index), cells[index], item,
+            items = [checked(f.name + "".join(f"[{i}]" for i in index), cells[index], item,
                               bounds) for index in np.ndindex(cells.shape)]
             value = tuple(items) if item is not float else \
                 np.array(items, dtype=np.float64).reshape(shape)
         elif want in TYPE_NAMES:
-            value = _checked(f.name, value, want, bounds)
+            value = checked(f.name, value, want, bounds)
         else:
             continue
         object.__setattr__(config, f.name, value)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import Checked, bounded
 from .tensor import (BN_EPSILON, Tensor, batch_norm2d, conv2d, global_avg_pool,
-                     linear, pool2d, relu, residual_add)
+                     linear, pool2d)
 
 BOTTLENECK_EXPANSION = 4
 
@@ -226,7 +226,8 @@ class BranchedNetwork:
     def _conv_bn(self, scope: str, conv: ConvSpec, x: Tensor, mode: str,
                  shortcut: Optional[Tensor] = None, act: bool = False) -> Tensor:
         """Conv then batch norm, then ``+ shortcut`` if given and relu if
-        ``act``. In eval mode the batch norm is a fixed per-channel affine map,
+        ``act``, in the last op's own output: ``batch_norm2d``'s in train
+        mode. In eval mode the batch norm is a fixed per-channel affine map,
         folded into the conv from the live tensors on every call: output
         channel o's weight is scaled by s[o] = gamma[o] / sqrt(var[o] + eps)
         and its bias is beta[o] - mean[o] * s[o]. Nothing is cached, so
@@ -241,10 +242,8 @@ class BranchedNetwork:
             return conv2d(x, Tensor(weight.data * s[:, None, None, None]),
                           Tensor(beta.data - mean.data * s), stride=conv.stride, pad=conv.pad,
                           shortcut=shortcut, relu=act)
-        out = batch_norm2d(conv2d(x, weight, stride=conv.stride, pad=conv.pad),
-                           gamma, beta, mean, var, mode=mode)
-        out = out if shortcut is None else residual_add(out, shortcut)
-        return relu(out) if act else out
+        return batch_norm2d(conv2d(x, weight, stride=conv.stride, pad=conv.pad),
+                            gamma, beta, mean, var, mode=mode, shortcut=shortcut, relu=act)
 
     def _run_unit(self, unit: Unit, x: Tensor, mode: str) -> Tensor:
         if unit.kind == "head":

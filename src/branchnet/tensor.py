@@ -3,7 +3,7 @@
 The operation set is exactly what the branched residual network needs:
 conv2d, batch_norm2d, relu, pool2d, global_avg_pool, linear, softmax,
 residual_add, plus a handful of scalarizing helpers (sum_all, weighted_sum,
-scale, softmax_cross_entropy) used by the loss and the gradient checker.
+softmax_cross_entropy) used by the loss and the gradient checker.
 
 Gradients are recorded on an explicit :class:`Tape`: ops executed inside a
 ``with Tape() as tape:`` block append nodes in execution order, which is a
@@ -18,17 +18,19 @@ time on two threads, each copying patches, running its GEMM and finishing
 its rows on one OpenBLAS thread (:func:`_conv_tiles`);
 ``OPENBLAS_NUM_THREADS=1`` keeps every tile on the calling thread. Max pool
 is a running maximum over its window taps. Nodes keep inputs, not what
-backward can rebuild (a conv's patch matrix, batch norm's normalized input,
-max pool's tap masks). A stride-1 conv takes its input gradient as a conv
-of the output gradient, and its weight gradient from the same patch tiles,
-each tile's product on the thread that copied them; a strided conv and
-pool2d fold their input gradients per window tap (:func:`_fold_taps`).
+backward can rebuild (a conv's patch matrix, batch norm's normalized input
+and relu mask, max pool's tap masks). A stride-1 conv takes its input
+gradient as a conv of the output gradient, and its weight gradient from the
+same patch tiles, each tile's product on the thread that copied them; a
+strided conv and pool2d fold their input gradients per window tap
+(:func:`_fold_taps`).
 
-Evaluation does not run batch_norm2d, relu or residual_add: the network
-folds each eval-mode batch norm into the conv before it, and that conv
-adds the residual shortcut and applies relu to each tile's rows
-(conv2d's ``shortcut`` and ``relu``, ``branchnet.model``). Eval-mode
-batch_norm2d stays the differentiable reference it is checked against.
+Neither mode runs relu or residual_add on the network: each layer's last
+op adds the residual shortcut and applies relu in its own output
+(``shortcut`` and ``relu``, ``branchnet.model``), batch_norm2d in training
+and, in evaluation, the conv that each batch norm is folded into.
+Eval-mode batch_norm2d, relu and residual_add stay as the differentiable
+references they are checked against; residual_add also sums the losses.
 
 Activations and their gradients are NHWC ([N, H, W, C]) throughout, so no op
 converts layouts; conv weights are OIHW ([Cout, Cin, kh, kw]).
@@ -294,7 +296,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                          f"got {shortcut.shape}")
     inputs = (x, weight) if bias is None else (x, weight, bias)
     if (shortcut is not None or relu) and _TAPE_STACK and any(t.requires_grad for t in inputs):
-        raise ValueError("conv2d's shortcut and relu are forward-only; tape residual_add and relu")
+        raise ValueError("conv2d's shortcut and relu are forward-only; batch_norm2d tapes them")
 
     w2 = weight.data.transpose(0, 2, 3, 1).reshape(cout, -1)
     out = Tensor(_conv_tiles(x.data, w2, kh, kw, stride, pad, (n, oh, ow, cout),
@@ -475,8 +477,8 @@ def conv_tile_mode() -> str:
 # batch normalization
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
-                 running_mean: Tensor, running_var: Tensor,
-                 mode: str = "train") -> Tensor:
+                 running_mean: Tensor, running_var: Tensor, mode: str = "train",
+                 shortcut: Optional[Tensor] = None, relu: bool = False) -> Tensor:
     """Per-channel normalization of [N,H,W,C] over (N,H,W); population variance,
     floored by ``BN_EPSILON``.
 
@@ -487,10 +489,13 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     before it. Eval mode is the taped, gradient-checked reference that
     folding is bounded against.
 
-    The output is ``((x - mean) * inv_std) * gamma + beta``, computed in
-    place in one fresh buffer. The backward rebuilds the normalized input,
-    bit for bit, by the forward's two elementwise ops on ``x`` with this
-    call's ``mean`` (in eval mode a copy of the running mean) and ``inv_std``.
+    The output is ``((x - mean) * inv_std) * gamma + beta``, then
+    ``+ shortcut`` and relu in :func:`_conv_tiles`' order, all in place in
+    one fresh buffer. The backward takes relu's mask from that output
+    (``out > 0``), passes the masked gradient to the shortcut, and rebuilds
+    the normalized input, bit for bit, by the forward's two elementwise ops
+    on ``x`` with this call's ``mean`` (in eval mode a copy of the running
+    mean) and ``inv_std``.
 
     Every per-channel sum over (N, H, W), the batch statistics and the
     backward's four sums, is one BLAS product (:func:`_channel_sums`). The
@@ -506,6 +511,8 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                     ("running_mean", running_mean), ("running_var", running_var)):
         if t.shape != (c,):
             raise ShapeError(f"batch_norm2d {name} must have shape ({c},), got {t.shape}")
+    if shortcut is not None and shortcut.shape != x.shape:
+        raise ShapeError(f"batch_norm2d shortcut must have shape {x.shape}, got {shortcut.shape}")
 
     m = n * h * w
     if mode == "train":
@@ -525,15 +532,21 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     out_data *= inv_std
     out_data *= gamma.data
     out_data += beta.data
+    if shortcut is not None:
+        out_data += shortcut.data
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
     out = Tensor(out_data)
 
     def backward(grad: np.ndarray):
+        if relu:
+            grad = (out_data > 0) * grad
         xhat = x.data - mean
         xhat *= inv_std
         dbeta = _channel_sums(grad)
         dgamma = _channel_sums(grad * xhat)
         if mode == "eval":
-            return grad * (gamma.data * inv_std), dgamma, dbeta
+            return grad * (gamma.data * inv_std), dgamma, dbeta, grad
         dxhat = grad * gamma.data
         mean_dxhat = _channel_sums(dxhat) / m
         mean_dxhat_xhat = _channel_sums(dxhat * xhat) / m
@@ -541,9 +554,10 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         dxhat -= mean_dxhat
         dxhat -= xhat * mean_dxhat_xhat
         dxhat *= inv_std
-        return dxhat, dgamma, dbeta
+        return dxhat, dgamma, dbeta, grad   # grad: the shortcut's, if there is one
 
-    _record("batch_norm2d", (x, gamma, beta), out, backward)
+    inputs = (x, gamma, beta) if shortcut is None else (x, gamma, beta, shortcut)
+    _record("batch_norm2d", inputs, out, backward)
     return out
 
 
@@ -708,17 +722,6 @@ def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
         return (w * float(grad.reshape(())),)
 
     _record("weighted_sum", (x,), out, backward)
-    return out
-
-
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a python constant."""
-    out = Tensor(x.data * factor)
-
-    def backward(grad: np.ndarray):
-        return (grad * factor,)
-
-    _record("scale", (x,), out, backward)
     return out
 
 

@@ -20,8 +20,8 @@ import numpy as np
 from .augment import KEY_LIMIT, AugmentConfig, augment_batch, epoch_shuffle
 from .fields import Checked, bounded
 from .model import BranchedNetConfig, BranchedNetwork, build_branched_net
-from .tensor import (NonFiniteError, Tape, Tensor, residual_add, reverse_pass, scale,
-                     softmax_cross_entropy)
+from .tensor import (NonFiniteError, Tape, Tensor, residual_add, reverse_pass,
+                     softmax_cross_entropy, weighted_sum)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -145,7 +145,7 @@ def combined_branch_loss(branch_logits: Sequence[Tensor],
     total = losses[0]
     for loss in losses[1:]:
         total = residual_add(total, loss)
-    return scale(total, 1.0 / len(losses)), losses
+    return weighted_sum(total, 1.0 / len(losses)), losses
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ and the rounding bound a result must meet against them.
 
 Everything here is deliberately written the slow, obvious way (explicit
 loop nests, two-pass statistics, cyclic Jacobi rotations) and shares no
-code with the implementations under test, except the network's eval
-forwards, which run the gradient-checked Tensor ops (the unfolded one) or
-a bias-free conv2d (the folded one).
+code with the implementations under test, except the network's forwards,
+which run the gradient-checked Tensor ops (the unfolded eval forward and
+the unfused train forward) or a bias-free conv2d (the folded one).
 """
 
 import numpy as np
@@ -25,8 +25,8 @@ def assert_within_rounding(got, want):
 
 
 def _layer_table_forward(net, batch, conv_bn, relu_, add):
-    """Per-branch logits of a ``BranchedNetwork``'s layer table, run with the
-    given ``conv_bn(scope, conv, x)``, ``relu_(x)`` and ``add(out, shortcut)``."""
+    """Per-branch logit tensors of a ``BranchedNetwork``'s layer table, run with
+    the given ``conv_bn(scope, conv, x)``, ``relu_(x)`` and ``add(out, shortcut)``."""
     def unit_forward(unit, x):
         if unit.kind == "head":
             return linear(global_avg_pool(x), net.params[f"{unit.scope}.head.weight"],
@@ -48,23 +48,37 @@ def _layer_table_forward(net, batch, conv_bn, relu_, add):
         return x
 
     trunk = path(None, Tensor(batch))
-    return [path(br, trunk).data for br in range(net.config.num_branches)]
+    return [path(br, trunk) for br in range(net.config.num_branches)]
 
 
-def unfused_eval_forward(net, batch):
-    """Per-branch eval logits of a ``BranchedNetwork`` as its forward ran
-    before batch norm was folded into the convs: every unit of the layer
-    table through the Tensor ops, conv2d -> eval-mode batch_norm2d -> relu,
-    and residual_add before a block's last relu, each into a fresh buffer."""
+def _separate_ops_forward(net, batch, mode):
+    """Per-branch logit tensors through the Tensor ops, one op per step:
+    conv2d -> batch_norm2d -> relu, and residual_add before a block's last
+    relu, each into a fresh buffer."""
     def conv_bn(scope, conv, x):
         bn = f"{scope}.{conv.bn}"
         out = conv2d(x, net.params[f"{scope}.{conv.tag}.weight"],
                      stride=conv.stride, pad=conv.pad)
         return batch_norm2d(out, net.params[f"{bn}.gamma"], net.params[f"{bn}.beta"],
                             net.buffers[f"{bn}.running_mean"],
-                            net.buffers[f"{bn}.running_var"], mode="eval")
+                            net.buffers[f"{bn}.running_var"], mode=mode)
 
     return _layer_table_forward(net, batch, conv_bn, relu, residual_add)
+
+
+def unfused_eval_forward(net, batch):
+    """Per-branch eval logits of a ``BranchedNetwork`` as its forward ran
+    before batch norm was folded into the convs: every unit of the layer
+    table through the separate Tensor ops, with eval-mode batch norm."""
+    return [logits.data for logits in _separate_ops_forward(net, batch, "eval")]
+
+
+def unfused_train_forward(net, batch):
+    """Per-branch train logit tensors of a ``BranchedNetwork`` as its taped
+    forward ran before batch norm took the residual add and relu: every unit
+    of the layer table through the separate Tensor ops, with train-mode batch
+    norm, so each op is a tape node of its own. Updates the running buffers."""
+    return _separate_ops_forward(net, batch, "train")
 
 
 def whole_array_eval_forward(net, batch):
@@ -93,7 +107,8 @@ def whole_array_eval_forward(net, batch):
         out.data += shortcut.data
         return out
 
-    return _layer_table_forward(net, batch, conv_bn, relu_in_place, add_in_place)
+    return [logits.data for logits in
+            _layer_table_forward(net, batch, conv_bn, relu_in_place, add_in_place)]
 
 
 def conv2d_loops(x, w, b=None, stride=1, pad=0):

@@ -96,6 +96,18 @@ class TestCriterion1GradientCorrectness:
                 lambda: weighted_sum(batch_norm2d(xb, g, bt, rm, rv, mode=mode), pb),
                 [xb, g, bt]))
 
+            # batch norm taking a block's shortcut and relu, probed away from relu's
+            # kink: the shortcut puts every sum relu sees at least 1e-2 from it
+            normalized = batch_norm2d(xb, g, bt, Tensor(rm.data.copy()),
+                                      Tensor(rv.data.copy()), mode=mode).data
+            total = rng.standard_normal(xb.shape)
+            total = np.where(np.abs(total) < 1e-2, np.where(total >= 0, 0.5, -0.5), total)
+            sc = Tensor(total - normalized, requires_grad=True)
+            worst = max(worst, self._check(
+                lambda: weighted_sum(batch_norm2d(xb, g, bt, rm, rv, mode=mode, shortcut=sc,
+                                                  relu=True), pb),
+                [xb, g, bt, sc]))
+
             # pools (max probed away from ties via a permutation input)
             hp = int(rng.integers(4, 7))
             win = int(rng.integers(2, 4))

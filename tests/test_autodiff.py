@@ -288,6 +288,29 @@ class TestFiniteDiffPerOp:
                 [x, gamma, beta], tolerance=1e-6)
             assert report.passed, report.summary()
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_batch_norm_with_shortcut_and_relu_away_from_kinks(self, rng, mode):
+        for _ in range(self.N_SHAPES):
+            n = int(rng.integers(2, 4))
+            c = int(rng.integers(1, 4))
+            h, w = (int(v) for v in rng.integers(2, 4, size=2))
+            x = Tensor(nhwc(rng.standard_normal((n, c, h, w))), requires_grad=True)
+            gamma = Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True)
+            beta = Tensor(rng.standard_normal(c), requires_grad=True)
+            rm, rv = Tensor(rng.standard_normal(c)), Tensor(rng.uniform(0.5, 2.0, c))
+            # a shortcut that puts every sum relu sees at least 1e-2 from its kink
+            normalized = batch_norm2d(x, gamma, beta, Tensor(rm.data.copy()),
+                                      Tensor(rv.data.copy()), mode=mode).data
+            total = rng.standard_normal(x.shape)
+            total = np.where(np.abs(total) < 1e-2, np.where(total >= 0, 0.5, -0.5), total)
+            shortcut = Tensor(total - normalized, requires_grad=True)
+            probe = rng.standard_normal(x.shape)
+            report = finite_diff_check(
+                _probe_loss(lambda: batch_norm2d(x, gamma, beta, rm, rv, mode=mode,
+                                                 shortcut=shortcut, relu=True), probe),
+                [x, gamma, beta, shortcut], tolerance=1e-4 if mode == "train" else 1e-6)
+            assert report.passed, report.summary()
+
     def test_max_pool_away_from_ties(self, rng):
         for _ in range(self.N_SHAPES):
             h = int(rng.integers(4, 7))

@@ -1,7 +1,7 @@
 """The package imports only numpy, the standard library and itself, all at
-module level and without a cycle between its modules, exports only names
-it defines, and its docstrings name only functions and classes that
-exist."""
+module level and without a cycle between its modules, uses every name it
+imports outside ``__init__``, exports only names it defines, and its
+docstrings name only functions and classes that exist."""
 
 import ast
 import functools
@@ -58,6 +58,36 @@ def test_no_import_inside_a_function():
     found = [f"{path.name}:{line}: {source}"
              for path in SOURCES for line, source in function_level_imports(path)]
     assert not found, found
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Every name that ``path`` imports and no expression of it reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} imports {name}" for name, line in imported.items()
+            if name not in read]
+
+
+def test_unused_import_check_is_not_vacuous(tmp_path):
+    module = tmp_path / "stale.py"
+    module.write_text("import os\nfrom .tensor import relu, conv2d\n\nconv2d(os.sep)\n")
+    assert unused_imports(module) == ["stale.py:2 imports relu"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # a name kept only so that something outside the module finds it there
+    # hides a dependency; __init__ imports to re-export
+    unused = unused_imports(path)
+    assert not unused, unused
 
 
 def package_imports(path: Path) -> set[str]:

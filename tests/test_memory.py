@@ -10,9 +10,11 @@ takes its input gradient as a conv of the output gradient and its weight
 gradient from the same patch tiles, each within rounding of the whole-batch
 product; max pool allocates little beside its output, keeps no index
 for backward and equals the one-hot reference byte for byte; a taped
-batch norm keeps only its output and
-rebuilds the normalized input in backward; and the reverse pass consumes
-its tape, so nothing but leaf gradients outlives it."""
+batch norm keeps only its output, into which it adds a block's shortcut
+and applies relu, and rebuilds the normalized input in backward, so a
+training step equals the separate ops byte for byte with fewer nodes; and
+the reverse pass consumes its tape, so nothing but leaf gradients outlives
+it."""
 
 import multiprocessing
 import os
@@ -20,6 +22,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +43,7 @@ from branchnet.training import combined_branch_loss, smooth_label_matrix
 from pool import run_pooled
 from oracles import (assert_within_rounding, conv2d_dw_one_gemm, conv2d_dx_col2im,
                      conv2d_one_gemm, pool2d_dx_onehot, pool2d_max_first,
-                     unfused_eval_forward, whole_array_eval_forward)
+                     unfused_eval_forward, unfused_train_forward, whole_array_eval_forward)
 
 MiB = 2**20
 
@@ -194,6 +197,59 @@ class TestFoldedEval:
         batch = augment_batch(data.images, center)
         reference = [softmax(Tensor(z)).data for z in unfused_eval_forward(net, batch)]
         assert_within_rounding(list(enumerate(probs)), list(enumerate(reference)))
+
+
+class TestFusedTrainEpilogue:
+    """Train mode ends each conv layer in one batch_norm2d node, which adds the
+    block's shortcut and applies relu in its own output; a step gives the
+    bytes of the separate ops (conv2d -> batch_norm2d -> residual_add -> relu)."""
+
+    # batch sizes of TestMemoryBounds.STEP_PEAKS, and tape nodes per step
+    BATCHES = (32, 64, 10)
+    NODES = (48, 37, 106)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("index", range(len(WORKLOAD_NETS)))
+    def test_step_byte_equal_to_separate_ops(self, index, dtype):
+        config = WORKLOAD_NETS[index]
+        rng = np.random.default_rng(index)
+        shape = (self.BATCHES[index], config.input_height, config.input_width,
+                 config.input_channels)
+        batch = rng.standard_normal(shape).astype(dtype)
+        targets = smooth_label_matrix(rng.integers(0, config.num_classes, size=shape[0]),
+                                      config.num_classes, 0.1)
+
+        def step(forward):
+            net = build_branched_net(config, seed=index, dtype=dtype)
+            _randomize_batch_norms(net, np.random.default_rng(index))
+            with Tape() as tape:
+                loss, _ = combined_branch_loss(forward(net, batch), targets)
+            reverse_pass(tape, loss)
+            return ([("loss", loss.data)] + [(name, t.grad) for name, t in net.params.items()]
+                    + [(name, t.data) for name, t in net.buffers.items()])
+
+        got = step(lambda net, b: net.forward_all_branches(Tensor(b), mode="train"))
+        want = step(unfused_train_forward)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (label, a), (_, ref) in zip(got, want):
+            assert a.dtype == ref.dtype == dtype, label
+            assert a.tobytes() == ref.tobytes(), label
+
+    @pytest.mark.parametrize("index", range(len(WORKLOAD_NETS)))
+    def test_one_batch_norm_node_per_conv_and_no_relu_node(self, index):
+        config = WORKLOAD_NETS[index]
+        net = build_branched_net(config, seed=index)
+        shape = (2, config.input_height, config.input_width, config.input_channels)
+        batch = Tensor(np.random.default_rng(index).standard_normal(shape))
+        with Tape() as tape:
+            combined_branch_loss(net.forward_all_branches(batch, mode="train"),
+                                 smooth_label_matrix([0, 1], config.num_classes, 0.1))
+        ops = Counter(node.op for node in tape.nodes)
+        assert ops["batch_norm2d"] == ops["conv2d"]
+        assert ops["relu"] == 0
+        # residual_add sums the branch losses only
+        assert ops["residual_add"] == config.num_branches - 1
+        assert len(tape) == self.NODES[index]
 
 
 class TestConvInputGradBitIdentity:
@@ -614,21 +670,26 @@ class TestBatchNormRebuildsNormalizedInput:
                    Tensor(rng.random(c).astype(dtype) + 0.5))
         return gamma, beta, running
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_taped_forward_keeps_one_output_sized_buffer(self, rng, mode):
+    @pytest.mark.parametrize("mode, epilogue", [("train", False), ("eval", False),
+                                                ("train", True), ("eval", True)],
+                             ids=["train", "eval", "train-shortcut-relu", "eval-shortcut-relu"])
+    def test_taped_forward_keeps_one_output_sized_buffer(self, rng, mode, epilogue):
         x = Tensor(rng.standard_normal((16, 32, 32, 16)), requires_grad=True)
         gamma, beta, running = self._bn_args(rng, 16)
+        kwargs = ({"shortcut": Tensor(rng.standard_normal(x.shape), requires_grad=True),
+                   "relu": True} if epilogue else {})
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             with Tape() as tape:
-                out = batch_norm2d(x, gamma, beta, *running, mode=mode)
+                out = batch_norm2d(x, gamma, beta, *running, mode=mode, **kwargs)
             live = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
         assert len(tape) == 1
         # the output (2 MiB) plus per-channel arrays and the node; keeping the
-        # normalized input for backward as well would double it
+        # normalized input or the sum before relu for backward as well would
+        # double it
         assert live < 1.25 * out.data.nbytes
 
     def test_eval_gradients_are_those_of_its_own_forward(self, rng):
@@ -776,11 +837,13 @@ class TestMemoryBounds:
 
 
     # (workload net, dtype, batch, bound): a step holds every conv's input but
-    # only one conv's patch matrix at a time, the one its backward rebuilds;
-    # measured peaks 28.95, 9.95 and 89.5 MiB, against 82.1, 22.4 and 254.6
-    # MiB when every taped conv kept its patch matrix to its backward
-    STEP_PEAKS = [(0, np.float32, 32, 35 * MiB), (1, np.float64, 64, 12 * MiB),
-                  (2, np.float64, 10, 100 * MiB)]
+    # only one conv's patch matrix at a time, the one its backward rebuilds,
+    # and one buffer per batch norm, which takes the add and relu; measured
+    # peaks 19.79, 7.24 and 59.92 MiB, against 29.56, 9.87 and 90.57 MiB with
+    # separate residual_add and relu nodes and 82.1, 22.4 and 254.6 MiB when
+    # every taped conv kept its patch matrix to its backward
+    STEP_PEAKS = [(0, np.float32, 32, 23 * MiB), (1, np.float64, 64, 8.5 * MiB),
+                  (2, np.float64, 10, 69 * MiB)]
 
     @pytest.mark.parametrize("index, dtype, batch_size, bound", STEP_PEAKS,
                              ids=["train_mini_f32", "train_ref_fullaug_f64", "eval_wide_f64"])

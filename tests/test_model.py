@@ -165,10 +165,13 @@ class TestBuilder:
     def test_forward_within_rounding_of_sequential_batch_norm_sums(self, monkeypatch):
         got = list(seed0_mini_forward())
 
-        def bn_sequential(x, gamma, beta, running_mean, running_var, mode):
-            return Tensor(batch_norm_sequential(x.data, gamma.data, beta.data,
-                                                running_mean.data, running_var.data,
-                                                mode, epsilon=1e-5, momentum=0.9))
+        # shortcut and relu: train mode's residual add and relu
+        def bn_sequential(x, gamma, beta, running_mean, running_var, mode,
+                          shortcut=None, relu=False):
+            out = batch_norm_sequential(x.data, gamma.data, beta.data, running_mean.data,
+                                        running_var.data, mode, epsilon=1e-5, momentum=0.9)
+            out = out if shortcut is None else out + shortcut.data
+            return Tensor(np.maximum(out, 0.0) if relu else out)
 
         monkeypatch.setattr(model, "batch_norm2d", bn_sequential)
         assert_within_rounding(got, list(seed0_mini_forward()))

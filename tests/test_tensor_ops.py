@@ -176,6 +176,31 @@ class TestBatchNorm:
             assert a.dtype == ref.dtype == dtype, name
             assert np.max(np.abs(a - ref)) <= bound * np.max(np.abs(ref)), name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_shortcut_and_relu_equal_residual_add_then_relu(self, rng, mode, dtype):
+        x, shortcut = (rng.standard_normal((4, 5, 5, 3)).astype(dtype) for _ in range(2))
+        gamma, beta = (rng.standard_normal(3).astype(dtype) for _ in range(2))
+        outs = []
+        for fused in (False, True):
+            rm, rv = Tensor(np.zeros(3, dtype)), Tensor(np.ones(3, dtype))
+            if fused:
+                out = batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, mode=mode,
+                                   shortcut=Tensor(shortcut), relu=True)
+            else:
+                out = relu(residual_add(batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta),
+                                                     rm, rv, mode=mode), Tensor(shortcut)))
+            outs.append(out.data)
+        assert outs[0].dtype == outs[1].dtype == dtype
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+    def test_shortcut_of_another_shape_rejected(self):
+        rm, rv = self._stats(3)
+        for shape in ((2, 2, 2, 4), (2, 2, 3, 3), (24,)):
+            with pytest.raises(ShapeError, match="shortcut"):
+                batch_norm2d(Tensor(np.ones((2, 2, 2, 3))), Tensor(np.ones(3)),
+                             Tensor(np.zeros(3)), rm, rv, shortcut=Tensor(np.ones(shape)))
+
     def test_single_element_train_mode_rejected(self):
         x = Tensor(np.ones((1, 1, 1, 3)))
         rm, rv = self._stats(3)
