@@ -17,8 +17,8 @@ from .gradcheck import FiniteDiffReport, finite_diff_check
 from .model import (BranchedNetConfig, BranchedNetwork, NetworkReport,
                     build_branched_net, mini_config, network_report,
                     paper_scale_config)
-from .tensor import (NonFiniteError, ShapeError, Tape, Tensor, batch_norm2d,
-                     conv2d, global_avg_pool, linear, pool2d, relu,
+from .tensor import (NonFiniteError, ShapeError, Tape, TapeError, Tensor,
+                     batch_norm2d, conv2d, global_avg_pool, linear, pool2d, relu,
                      residual_add, reverse_pass, softmax, sum_all, weighted_sum)
 from .training import (Checkpoint, OptimizerState, TrainConfig, TrainHistory,
                        TrainingDivergedError, combined_branch_loss,
@@ -38,8 +38,8 @@ __all__ = [
     "FiniteDiffReport", "finite_diff_check",
     "BranchedNetConfig", "BranchedNetwork", "NetworkReport",
     "build_branched_net", "mini_config", "network_report", "paper_scale_config",
-    "NonFiniteError", "ShapeError", "Tape", "Tensor", "batch_norm2d", "conv2d",
-    "global_avg_pool", "linear", "pool2d", "relu", "residual_add",
+    "NonFiniteError", "ShapeError", "Tape", "TapeError", "Tensor", "batch_norm2d",
+    "conv2d", "global_avg_pool", "linear", "pool2d", "relu", "residual_add",
     "reverse_pass", "softmax", "sum_all", "weighted_sum",
     "Checkpoint", "OptimizerState", "TrainConfig", "TrainHistory",
     "TrainingDivergedError", "combined_branch_loss", "history_csv",

@@ -148,20 +148,13 @@ def _validate_shapes(cfg: ExperimentConfig, train_set: data_io.Dataset) -> None:
 
 
 def make_run_dir(root, fingerprint: str) -> Path:
-    root = Path(root)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    base = root / f"{fingerprint}-{stamp}"
-    candidate = base
-    counter = 2
+    base = Path(root) / f"{fingerprint}-{time.strftime('%Y%m%d-%H%M%S')}"
+    candidate, counter = base, 2
     while candidate.exists():
         candidate = base.with_name(f"{base.name}-{counter}")
         counter += 1
     candidate.mkdir(parents=True)
     return candidate
-
-
-def _dtype_for(precision: str):
-    return np.float64 if precision == "ref" else np.float32
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +166,7 @@ def cmd_train(args) -> int:
     _validate_shapes(cfg, train_set)
     augment = fit_augment_statistics(cfg.augment, train_set.images)
     net = build_branched_net(cfg.model, seed=cfg.train.seed,
-                             dtype=_dtype_for(args.precision))
+                             dtype=np.float64 if args.precision == "ref" else np.float32)
 
     run_dir = make_run_dir(args.out or cfg.output.dir, cfg.fingerprint())
     print(f"run directory: {run_dir}")

@@ -31,9 +31,8 @@ class EvalReport:
     config_fingerprint: str
 
     def render_text(self) -> str:
-        rows = []
-        for i, (t1, t5) in enumerate(zip(self.branch_top1, self.branch_top5)):
-            rows.append((f"branch {i + 1}", t1, t5))
+        rows = [(f"branch {i + 1}", t1, t5)
+                for i, (t1, t5) in enumerate(zip(self.branch_top1, self.branch_top5))]
         rows.append(("ensemble", self.ensemble_top1, self.ensemble_top5))
         lines = [f"{'predictor':<12} {'top-1 err %':>12} {'top-5 err %':>12}"]
         for name, t1, t5 in rows:
@@ -160,6 +159,4 @@ def evaluate(net: BranchedNetwork, dataset, batch_size: int = 256, *,
         ensemble_top1=ensemble_top1, ensemble_top5=ensemble_top5,
         relative_improvement=improvement, sample_count=n,
         config_fingerprint=_config_fingerprint(net))
-    if dump_probs:
-        return report, branch_probs
-    return report
+    return (report, branch_probs) if dump_probs else report

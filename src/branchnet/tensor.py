@@ -18,7 +18,7 @@ time on two threads, each copying patches, running its GEMM and finishing
 its rows on one OpenBLAS thread (:func:`_conv_tiles`);
 ``OPENBLAS_NUM_THREADS=1`` keeps every tile on the calling thread. Max pool
 is a running maximum over its window taps. Nodes keep inputs, not what
-backward can rebuild (a conv's patch matrix, batch norm's normalized input
+backward can rebuild (a conv's patch matrix, batch norm's centred input
 and relu mask, max pool's tap masks). A stride-1 conv takes its input
 gradient as a conv of the output gradient, and its weight gradient from the
 same patch tiles, each tile's product on the thread that copied them; a
@@ -112,6 +112,7 @@ class Tensor:
 
 
 class TapeNode:
+    """One recorded op; ``backward`` may overwrite the gradient it is given."""
     __slots__ = ("op", "inputs", "output", "backward")
 
     def __init__(self, op: str, inputs: tuple[Tensor, ...], output: Tensor,
@@ -122,37 +123,51 @@ class TapeNode:
         self.backward = backward
 
 
+class TapeError(RuntimeError):
+    """Raised when a tape closes before a tape opened after it on its thread."""
+
+
 class Tape:
     """Ordered record of differentiable ops, appended in execution order.
 
     Execution order is a topological order of the (acyclic) graph, so the
-    reverse pass visits each node exactly once, last-created first.
+    reverse pass visits each node exactly once, last-created first. Ops
+    record on their own thread's innermost open tape.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
-        assert popped is self
+        if _TAPE_STACK.tapes[-1:] != [self]:
+            raise TapeError("tapes must close innermost first, on the thread that opened them")
+        _TAPE_STACK.tapes.pop()
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-_TAPE_STACK: list[Tape] = []
+class _ThreadTapes(threading.local):
+    def __init__(self):
+        self.tapes: list[Tape] = []   # this thread's open tapes, innermost last
+
+
+_TAPE_STACK = _ThreadTapes()
+
+
+def _recording(inputs: tuple[Tensor, ...]) -> bool:
+    return bool(_TAPE_STACK.tapes) and any(t.requires_grad for t in inputs)
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], output: Tensor,
             backward: Callable[[np.ndarray], tuple]) -> None:
-    if not (_TAPE_STACK and any(t.requires_grad for t in inputs)):
-        return
-    output.requires_grad = True
-    _TAPE_STACK[-1].nodes.append(TapeNode(op, inputs, output, backward))
+    if _recording(inputs):
+        output.requires_grad = True
+        _TAPE_STACK.tapes[-1].nodes.append(TapeNode(op, inputs, output, backward))
 
 
 def reverse_pass(tape: Tape, loss: Tensor) -> None:
@@ -163,8 +178,9 @@ def reverse_pass(tape: Tape, loss: Tensor) -> None:
     has run, and it drops each op output's ``grad`` once that node has used
     it. Afterwards ``len(tape) == 0`` and only leaves hold a gradient.
     Gradients accumulate (sum) across fan-out, in place into the first
-    contribution (:func:`_accumulate`). The walk order is fixed (reverse
-    execution order), so reference-mode results are bit-reproducible.
+    contribution (:func:`_accumulate`), so the one node that pops a gradient
+    owns it and its backward may overwrite it. The walk order is fixed
+    (reverse execution order), so reference-mode results are bit-reproducible.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -295,7 +311,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ShapeError(f"conv2d shortcut must have the output's shape {(n, oh, ow, cout)}, "
                          f"got {shortcut.shape}")
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    if (shortcut is not None or relu) and _TAPE_STACK and any(t.requires_grad for t in inputs):
+    if (shortcut is not None or relu) and _recording(inputs):
         raise ValueError("conv2d's shortcut and relu are forward-only; batch_norm2d tapes them")
 
     w2 = weight.data.transpose(0, 2, 3, 1).reshape(cout, -1)
@@ -489,16 +505,16 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     before it. Eval mode is the taped, gradient-checked reference that
     folding is bounded against.
 
-    The output is ``((x - mean) * inv_std) * gamma + beta``, then
-    ``+ shortcut`` and relu in :func:`_conv_tiles`' order, all in place in
-    one fresh buffer. The backward takes relu's mask from that output
-    (``out > 0``), passes the masked gradient to the shortcut, and rebuilds
-    the normalized input, bit for bit, by the forward's two elementwise ops
-    on ``x`` with this call's ``mean`` (in eval mode a copy of the running
-    mean) and ``inv_std``.
+    The output is ``(x - mean) * s + beta`` with ``s = gamma * inv_std``, then
+    ``+ shortcut`` and relu in :func:`_conv_tiles`' order, all in one fresh
+    buffer. The backward masks the gradient it owns in place by ``out > 0``
+    (also the shortcut's), rebuilds ``xc = x - mean`` (in eval mode with a
+    copy of the running mean) and takes two sums, Σg = dbeta and Σg·xc =
+    dgamma / inv_std over m = N*H*W rows (Ioffe & Szegedy 2015, arXiv:1502.03167):
+    ``dx = s·g + b·xc + c``, ``b = -s·inv_std²·Σg·xc/m``, ``c = -s·Σg/m`` (eval: ``s·g``).
 
     Every per-channel sum over (N, H, W), the batch statistics and the
-    backward's four sums, is one BLAS product (:func:`_channel_sums`). The
+    backward's two sums, is one BLAS product (:func:`_channel_sums`). The
     batch variance is the mean square of the centred ``x - mean`` buffer
     that the output is computed in.
     """
@@ -529,8 +545,8 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         out_data = x.data - mean
 
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    out_data *= inv_std
-    out_data *= gamma.data
+    s = gamma.data * inv_std
+    out_data *= s
     out_data += beta.data
     if shortcut is not None:
         out_data += shortcut.data
@@ -539,22 +555,18 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     out = Tensor(out_data)
 
     def backward(grad: np.ndarray):
-        if relu:
-            grad = (out_data > 0) * grad
-        xhat = x.data - mean
-        xhat *= inv_std
-        dbeta = _channel_sums(grad)
-        dgamma = _channel_sums(grad * xhat)
+        if relu:   # reverse_pass hands this node a gradient it alone holds
+            np.multiply(grad, out_data > 0, out=grad)
+        xc = x.data - mean
+        sum_g = _channel_sums(grad)
+        gxc = grad * xc
+        sum_gxc = _channel_sums(gxc)
         if mode == "eval":
-            return grad * (gamma.data * inv_std), dgamma, dbeta, grad
-        dxhat = grad * gamma.data
-        mean_dxhat = _channel_sums(dxhat) / m
-        mean_dxhat_xhat = _channel_sums(dxhat * xhat) / m
-        # inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat), in dxhat's buffer
-        dxhat -= mean_dxhat
-        dxhat -= xhat * mean_dxhat_xhat
-        dxhat *= inv_std
-        return dxhat, dgamma, dbeta, grad   # grad: the shortcut's, if there is one
+            return grad * s, sum_gxc * inv_std, sum_g, grad
+        np.multiply(xc, -s * inv_std * inv_std * sum_gxc / m, out=gxc)   # b * xc
+        gxc -= s * sum_g / m   # + c
+        gxc += np.multiply(grad, s, out=xc)   # + s * g
+        return gxc, sum_gxc * inv_std, sum_g, grad   # grad: the shortcut's, if there is one
 
     inputs = (x, gamma, beta) if shortcut is None else (x, gamma, beta, shortcut)
     _record("batch_norm2d", inputs, out, backward)

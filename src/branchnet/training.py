@@ -257,10 +257,8 @@ def train(net: BranchedNetwork, dataset, train_config: TrainConfig,
                               train_config.weight_decay)
             loss_sums += [bl.item() for bl in branch_losses]
             batches += 1
-        record = EpochRecord(epoch=epoch, lr=lr,
-                             branch_losses=tuple(float(v) for v in
-                                                 loss_sums / max(batches, 1)),
-                             wall_seconds=time.perf_counter() - t0)
+        record = EpochRecord(epoch=epoch, lr=lr, branch_losses=tuple(
+            (loss_sums / max(batches, 1)).tolist()), wall_seconds=time.perf_counter() - t0)
         history.epochs.append(record)
         if log is not None:
             losses = " ".join(f"{v:.4f}" for v in record.branch_losses)
@@ -327,7 +325,6 @@ def history_csv(history: TrainHistory, num_branches: int) -> str:
 
 
 def timings_csv(history: TrainHistory) -> str:
-    lines = ["epoch,wall_seconds"]
-    for rec in history.epochs:
-        lines.append(f"{rec.epoch},{rec.wall_seconds:.6f}")
+    lines = ["epoch,wall_seconds"] + [f"{rec.epoch},{rec.wall_seconds:.6f}"
+                                      for rec in history.epochs]
     return "\n".join(lines) + "\n"

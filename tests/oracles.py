@@ -313,6 +313,34 @@ def batch_norm_backward_sequential(grad, x, gamma, epsilon):
     return dx, (grad * xhat).sum(axis=axes), grad.sum(axis=axes)
 
 
+def batch_norm_backward_four_sums(grad, x, out, gamma, mean, inv_std, mode, relu):
+    """``batch_norm2d``'s backward as it was before its two-sum form:
+    (dx, dgamma, dbeta, shortcut gradient) from four BLAS channel sums and
+    the normalized input rebuilt as ``(x - mean) * inv_std``. ``out`` is the
+    forward's output (the relu mask), ``mean`` and ``inv_std`` its statistics."""
+    def channel_sums(a):
+        rows = a.reshape(-1, a.shape[-1])
+        return np.ones(rows.shape[0], dtype=a.dtype) @ rows
+
+    m = x.shape[0] * x.shape[1] * x.shape[2]
+    if relu:
+        grad = (out > 0) * grad
+    xhat = x - mean
+    xhat *= inv_std
+    dbeta = channel_sums(grad)
+    dgamma = channel_sums(grad * xhat)
+    if mode == "eval":
+        return grad * (gamma * inv_std), dgamma, dbeta, grad
+    dxhat = grad * gamma
+    mean_dxhat = channel_sums(dxhat) / m
+    mean_dxhat_xhat = channel_sums(dxhat * xhat) / m
+    # inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat), in dxhat's buffer
+    dxhat -= mean_dxhat
+    dxhat -= xhat * mean_dxhat_xhat
+    dxhat *= inv_std
+    return dxhat, dgamma, dbeta, grad
+
+
 def jacobi_eig3(a, sweeps=50):
     """Cyclic Jacobi eigensolver for a symmetric 3x3.
 

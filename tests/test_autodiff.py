@@ -1,18 +1,25 @@
 """Reverse-pass semantics and finite-difference checks for every op."""
 
+import hashlib
+import os
+import subprocess
+import sys
+import threading
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from branchnet import tensor
 from branchnet.gradcheck import finite_diff_check
-from branchnet.model import BranchedNetConfig, build_branched_net
-from branchnet.tensor import (ShapeError, Tape, Tensor, batch_norm2d, conv2d,
+from branchnet.model import BranchedNetConfig, build_branched_net, mini_config
+from branchnet.tensor import (ShapeError, Tape, TapeError, Tensor, batch_norm2d, conv2d,
                               global_avg_pool, linear, pool2d, relu,
                               residual_add, reverse_pass, softmax, sum_all,
                               weighted_sum)
-from branchnet.training import combined_branch_loss, smooth_label_matrix
+from branchnet.training import (OptimizerState, combined_branch_loss, sgd_momentum_step,
+                                smooth_label_matrix)
 
 from layout import nhwc
 
@@ -154,7 +161,9 @@ class TestLeafGradients:
         # leaves x1 and x2, and later a conv output and x, which fans out to
         # both; w serves two convs; a strided padded conv returns a slice of
         # its padded input gradient, global_avg_pool a read-only broadcast,
-        # and the float32 leaf v takes a float64 gradient
+        # and the float32 leaf v takes a float64 gradient; the block input z
+        # feeds a conv and a batch norm's shortcut, and the batch norm masks
+        # in place, for its relu, the array that residual_add also gave to y
         def leaf_grads():
             rng = np.random.default_rng(5)
             x1, x2 = (Tensor(rng.standard_normal((2, 6, 6, 4)), requires_grad=True)
@@ -163,6 +172,8 @@ class TestLeafGradients:
                      for _ in range(2))
             v = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
             b = Tensor(rng.standard_normal(3), requires_grad=True)
+            gamma, beta = (Tensor(rng.standard_normal(4), requires_grad=True) for _ in range(2))
+            running = (Tensor(np.zeros(4)), Tensor(np.ones(4)))
             with Tape() as tape:
                 x = residual_add(x1, x2)
                 y = residual_add(conv2d(x, w, pad=1), x)
@@ -170,9 +181,13 @@ class TestLeafGradients:
                 s = conv2d(z, w2, stride=2, pad=1)
                 pooled = weighted_sum(pool2d(s, "max", 2, 1), rng.standard_normal((2, 2, 2, 4)))
                 logits = linear(global_avg_pool(z), v, b)
-                loss = residual_add(pooled, weighted_sum(logits, rng.standard_normal((2, 3))))
+                block = batch_norm2d(conv2d(z, w2, pad=1), gamma, beta, *running,
+                                     shortcut=z, relu=True)
+                loss = residual_add(
+                    residual_add(pooled, weighted_sum(logits, rng.standard_normal((2, 3)))),
+                    weighted_sum(residual_add(block, y), rng.standard_normal((2, 6, 6, 4))))
             reverse_pass(tape, loss)
-            return [x1.grad, x2.grad, w.grad, w2.grad, v.grad, b.grad]
+            return [x1.grad, x2.grad, w.grad, w2.grad, v.grad, b.grad, gamma.grad, beta.grad]
 
         kept = leaf_grads()
 
@@ -190,6 +205,103 @@ class TestLeafGradients:
         assert kept[4].dtype == np.float32
         for a, b in combinations(kept, 2):
             assert not np.shares_memory(a, b)
+
+
+def _trained_digest(seed, start=None, steps=6, batch_size=8):
+    """sha256 of every tensor of a float64 mini net after ``steps`` SGD steps
+    on random batches; ``start`` (a barrier) lines up concurrent runs."""
+    net = build_branched_net(mini_config(input_size=16), seed=seed)
+    state = OptimizerState(net.params)
+    rng = np.random.default_rng(seed)
+    if start is not None:
+        start.wait()
+    for _ in range(steps):
+        batch = Tensor(rng.standard_normal((batch_size, 16, 16, 3)))
+        targets = smooth_label_matrix(rng.integers(0, 10, size=batch_size), 10, 0.1)
+        net.zero_grad()
+        with Tape() as tape:
+            loss, _ = combined_branch_loss(net.forward_all_branches(batch, mode="train"),
+                                           targets)
+        reverse_pass(tape, loss)
+        sgd_momentum_step(net.params, state, 0.05, 0.9, 1e-4)
+    digest = hashlib.sha256()
+    for t in net.state().values():
+        digest.update(t.data.tobytes())
+    return digest.hexdigest()
+
+
+def _on_threads(*fns):
+    """Run each function on its own thread; their results, or the first error."""
+    results = [None] * len(fns)
+
+    def run(k):
+        try:
+            results[k] = fns[k]()
+        except BaseException as exc:   # re-raised on the calling thread
+            results[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(fns))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    return results
+
+
+class TestThreadTapes:
+    """Each thread records on its own open tapes."""
+
+    def test_nets_trained_at_once_on_two_threads_give_their_own_bytes(self):
+        alone = [_trained_digest(seed) for seed in (0, 1)]
+        start = threading.Barrier(2, timeout=120)   # a failed partner cannot hang the test
+        assert _on_threads(lambda: _trained_digest(0, start),
+                           lambda: _trained_digest(1, start)) == alone
+
+    def test_eval_on_another_thread_records_nothing_on_an_open_tape(self, rng):
+        net = build_branched_net(mini_config(input_size=16), seed=3)
+        batch = Tensor(rng.standard_normal((4, 16, 16, 3)))
+        with Tape() as tape:
+            logits = net.forward_all_branches(batch, mode="train")
+            nodes = len(tape)
+            # the heads' weights take gradients, so on a shared tape stack
+            # the eval's linear ops would record here
+            _on_threads(lambda: net.forward_all_branches(batch, mode="eval"))
+            assert len(tape) == nodes
+            loss, _ = combined_branch_loss(logits, smooth_label_matrix([0, 1, 2, 3], 10, 0.1))
+        reverse_pass(tape, loss)
+        assert all(p.grad is not None for p in net.params.values())
+
+    def test_misnested_tapes_raise_tape_error(self):
+        outer, inner = Tape(), Tape()
+        outer.__enter__()
+        inner.__enter__()
+        with pytest.raises(TapeError):
+            outer.__exit__(None, None, None)
+        # a thread cannot close a tape that another thread opened
+        with pytest.raises(TapeError):
+            _on_threads(lambda: inner.__exit__(None, None, None))
+        inner.__exit__(None, None, None)
+        outer.__exit__(None, None, None)
+        with pytest.raises(TapeError):
+            outer.__exit__(None, None, None)
+
+    def test_misnested_tapes_raise_tape_error_under_optimize(self):
+        code = ("from branchnet.tensor import Tape, TapeError\n"
+                "outer, inner = Tape(), Tape()\n"
+                "outer.__enter__(); inner.__enter__()\n"
+                "try:\n"
+                "    outer.__exit__(None, None, None)\n"
+                "except TapeError:\n"
+                "    print('TapeError', __debug__)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out == "TapeError False\n"
 
 
 def _probe_loss(op, probe):

@@ -587,12 +587,12 @@ class TestOutputBytes:
 
     @pytest.mark.parametrize("experiment, digests", [
         (lambda tmp_path: experiment_dict(tmp_path / "runs", epochs=2), {
-            "history.csv": "7a2328da455904079374b95df3e3f003f53027226774116fd4b392cd7fd80ff1",
-            "final.ckpt": "6ad50e336b8b693ee388d8ae7d2e5a44fd0d44ea8612dad65ddeb770b6559934",
+            "history.csv": "4aef3f325d24b7bac0d830138883d7083d2a73e2a2d341c6c4c8b13fa8721f06",
+            "final.ckpt": "b413b986a4fca2d386240ce1e6f2c2c23a2e5ac9c8cd6cdef8c9f86783e00170",
             "report.csv": "f6892c67f0d574cf096dbacb887ae58c037516a1dd2a658af6e59e52ae35fb2d"}),
         (lambda tmp_path: cifar10_experiment_dict(tmp_path, epochs=2), {
-            "history.csv": "07b04b4a8d3d5388d98967f553d0bd0ce8d86af54efdca1b9ee4ec17ce6a408d",
-            "final.ckpt": "f94e2ddcaeaf23cc7f3aabaf8c852d9baa07c7397927b696afc35d79ffee12c3",
+            "history.csv": "04a98d19500f30e4d55f8e6cda22781b90de148da6abf23769451495e0f87759",
+            "final.ckpt": "1e1965916e8dc7827a708f0c048d5ae87e48997e8c3462f52c903a630790ec01",
             "report.csv": "ce2a7fda5ca9c7bd99d17df78ddf266181e5cacc69fe10d2f19cd8dbebb7b8a9"}),
     ], ids=["synthetic", "cifar10"])
     def test_train_outputs_match_golden_digests(self, tmp_path, experiment, digests):

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from branchnet import tensor
 from branchnet.tensor import (BN_EPSILON, NonFiniteError, ShapeError, Tape, Tensor,
                               batch_norm2d, conv2d, global_avg_pool, linear, pool2d, relu,
                               residual_add, softmax, softmax_cross_entropy)
 
 from layout import nchw, nhwc
-from oracles import (batch_norm_backward_sequential, batch_norm_sequential,
+from oracles import (assert_within_rounding, batch_norm_backward_four_sums,
+                     batch_norm_backward_sequential, batch_norm_sequential,
                      batchnorm_twopass, conv2d_loops, linear_loops, pool2d_loops)
 
 
@@ -126,8 +128,8 @@ class TestBatchNorm:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_forward_only_equals_taped_and_unfused_expression(self, rng, mode, dtype):
-        # the forward-only path scales and shifts its one buffer in place;
-        # IEEE products commute, so both paths keep the bits of this expression
+        # the forward-only path scales its one buffer in place by one
+        # per-channel scale and shifts it; both paths keep this expression's bits
         x = nhwc(rng.standard_normal((4, 3, 5, 5)) * 3.0 + 1.5).astype(dtype)
         gamma, beta = (rng.standard_normal(3).astype(dtype) for _ in range(2))
         mean0 = rng.standard_normal(3).astype(dtype)
@@ -150,7 +152,7 @@ class TestBatchNorm:
         else:
             mean, var = mean0, var0
         inv_std = 1.0 / np.sqrt(var + 1e-5)
-        want = gamma * ((x - mean) * inv_std) + beta
+        want = (x - mean) * (gamma * inv_std) + beta
         for got in outs:
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
@@ -206,6 +208,74 @@ class TestBatchNorm:
         rm, rv = self._stats(3)
         with pytest.raises(ValueError, match="degenerate"):
             batch_norm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv, mode="train")
+
+
+def _taped_batch_norm(rng, shape, dtype, mode, epilogue):
+    """(node, x, out, gamma, mean, inv_std) of one taped batch_norm2d whose
+    inputs all take gradients, with the shortcut and relu if ``epilogue``;
+    ``mean`` and ``inv_std`` are computed as its forward computes them."""
+    c = shape[-1]
+    x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+    gamma, beta = (rng.standard_normal(c).astype(dtype) for _ in range(2))
+    running = (rng.standard_normal(c).astype(dtype), (rng.random(c) + 0.5).astype(dtype))
+    kwargs = ({"shortcut": Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True),
+               "relu": True} if epilogue else {})
+    with Tape() as tape:
+        out = batch_norm2d(Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                           Tensor(beta, requires_grad=True), *map(Tensor, running),
+                           mode=mode, **kwargs)
+    if mode == "train":
+        rows = x.reshape(-1, c)
+        ones = np.ones(len(rows), dtype=dtype)
+        mean = ones @ rows / len(rows)
+        var = ones @ np.square(rows - mean) / len(rows)
+    else:
+        mean, var = running
+    (node,) = tape.nodes
+    return node, x, out.data, gamma, mean, 1.0 / np.sqrt(var + BN_EPSILON)
+
+
+class TestBatchNormTwoSumBackward:
+    """The backward from Σg and Σg·(x - mean) against the four-sum form it
+    replaced (``oracles.batch_norm_backward_four_sums``), given one forward."""
+
+    SHAPES = [((32, 20, 20, 16), np.float32), ((32, 10, 10, 32), np.float32),
+              ((32, 5, 5, 64), np.float32), ((64, 16, 16, 8), np.float64),
+              ((64, 8, 8, 8), np.float64), ((10, 32, 32, 16), np.float64)]
+
+    @pytest.mark.parametrize("epilogue", [False, True], ids=["plain", "shortcut-relu"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("shape, dtype", SHAPES,
+                             ids=[f"{'x'.join(map(str, s))}-{d.__name__}" for s, d in SHAPES])
+    def test_within_rounding_of_four_sums(self, shape, dtype, mode, epilogue):
+        rng = np.random.default_rng(sum(shape))
+        node, x, out, gamma, mean, inv_std = _taped_batch_norm(rng, shape, dtype, mode, epilogue)
+        grad = rng.standard_normal(shape).astype(dtype)
+        want = batch_norm_backward_four_sums(grad, x, out, gamma, mean, inv_std, mode,
+                                             epilogue)
+        got = node.backward(grad.copy())   # with relu it masks the array it is given
+        assert_within_rounding([("dx", got[0]), ("dgamma", got[1])],
+                               [("dx", want[0]), ("dgamma", want[1])])
+        # dbeta and the (masked) gradient that a shortcut takes are unchanged
+        for a, ref in zip(got[2:], want[2:]):
+            assert a.dtype == ref.dtype == dtype and a.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_backward_takes_two_channel_sums(self, rng, mode, monkeypatch):
+        node = _taped_batch_norm(rng, (4, 5, 5, 3), np.float64, mode, True)[0]
+        calls = []
+        channel_sums = tensor._channel_sums
+        monkeypatch.setattr(tensor, "_channel_sums",
+                            lambda a: calls.append(a.shape) or channel_sums(a))
+        node.backward(rng.standard_normal((4, 5, 5, 3)))
+        assert calls == [(4, 5, 5, 3)] * 2
+
+    def test_relu_mask_is_applied_in_place_to_the_gradient_given(self, rng):
+        node, _, out, *_ = _taped_batch_norm(rng, (4, 5, 5, 3), np.float64, "train", True)
+        grad = rng.standard_normal(out.shape)
+        want = (out > 0) * grad
+        shortcut_grad = node.backward(grad)[3]
+        assert shortcut_grad is grad and grad.tobytes() == want.tobytes()
 
 
 class TestRelu:

@@ -480,7 +480,7 @@ class TestTrainingAfterEvaluate:
 
     # sha256 of history.csv then final.ckpt under the keyed flip and shuffle
     # draws, recorded once the evaluate-first run equalled the train-only one
-    DIGEST = "40fd1f62a36a7aa0c8914b3e216f64d32a80b5d6d5230d1e6453a4898d913cf9"
+    DIGEST = "9d8ab0619144a834760fc36a6b03aa90902853acc4e8c7d7112af37407e7115f"
 
     @staticmethod
     def _history_and_checkpoint(tmp_path, evaluate_first: bool) -> str:
