@@ -150,11 +150,12 @@ def _validate_shapes(cfg: ExperimentConfig, train_set: data_io.Dataset) -> None:
 def make_run_dir(root, fingerprint: str) -> Path:
     base = Path(root) / f"{fingerprint}-{time.strftime('%Y%m%d-%H%M%S')}"
     candidate, counter = base, 2
-    while candidate.exists():
-        candidate = base.with_name(f"{base.name}-{counter}")
-        counter += 1
-    candidate.mkdir(parents=True)
-    return candidate
+    while True:   # mkdir claims the name, so two runs in one second never share it
+        try:
+            candidate.mkdir(parents=True)
+            return candidate
+        except FileExistsError:
+            candidate, counter = base.with_name(f"{base.name}-{counter}"), counter + 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ not: it builds its im2col patch matrix one tile of images at a time and
 adds its bias to each tile's rows in place, so no conv holds a whole
 batch's patches or a second output. A conv of several tiles runs two at a
 time on two threads, each copying patches, running its GEMM and finishing
-its rows on one OpenBLAS thread (:func:`_conv_tiles`);
-``OPENBLAS_NUM_THREADS=1`` keeps every tile on the calling thread. Max pool
-is a running maximum over its window taps. Nodes keep inputs, not what
+its rows on one OpenBLAS thread (:func:`_conv_tiles`). Importing this module
+decides that once: an OpenBLAS that starts at one thread
+(``OPENBLAS_NUM_THREADS=1``, or a second copy of this module imported into
+the same process) keeps every tile on the calling thread. Max pool is a
+running maximum over its window taps. Nodes keep inputs, not what
 backward can rebuild (a conv's patch matrix, batch norm's centred input
 and relu mask, max pool's tap masks). A stride-1 conv takes its input
 gradient as a conv of the output gradient, and its weight gradient from the
@@ -365,14 +367,16 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
     order and elementwise, so bit for bit as on the whole output.
 
     At most two tiles are in flight. A conv of two or more tiles runs them
-    on two threads (:func:`_tile_pool`), each running all of a tile's work
+    on the two threads of ``_TILE_POOL``, each running all of a tile's work
     on one OpenBLAS thread: the patch copy, about half of a conv, then runs
     on both cores, as the GEMM already did. Their patch, padding and product
     buffers are allocated here, on the calling thread, as a worker thread's
-    allocations would grow a malloc arena of its own. A one-tile conv, and
-    every conv while OpenBLAS runs one thread (as ``OPENBLAS_NUM_THREADS=1``
-    sets) or its thread count cannot be reached, runs its tiles inline, in
-    the same loop. Workers run no taped op.
+    allocations would grow a malloc arena of its own. Whether the pool
+    exists is decided once, when this module is imported. A one-tile conv,
+    and every conv of a process whose OpenBLAS ran one thread at that import
+    (as ``OPENBLAS_NUM_THREADS=1`` sets, or as another copy of this module
+    imported earlier leaves it) or whose thread count cannot be reached,
+    runs its tiles inline, in the same loop. Workers run no taped op.
 
     With ``weight_grad = (a, acc)``, each tile also multiplies the transpose
     of its rows of ``a`` ([N*OH*OW, C]) by its patches into a product buffer,
@@ -383,7 +387,7 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
     n, oh, ow, cout = out_shape
     _, h, w, c = x.shape
     m, k = oh * ow, w2.shape[1]
-    tiles = -(-n // max(1, _PATCH_TILE_BYTES // (2 * m * k * x.itemsize)))
+    tiles = -(-n // _images_per_tile(m * k * x.itemsize))
     out = np.empty(out_shape, dtype=np.result_type(x, w2))
     rows = out.reshape(n * m, cout)
     a, acc = weight_grad or (None, None)
@@ -408,7 +412,7 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
         if product is not None:
             np.add(acc, product, out=acc)
 
-    pool = _tile_pool() if tiles > 1 else None
+    pool = _TILE_POOL if tiles > 1 else None
     in_flight = []   # (job, product) of at most two tiles, oldest first
     try:
         for t in range(tiles):
@@ -426,6 +430,12 @@ def _conv_tiles(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, stride: int,
     finally:   # a failed tile leaves no worker writing into out
         wait([job for job, _ in in_flight if job])
     return out
+
+
+def _images_per_tile(image_patch_bytes: int) -> int:
+    """Images in one patch tile, from one image's patch bytes: half of
+    ``_PATCH_TILE_BYTES`` per tile, at least one image."""
+    return max(1, _PATCH_TILE_BYTES // (2 * image_patch_bytes))
 
 
 def _load_openblas():
@@ -446,47 +456,34 @@ def _load_openblas():
 
 
 _OPENBLAS = _load_openblas()
+# The tile threads, decided once, at import. If OpenBLAS starts with more than
+# one thread, it is set to one for the whole process, every other GEMM
+# included: after a two-thread GEMM, OpenBLAS's own second thread spins on a
+# core for a while (a pooled conv then took 85 ms instead of 46). The executor
+# starts no thread until its first tile. Otherwise every tile runs inline.
 _TILE_POOL: Optional[ThreadPoolExecutor] = None
-_TILE_POOL_LOCK = threading.Lock()
+if _OPENBLAS is not None and _OPENBLAS[0]() > 1:
+    _OPENBLAS[1](1)
+    _TILE_POOL = ThreadPoolExecutor(2, thread_name_prefix="conv-tile")
 
 
-def _blas_threads() -> int:
-    """OpenBLAS's thread count now; 0 if it cannot be reached."""
-    return _OPENBLAS[0]() if _OPENBLAS is not None else 0
-
-
-def _tile_pool() -> Optional[ThreadPoolExecutor]:
-    """The two tile threads, or None while OpenBLAS runs one thread or cannot
-    be reached. The first conv of several tiles starts them and sets OpenBLAS
-    to one thread for the whole process, every other GEMM included: after a
-    two-thread GEMM, OpenBLAS's own second thread spins on a core for a while
-    (a pooled conv then took 85 ms instead of 46)."""
-    global _TILE_POOL
-    with _TILE_POOL_LOCK:
-        if _TILE_POOL is None and _blas_threads() > 1:
-            _OPENBLAS[1](1)
-            _TILE_POOL = ThreadPoolExecutor(2, thread_name_prefix="conv-tile")
-        return _TILE_POOL
-
-
-def _drop_tile_pool() -> None:
-    """A forked child has none of its parent's threads, so it forgets their pool,
-    and takes a new lock, as one of them may have held the old one. If the parent had started it, OpenBLAS runs one thread, so the child runs
+def _forget_tile_threads() -> None:
+    """A forked child has none of its parent's threads, so it forgets their
+    pool. If the parent had one, OpenBLAS runs one thread, so the child runs
     its tiles inline and adds no threads to its parent's."""
-    global _TILE_POOL, _TILE_POOL_LOCK
-    _TILE_POOL, _TILE_POOL_LOCK = None, threading.Lock()
+    global _TILE_POOL
+    _TILE_POOL = None
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_tile_pool)
+    os.register_at_fork(after_in_child=_forget_tile_threads)
 
 
 def conv_tile_mode() -> str:
     """How a conv of several patch tiles runs in this process, for run logs."""
-    threads = _blas_threads()
-    if _TILE_POOL is not None or threads > 1:
+    if _TILE_POOL is not None:
         return "2 threads"
-    return "inline (OpenBLAS has 1 thread)" if threads else "inline (no OpenBLAS thread control)"
+    return "inline (OpenBLAS has 1 thread)" if _OPENBLAS else "inline (no OpenBLAS thread control)"
 
 
 # ---------------------------------------------------------------------------

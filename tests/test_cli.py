@@ -115,6 +115,20 @@ class TestTrainCommand:
         assert (first / "history.csv").read_bytes() == (second / "history.csv").read_bytes()
         assert (first / "final.ckpt").read_bytes() == (second / "final.ckpt").read_bytes()
 
+    def test_runs_started_in_one_second_claim_their_own_directories(self, tmp_path,
+                                                                    monkeypatch):
+        from pathlib import Path
+        from branchnet import cli
+        monkeypatch.setattr(cli.time, "strftime", lambda *_: "20260101-000000")
+        first = cli.make_run_dir(tmp_path, "run")
+        with monkeypatch.context() as m:
+            # each later run looked for its name before the run ahead of it made it
+            m.setattr(Path, "exists", lambda self: False)
+            later = [cli.make_run_dir(tmp_path, "run") for _ in range(2)]
+        assert [d.name for d in [first, *later]] == [
+            "run-20260101-000000", "run-20260101-000000-2", "run-20260101-000000-3"]
+        assert all(d.is_dir() for d in later)
+
     def test_fast_precision_runs(self, tmp_path, config_file):
         assert main(["train", "--config", str(config_file),
                      "--precision", "fast"]) == 0
@@ -625,12 +639,14 @@ class TestConvTileRunLog:
         assert train_lines == eval_lines == [f"conv tiles: {tensor.conv_tile_mode()}"]
         assert tensor.conv_tile_mode() in self.MODES
 
-    @pytest.mark.parametrize("threads, mode", [
-        (1, "inline (OpenBLAS has 1 thread)"), (0, "inline (no OpenBLAS thread control)")])
+    @pytest.mark.parametrize("openblas, mode", [
+        ((lambda: 1, None), "inline (OpenBLAS has 1 thread)"),
+        (None, "inline (no OpenBLAS thread control)")], ids=["one-thread", "no-control"])
     def test_inline_modes_name_their_cause(self, config_file, capsys, monkeypatch,
-                                           threads, mode):
+                                           openblas, mode):
+        # as import leaves a process whose OpenBLAS ran one thread, or cannot be reached
         monkeypatch.setattr(tensor, "_TILE_POOL", None)
-        monkeypatch.setattr(tensor, "_blas_threads", lambda: threads)
+        monkeypatch.setattr(tensor, "_OPENBLAS", openblas)
         assert main(["train", "--config", str(config_file)]) == 0
         assert self._tile_lines(capsys.readouterr().out) == [f"conv tiles: {mode}"]
 

@@ -16,6 +16,7 @@ training step equals the separate ops byte for byte with fewer nodes; and
 the reverse pass consumes its tape, so nothing but leaf gradients outlives
 it."""
 
+import ast
 import multiprocessing
 import os
 import subprocess
@@ -95,8 +96,7 @@ def _out_hw(hwc, weight_shape, stride, pad):
 def _images_per_tile(hwc, weight_shape, stride, pad, dtype):
     oh, ow = _out_hw(hwc, weight_shape, stride, pad)
     cout, cin, kh, kw = weight_shape
-    per_image = oh * ow * cin * kh * kw * np.dtype(dtype).itemsize
-    return max(1, tensor._PATCH_TILE_BYTES // (2 * per_image))
+    return tensor._images_per_tile(oh * ow * cin * kh * kw * np.dtype(dtype).itemsize)
 
 
 class TestTiledConvBitIdentity:
@@ -351,11 +351,11 @@ class TestConvWeightGrad:
 
 @pytest.fixture
 def tile_pool():
-    """The tile threads, started here if no conv of several tiles has yet."""
-    pool = tensor._tile_pool()
-    if pool is None:
-        pytest.skip("conv tiles run inline: OpenBLAS runs one thread or cannot be reached")
-    return pool
+    """The tile threads that importing branchnet made."""
+    if tensor._TILE_POOL is None:
+        pytest.skip("conv tiles run inline: OpenBLAS ran one thread at import "
+                    "or cannot be reached")
+    return tensor._TILE_POOL
 
 
 def _watch_tiles(monkeypatch):
@@ -365,7 +365,8 @@ def _watch_tiles(monkeypatch):
     original = tensor._im2col
 
     def im2col(*args):
-        calls.append((threading.current_thread().name, tensor._blas_threads(),
+        calls.append((threading.current_thread().name,
+                      tensor._OPENBLAS[0]() if tensor._OPENBLAS else 0,
                       len(args) == 6 and args[5] is not None))
         return original(*args)
 
@@ -408,17 +409,28 @@ def _tiled_conv_run_log(n):
     return tensor.conv_tile_mode(), threading.active_count(), tensor._TILE_POOL is None
 
 
-FIRST_TILED_CONV = """
+IMPORT_DECISION = """
+import threading
 import numpy as np
+import branchnet
 from branchnet import tensor
 from branchnet.tensor import Tensor, conv2d
-weight = Tensor(np.ones((16, 16, 3, 3)))
-counts = [tensor._blas_threads()]
-for n in (3, 4):   # one tile, then two
-    conv2d(Tensor(np.ones((n, 32, 32, 16))), weight, pad=1)
-    counts.append(tensor._blas_threads())
-print(counts, tensor.conv_tile_mode())
+print((tensor._OPENBLAS[0](), tensor.conv_tile_mode(), tensor._TILE_POOL is not None,
+       threading.active_count()))
+conv2d(Tensor(np.ones((4, 32, 32, 16))), Tensor(np.ones((16, 16, 3, 3))), pad=1)   # two tiles
+print(sorted({thread.name.rsplit("_", 1)[0] for thread in threading.enumerate()}))
 """
+
+
+def _fresh_import(blas_threads):
+    """What IMPORT_DECISION prints, one literal a line, in a fresh interpreter
+    started with OPENBLAS_NUM_THREADS=``blas_threads``: (OpenBLAS threads,
+    tile mode, pool made, Python threads) right after ``import branchnet``,
+    then the names of the Python threads after a conv of two tiles."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    out = subprocess.run([sys.executable, "-c", IMPORT_DECISION], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    return [ast.literal_eval(line) for line in out.splitlines()]
 
 
 class TestPooledConvTiles:
@@ -457,7 +469,7 @@ class TestPooledConvTiles:
         whole += shortcut.data
         assert pooled[3].tobytes() == np.maximum(whole, 0.0, out=whole).tobytes()
         assert {name.startswith("conv-tile") for name, _, _ in calls[:3]} == {True}
-        monkeypatch.setattr(tensor, "_tile_pool", lambda: None)
+        monkeypatch.setattr(tensor, "_TILE_POOL", None)
         del calls[:]
         inline = forward_and_grads()
         assert {name for name, _, _ in calls} == {threading.current_thread().name}
@@ -476,7 +488,7 @@ class TestPooledConvTiles:
         assert {count for _, count, _ in calls} == {1}
         # the calling thread allocated every tile's padded input
         assert {padded for _, _, padded in calls} == {True}
-        assert tensor._blas_threads() == 1
+        assert tensor._OPENBLAS[0]() == 1
         assert tensor.conv_tile_mode() == "2 threads"
 
     def test_products_and_eval_epilogues_run_on_tile_threads(self, rng, tile_pool,
@@ -539,24 +551,27 @@ class TestPooledConvTiles:
                Tensor(rng.standard_normal((16, 16, 3, 3))), pad=1)
         assert calls == [(threading.current_thread().name, 1, True)]
 
+    @pytest.mark.skipif(tensor._OPENBLAS is None, reason="OpenBLAS cannot be reached")
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the cores")
-    def test_first_conv_of_several_tiles_starts_the_pool(self):
-        # in a fresh process: a one-tile conv leaves OpenBLAS at two threads,
-        # the first conv of two tiles sets it to one
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-        out = subprocess.run([sys.executable, "-c", FIRST_TILED_CONV], env=env, check=True,
-                             capture_output=True, text=True, timeout=120).stdout
-        assert out == "[2, 2, 1] 2 threads\n"
+    def test_import_with_two_blas_threads_sets_one_and_makes_the_pool(self):
+        # the pool starts no thread at import; a conv of two tiles starts its first
+        assert _fresh_import(2) == [(1, "2 threads", True, 1), ["MainThread", "conv-tile"]]
+
+    @pytest.mark.skipif(tensor._OPENBLAS is None, reason="OpenBLAS cannot be reached")
+    def test_import_with_one_blas_thread_makes_no_pool(self):
+        assert _fresh_import(1) == [(1, "inline (OpenBLAS has 1 thread)", False, 1),
+                                    ["MainThread"]]
 
     def test_one_blas_thread_runs_every_tile_inline_and_starts_no_pool(self, rng,
                                                                        monkeypatch):
+        # as import leaves a process whose OpenBLAS ran one thread, or cannot be reached
         monkeypatch.setattr(tensor, "_TILE_POOL", None)
         calls = _watch_tiles(monkeypatch)
         x = Tensor(rng.standard_normal((12, 32, 32, 16)))
         weight = Tensor(rng.standard_normal((16, 16, 3, 3)))
-        for threads, mode in ((1, "inline (OpenBLAS has 1 thread)"),
-                              (0, "inline (no OpenBLAS thread control)")):
-            monkeypatch.setattr(tensor, "_blas_threads", lambda: threads)
+        for openblas, mode in (((lambda: 1, None), "inline (OpenBLAS has 1 thread)"),
+                               (None, "inline (no OpenBLAS thread control)")):
+            monkeypatch.setattr(tensor, "_OPENBLAS", openblas)
             del calls[:]
             conv2d(x, weight, pad=1)
             assert tensor.conv_tile_mode() == mode
